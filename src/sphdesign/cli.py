@@ -32,6 +32,7 @@ from .enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from .gramfile import format_rational, read_vector_set, write_vector_set
 from .report import (
     code_params,
+    embedded_report,
     report_text,
     reproduce_table,
     table_json,
@@ -212,20 +213,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_embed(args) -> int:
     spec, vs = _vector_set(args)
-    halved = halve_antipodal(vs, seed=args.seed) if vs.antipodal else vs
-    emb = embed(pair_spectrum(halved, threads=args.threads))
-    ok, lhs, rhs = theorem_check(emb)
+    emb = embed(pair_spectrum(vs, threads=args.threads))
+    ok, lhs, rhs = theorem = theorem_check(emb)
     cp = code_params(emb)
     if args.format == "json":
-        payload = {
-            "lattice": spec.name,
-            "D": emb.target_D,
-            "code": [cp.ambient, cp.size, format_rational(cp.a)],
-            "spectrum": emb.spectrum.to_triples(),
-            "theorem_check": {"lhs": format_rational(lhs),
-                              "rhs": format_rational(rhs)},
-            "is_3design": ok,
-        }
+        payload = {"lattice": spec.name, **embedded_report(emb, cp, theorem)}
         _write_or_print(json.dumps(payload, indent=2), args.out)
     else:
         lines = [
@@ -316,16 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=11, metavar="T",
                    help="largest design strength to test (default 11)")
     p.add_argument("--seed", type=int, default=None,
-                   help="randomize the antipodal halving")
+                   help="randomize the half-set of the rank certificate")
     p.add_argument("--matrix-cap", type=int, default=MATRIX_CAP, metavar="M",
                    help="max point count for the exact rank certificate")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("embed", help="embed a halved set and test the 3-design")
+    p = sub.add_parser("embed", help="embed the set and test the 3-design")
     _add_input_flags(p)
     _add_common_flags(p)
     p.add_argument("--seed", type=int, default=None,
-                   help="randomize the antipodal halving")
+                   help="unused: the embedded code is the same for any half-set")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("reproduce", help="recompute a published example table")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import prod
 
 from .enumeration import NotAntipodalError
 from .gegenbauer import gegenbauer
@@ -61,21 +62,14 @@ def moment_target(d: int, two_k: int) -> Fraction:
     """(2k-1)!! / ((d+1)(d+3)...(d+2k-1)), the 2k-th moment of the sphere."""
     if two_k < 2 or two_k % 2:
         raise ValueError("even power >= 2 required")
-    k = two_k // 2
-    num = 1
-    for i in range(1, 2 * k, 2):
-        num *= i
-    den = 1
-    for j in range(k):
-        den *= d + 1 + 2 * j
-    return Fraction(num, den)
+    return Fraction(prod(range(1, two_k, 2)), prod(range(d + 1, d + two_k, 2)))
 
 
 def venkov_3design(spec: PairSpectrum) -> tuple[bool, Fraction]:
     """Antipodal 3-design criterion: mean squared product equals 1/(d+1)."""
     _require_antipodal(spec)
     lhs = moment(spec, 2)
-    return lhs == Fraction(1, spec.d + 1), lhs
+    return lhs == moment_target(spec.d, 2), lhs
 
 
 def venkov_5design(spec: PairSpectrum) -> tuple[bool, Fraction, Fraction]:
@@ -83,8 +77,8 @@ def venkov_5design(spec: PairSpectrum) -> tuple[bool, Fraction, Fraction]:
     _require_antipodal(spec)
     lhs2 = moment(spec, 2)
     lhs4 = moment(spec, 4)
-    holds = (lhs2 == Fraction(1, spec.d + 1)
-             and lhs4 == Fraction(3, (spec.d + 3) * (spec.d + 1)))
+    holds = (lhs2 == moment_target(spec.d, 2)
+             and lhs4 == moment_target(spec.d, 4))
     return holds, lhs2, lhs4
 
 

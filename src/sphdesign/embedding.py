@@ -2,10 +2,12 @@
 
 A point x on S^d maps to the function y -> g_{2,d}((x,y)), a unit vector
 G_x in the d(d+3)/2-dimensional space of degree-2 spherical harmonics with
-<G_x, G_y> = g_{2,d}((x,y)).  Everything here operates on inner products:
-the embedded set G_X union -G_X is handled as a spectrum, its Gram matrix
-can be realized exactly, and its 3-design property is certified by an
-exact moment identity.  Float coordinates are export-only.
+<G_x, G_y> = g_{2,d}((x,y)).  Everything here operates on inner products.
+The kernel is even, so G_(-x) = G_x and the embedded set G_X' union -G_X'
+is the same for every half-set X' of an antipodal X: its spectrum follows
+from the pair spectrum of X alone.  Its Gram matrix (which does need a
+half-set) can be realized exactly, and its 3-design property is certified
+by an exact moment identity.  Float coordinates are export-only.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .enumeration import NotAntipodalError, VectorSet, exact_norms
+from .designs import moment_target, venkov_3design
+from .enumeration import NotAntipodalError, VectorSet, exact_matmul
 from .gegenbauer import gegenbauer
 from .linalg import GramMatrix, ldlt, psd_rank
-from .spectrum import PairSpectrum, SpectrumError
+from .spectrum import PairSpectrum
 
 
 class EmbeddingError(ValueError):
@@ -54,31 +57,29 @@ class EmbeddedSpectrum:
     def target_D(self) -> int:
         return dim_harm(2, self.source_d)
 
-    @property
-    def size(self) -> int:
-        return self.spectrum.size
 
+def embed(spec: PairSpectrum) -> EmbeddedSpectrum:
+    """Spectrum of G_X' union -G_X', folded from the pair spectrum of X.
 
-def embed(spec_halved: PairSpectrum) -> EmbeddedSpectrum:
-    """Push a halved-set spectrum through the degree-2 kernel and mirror.
-
-    Each ordered source pair with product s yields the four sign
-    combinations (+-G_x, +-G_y), i.e. counts 2c at +g(s) and 2c at -g(s).
-    Requires an antipodal-free input: G_(-x) = G_x, so embedding a full
-    antipodal set would duplicate every point.
+    Each source product s contributes C(s)/2 at +g(s) and C(s)/2 at -g(s),
+    where g is the normalized degree-2 Gegenbauer polynomial and C the
+    spectrum of the antipodal set X; an odd C(s) raises EmbeddingError.
+    embed(emb.spectrum) embeds an embedded code again.  A spectrum not
+    flagged antipodal is read as that of a half-set X' and mirrored first.
     """
-    if spec_halved.antipodal:
-        raise NotAntipodalError(
-            "input spectrum is antipodal; halve the set first")
-    d = spec_halved.d
+    full = spec if spec.antipodal else spec.mirrored()
+    d = full.d
     g = gegenbauer(2, d)
     g1 = g.at_one()
     out: dict[Fraction, int] = {}
-    for s, c in spec_halved.entries:
+    for s, c in full.entries:
+        if c % 2:
+            raise EmbeddingError(
+                f"odd count {c} at s = {s}: not an antipodal spectrum")
         val = g(s) / g1
-        out[val] = out.get(val, 0) + 2 * c
-        out[-val] = out.get(-val, 0) + 2 * c
-    emb = PairSpectrum(d=dim_harm(2, d) - 1, size=2 * spec_halved.size,
+        out[val] = out.get(val, 0) + c // 2
+        out[-val] = out.get(-val, 0) + c // 2
+    emb = PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
                        antipodal=True, entries=tuple(out.items()))
     return EmbeddedSpectrum(source_d=d, spectrum=emb)
 
@@ -86,37 +87,12 @@ def embed(spec_halved: PairSpectrum) -> EmbeddedSpectrum:
 def theorem_check(emb: EmbeddedSpectrum) -> tuple[bool, Fraction, Fraction]:
     """Exact quadratic-moment identity certifying the embedded 3-design.
 
-    lhs is the mean squared embedded inner product, rhs = 2/(d(d+3)); the
-    set is a 3-design iff they agree, which coincides with the antipodal
-    3-design criterion on S^(D-1) since 1/D = 2/(d(d+3)).
+    lhs is the mean squared embedded inner product, rhs = 1/D =
+    2/(d(d+3)); the set is a 3-design iff they agree, which is the
+    antipodal 3-design criterion on S^(D-1).
     """
-    d = emb.source_d
-    rhs = Fraction(2, d * (d + 3))
-    n2 = emb.size * emb.size
-    lhs = sum((c * s * s for s, c in emb.spectrum.entries), Fraction(0)) / n2
-    return lhs == rhs, lhs, rhs
-
-
-def iterate_embedding(emb: EmbeddedSpectrum) -> EmbeddedSpectrum:
-    """Embed an embedded code again (no guarantee beyond theorem_check).
-
-    The re-embedding is halving-invariant because the kernel is even, so
-    a synthetic halved spectrum with the correct merged counts suffices.
-    """
-    full = emb.spectrum.counts()
-    half: dict[Fraction, int] = {}
-    for s, c in full.items():
-        if s > 0:
-            if c % 2:
-                raise EmbeddingError("spectrum does not halve evenly")
-            half[s] = c // 2
-        elif s == 0:
-            if c % 4:
-                raise EmbeddingError("spectrum does not halve evenly")
-            half[s] = c // 4
-    pseudo = PairSpectrum(d=emb.spectrum.d, size=emb.size // 2,
-                          antipodal=False, entries=tuple(half.items()))
-    return embed(pseudo)
+    holds, lhs = venkov_3design(emb.spectrum)
+    return holds, lhs, moment_target(emb.spectrum.d, 2)
 
 
 @dataclass(frozen=True)
@@ -155,15 +131,7 @@ def _source_products(x_halved: VectorSet) -> list[list[Fraction]]:
     scale, gi = x_halved.gram.integer_entries()
     m = int(x_halved.min_norm * scale)
     v = x_halved.coords
-    gmax = max(abs(e) for row in gi for e in row)
-    vmax = int(np.abs(v).max(initial=0))
-    n = v.shape[1]
-    if n * n * gmax * vmax * vmax < 2**62:
-        g = np.array(gi, dtype=np.int64)
-        rows = (v @ g @ v.T).tolist()
-    else:
-        av = v.astype(object)
-        rows = (av @ np.array(gi, dtype=object) @ av.T).tolist()
+    rows = exact_matmul(v, gi, v.T).tolist()
     return [[Fraction(int(p), m) for p in row] for row in rows]
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Iterable, Sequence
+from functools import reduce
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -80,26 +80,31 @@ class VectorSet:
             raise ValueError("duplicate vectors present")
 
 
-def exact_norms(gram: GramMatrix, coords: np.ndarray) -> np.ndarray:
-    """Integer-scaled norms v^T (c*gram) v for all rows, computed exactly.
+# every partial sum of an int64 product certified below this stays in range
+I64_SAFE = 2**62
 
-    Uses int64 vectorized arithmetic when a proven bound rules out overflow,
-    otherwise falls back to Python integers.
+
+def exact_matmul(*factors) -> np.ndarray:
+    """Exact integer chain product factors[0] @ factors[1] @ ...
+
+    Runs in int64 when k_1 * ... * k_r * max|F_0| * ... * max|F_r| < 2**62
+    (k_i the inner dimensions) proves no partial sum can overflow; otherwise
+    in Python integers (object dtype), the only fallback.  Factors are
+    integer arrays or nested lists of Python ints.
     """
-    scale, gi = gram.integer_entries()
-    v = np.asarray(coords, dtype=np.int64)
-    n = v.shape[1]
-    gmax = max((abs(x) for row in gi for x in row), default=0)
-    vmax = int(np.abs(v).max(initial=0))
-    if n * n * gmax * vmax * vmax < 2**62:
-        g = np.array(gi, dtype=np.int64)
-        return np.einsum("ij,jk,ik->i", v, g, v)
-    out = []
-    for row in coords:
-        out.append(sum(int(a) * gi[i][j] * int(b)
-                       for i, a in enumerate(row) if a
-                       for j, b in enumerate(row) if b))
-    return np.array(out, dtype=object)
+    arrs = [f if isinstance(f, np.ndarray) else np.array(f, dtype=object)
+            for f in factors]
+    bound = (prod(f.shape[-1] for f in arrs[:-1])
+             * prod(int(np.abs(f).max(initial=0)) for f in arrs))
+    dtype = np.int64 if bound < I64_SAFE else object
+    return reduce(np.matmul, (f.astype(dtype, copy=False) for f in arrs))
+
+
+def exact_norms(gram: GramMatrix, coords: np.ndarray) -> np.ndarray:
+    """Integer-scaled norms v^T (c*gram) v for all rows, computed exactly."""
+    _, gi = gram.integer_entries()
+    v = np.asarray(coords)
+    return exact_matmul(v[:, None, :], gi, v[:, :, None])[:, 0, 0]
 
 
 def _round_half(x: Fraction) -> int:

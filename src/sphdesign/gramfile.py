@@ -101,7 +101,12 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, list[tuple[int, ...
             raise FormatError(f"expected {rank} coordinates per vector")
         if not all(_INT_RE.match(t) for t in tokens):
             raise FormatError(f"vector coordinates must be integers: {line!r}")
-        vectors.append(tuple(int(t) for t in tokens))
+        vec = tuple(int(t) for t in tokens)
+        # vector sets are stored as int64, with |x| representable too
+        if max(map(abs, vec), default=0) >= 2**63:
+            raise FormatError(
+                f"vector coordinate out of range (|x| < 2^63): {line!r}")
+        vectors.append(vec)
     return rank, count, min_norm, vectors
 
 

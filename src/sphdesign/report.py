@@ -1,10 +1,11 @@
-"""Spherical-code parameters, per-lattice verification, table reproduction.
+"""Spherical-code parameters, the certify pipeline and its two views.
 
-The verification report is assembled from exact quantities only; JSON
-renders every rational as a "p/q" string so nothing is rounded on the way
-out.  Table reproduction compares computed values to the stored reference
-rows with exact equality and emits PASS/FAIL (or DATA-REQUIRED when a
-catalog Gram file is not shipped).
+certify() runs every stage once per lattice and returns exact quantities
+only.  The verification report renders them, with JSON writing every
+rational as a "p/q" string so nothing is rounded on the way out.  Table
+reproduction compares them to the stored reference rows with exact
+equality and emits PASS/FAIL (or DATA-REQUIRED when a catalog Gram file is
+not shipped).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import CatalogDataMissing, LatticeSpec, catalog
-from .designs import design_strength, venkov_5design
+from .designs import design_strength, moment_target, venkov_5design
 from .embedding import (
+    MATRIX_CAP,
     EmbeddedSpectrum,
-    dim_harm,
     embed,
     embedded_gram,
     theorem_check,
@@ -63,71 +64,106 @@ def _frac(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
-                   matrix_cap: int = 512, vectors: VectorSet | None = None,
-                   seed: int | None = None) -> dict:
-    """Full pipeline on one lattice; returns the JSON-ready report dict.
+@dataclass(frozen=True)
+class Certificate:
+    """Exact results of the certify pipeline for one lattice."""
 
-    Enumerates minimal vectors (unless supplied), checks the kissing count
-    when an expectation exists, evaluates the source moment criteria and
-    design strength, embeds the halved set, certifies the embedded
-    3-design, and adds an exact PSD rank certificate when the set fits the
-    matrix cap.  verdict is PASS only if every certified property holds.
-    """
-    if vectors is None:
-        vs = minimal_vector_set(spec.gram)
-    else:
-        vs = vectors
-    kissing_ok = None
-    if spec.expected_kissing is not None:
-        kissing_ok = vs.count == spec.expected_kissing
-    min_norm_ok = True
-    if spec.expected_min_norm is not None:
-        min_norm_ok = vs.min_norm == spec.expected_min_norm
+    min_norm: Fraction
+    kissing_ok: bool | None                   # None when no count is expected
+    min_norm_ok: bool
+    source: PairSpectrum
+    source_code: CodeParams
+    venkov5: tuple[bool, Fraction, Fraction]  # (holds, moment2, moment4)
+    strength: int | None                      # None when not requested
+    embedded: EmbeddedSpectrum
+    embedded_code: CodeParams
+    theorem: tuple[bool, Fraction, Fraction]  # (is_3design, lhs, rhs)
+    rank: tuple[bool, int] | None             # (is_psd, rank); None over cap
 
+    @property
+    def passed(self) -> bool:
+        # rank_certificate() raises when the rank exceeds dim Harm
+        return (self.kissing_ok is not False and self.min_norm_ok
+                and self.venkov5[0] and self.theorem[0]
+                and (self.rank is None or self.rank[0]))
+
+
+def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
+            matrix_cap: int = MATRIX_CAP, vectors: VectorSet | None = None,
+            seed: int | None = None) -> Certificate:
+    """Every stage, once: enumerate minimal vectors (unless supplied), one
+    pair-spectrum pass, the source moment criteria, design strength up to
+    t_max (skipped when None), the embedded spectrum folded from the same
+    spectrum, its 3-design identity, and an exact PSD rank certificate
+    when the half-set (picked by seed) fits the matrix cap."""
+    vs = minimal_vector_set(spec.gram) if vectors is None else vectors
     src = pair_spectrum(vs, threads=threads)
-    v5_holds, lhs2, lhs4 = venkov_5design(src)
-    d = src.d
-    strength = design_strength(src, t_max)
+    venkov5 = venkov_5design(src)   # first: it rejects non-antipodal sets
+    strength = None if t_max is None else design_strength(src, t_max)
+    emb = embed(src)
+    rank = None
+    if vs.count // 2 <= matrix_cap:
+        eg = embedded_gram(halve_antipodal(vs, seed=seed), cap=matrix_cap)
+        rank = eg.rank_certificate()
+    return Certificate(
+        min_norm=vs.min_norm,
+        kissing_ok=(None if spec.expected_kissing is None
+                    else vs.count == spec.expected_kissing),
+        min_norm_ok=(spec.expected_min_norm is None
+                     or vs.min_norm == spec.expected_min_norm),
+        source=src, source_code=code_params(src), venkov5=venkov5,
+        strength=strength, embedded=emb, embedded_code=code_params(emb),
+        theorem=theorem_check(emb), rank=rank)
 
-    halved = halve_antipodal(vs, seed=seed)
-    emb = embed(pair_spectrum(halved, threads=threads))
-    is_3design, lhs, rhs = theorem_check(emb)
-    emb_code = code_params(emb)
 
-    embedded: dict = {
+def embedded_report(emb: EmbeddedSpectrum, code: CodeParams,
+                    theorem: tuple[bool, Fraction, Fraction]) -> dict:
+    """JSON-ready embedded code and its 3-design check."""
+    is3, lhs, rhs = theorem
+    return {
         "D": emb.target_D,
-        "code": [emb_code.ambient, emb_code.size, _frac(emb_code.a)],
+        "code": [code.ambient, code.size, _frac(code.a)],
         "spectrum": emb.spectrum.to_triples(),
         "theorem_check": {"lhs": _frac(lhs), "rhs": _frac(rhs)},
-        "is_3design": is_3design,
+        "is_3design": is3,
     }
-    rank_ok = True
-    if halved.count <= matrix_cap:
-        eg = embedded_gram(halved, cap=matrix_cap)
-        is_psd, rank = eg.rank_certificate()
-        rank_ok = is_psd and rank <= emb.target_D
-        embedded["rank_certificate"] = {"is_psd": is_psd, "rank": rank}
 
-    ok = (kissing_ok is not False and min_norm_ok and v5_holds
-          and is_3design and rank_ok)
+
+def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
+                   matrix_cap: int = MATRIX_CAP,
+                   vectors: VectorSet | None = None,
+                   seed: int | None = None) -> dict:
+    """The certify pipeline on one lattice as a JSON-ready report dict.
+
+    verdict is PASS only if every certified property holds; the kissing
+    count is checked only when the spec expects one.
+    """
+    cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=matrix_cap,
+                   vectors=vectors, seed=seed)
+    d = cert.source.d
+    v5, moment2, moment4 = cert.venkov5
+    embedded = embedded_report(cert.embedded, cert.embedded_code,
+                               cert.theorem)
+    if cert.rank is not None:
+        is_psd, rank = cert.rank
+        embedded["rank_certificate"] = {"is_psd": is_psd, "rank": rank}
     return {
         "lattice": spec.name,
         "d": d,
-        "N": vs.count,
-        "min_norm": _frac(vs.min_norm),
-        "kissing_ok": kissing_ok,
-        "source_spectrum": src.to_triples(),
+        "N": cert.source.size,
+        "min_norm": _frac(cert.min_norm),
+        "kissing_ok": cert.kissing_ok,
+        "source_spectrum": cert.source.to_triples(),
         "venkov5": {
-            "holds": v5_holds,
-            "moment2": _frac(lhs2),
-            "moment4": _frac(lhs4),
-            "target2": _frac(Fraction(1, d + 1)),
-            "target4": _frac(Fraction(3, (d + 3) * (d + 1))),
+            "holds": v5,
+            "moment2": _frac(moment2),
+            "moment4": _frac(moment4),
+            "target2": _frac(moment_target(d, 2)),
+            "target4": _frac(moment_target(d, 4)),
         },
-        "design_strength": strength,
+        "design_strength": cert.strength,
         "embedded": embedded,
-        "verdict": "PASS" if ok else "FAIL",
+        "verdict": "PASS" if cert.passed else "FAIL",
     }
 
 
@@ -149,26 +185,23 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
     except CatalogDataMissing as exc:
         return TableRow(lattice=ref.lattice, status="DATA-REQUIRED",
                         expected=ref, detail=str(exc))
-    vs = minimal_vector_set(spec.gram)
+    # strength only where the table claims one; no rank certificate
+    t_max = None if ref.source_strength is None else ref.source_strength + 1
+    cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=0)
     problems = []
-    if vs.count != ref.size:
-        problems.append(f"kissing {vs.count} != {ref.size}")
-    src = pair_spectrum(vs, threads=threads)
-    v5, _, _ = venkov_5design(src)
-    if not v5:
+    if cert.source.size != ref.size:
+        problems.append(f"kissing {cert.source.size} != {ref.size}")
+    if not cert.venkov5[0]:
         problems.append("source moment criteria fail")
-    src_code = code_params(src)
-    if src_code.spectrum_abs != ref.source_abs:
+    src_abs = cert.source_code.spectrum_abs
+    if src_abs != ref.source_abs:
         problems.append(
-            f"source products {_abs_str(src_code.spectrum_abs)} != "
+            f"source products {_abs_str(src_abs)} != "
             f"{_abs_str(ref.source_abs)}")
-
-    halved = halve_antipodal(vs)
-    emb = embed(pair_spectrum(halved, threads=threads))
-    is3, lhs, rhs = theorem_check(emb)
+    is3, lhs, rhs = cert.theorem
     if not is3:
         problems.append(f"embedded moment {lhs} != {rhs}")
-    emb_code = code_params(emb)
+    emb_code = cert.embedded_code
     if emb_code.as_tuple() != (ref.ambient, ref.size, ref.a):
         problems.append(
             f"embedded code {emb_code.as_tuple()} != "
@@ -177,22 +210,18 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
         problems.append(
             f"embedded products {_abs_str(emb_code.spectrum_abs)} != "
             f"{_abs_str(ref.embedded_abs)}")
-
-    strength = None
-    if ref.source_strength is not None:
-        strength = design_strength(src, ref.source_strength + 1)
-        if strength != ref.source_strength:
-            problems.append(
-                f"design strength {strength} != {ref.source_strength}")
+    if t_max is not None and cert.strength != ref.source_strength:
+        problems.append(
+            f"design strength {cert.strength} != {ref.source_strength}")
 
     return TableRow(
         lattice=ref.lattice,
         status="FAIL" if problems else "PASS",
         expected=ref,
         computed_code=emb_code.as_tuple(),
-        computed_source_abs=src_code.spectrum_abs,
+        computed_source_abs=src_abs,
         computed_embedded_abs=emb_code.spectrum_abs,
-        computed_strength=strength,
+        computed_strength=cert.strength,
         detail="; ".join(problems),
     )
 

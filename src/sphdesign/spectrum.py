@@ -17,13 +17,12 @@ from math import isqrt
 
 import numpy as np
 
-from .enumeration import VectorSet, halve_antipodal
+from .enumeration import I64_SAFE, VectorSet, exact_matmul, halve_antipodal
 
 _BLOCK = 2048
 # any partial sum of a dot product below this is an exactly represented
 # float64 integer, so BLAS matmul is bit-exact
 _F64_SAFE = 2**53
-_I64_SAFE = 2**62
 
 
 class SpectrumError(ValueError):
@@ -67,6 +66,18 @@ class PairSpectrum:
     def counts(self) -> dict[Fraction, int]:
         return dict(self.entries)
 
+    def mirrored(self) -> "PairSpectrum":
+        """Spectrum of X union -X for this antipodal-free X:
+        C(s) = 2 c(s) + 2 c(-s), an exact identity."""
+        if self.antipodal:
+            raise SpectrumError("spectrum is already antipodal")
+        full: dict[Fraction, int] = {}
+        for s, c in self.entries:
+            full[s] = full.get(s, 0) + 2 * c
+            full[-s] = full.get(-s, 0) + 2 * c
+        return PairSpectrum(d=self.d, size=2 * self.size, antipodal=True,
+                            entries=tuple(full.items()))
+
     def count(self, s) -> int:
         return self.counts().get(Fraction(s), 0)
 
@@ -95,7 +106,7 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int, nbins: int,
     vmax = int(np.abs(v).max(initial=0))
     k = a.shape[1]
     use_f64 = k * amax * vmax < _F64_SAFE
-    if not (use_f64 or k * amax * vmax < _I64_SAFE):
+    if not (use_f64 or k * amax * vmax < I64_SAFE):
         # beyond machine range; exact object-dtype fallback (slow, unused
         # by the shipped catalog but keeps the contract for hostile input)
         hist = np.zeros(nbins, dtype=object)
@@ -136,33 +147,30 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     """Exact spectrum of ordered-pair normalized inner products of x.
 
     For antipodal sets only one representative per pair enters the O(N^2)
-    pass; the full spectrum is recovered from count(s) = 2 c(s) + 2 c(-s)
-    over the halved set, an exact identity that quarters the work.
+    pass; the full spectrum is that of the halved set, mirrored (see
+    PairSpectrum.mirrored), an exact identity that quarters the work.
     """
     if x.count == 0:
         raise SpectrumError("empty vector set")
     scale, gi = x.gram.integer_entries()
     norm_scaled = x.min_norm * scale
+    if norm_scaled.denominator != 1 or norm_scaled <= 0:
+        raise SpectrumError(
+            f"min_norm {x.min_norm} is not a positive multiple of 1/{scale}, "
+            f"the Gram matrix's denominator scale")
     m = int(norm_scaled)
-    assert norm_scaled == m
 
     work = halve_antipodal(x) if x.antipodal else x
     v = work.coords
-    vmax = int(np.abs(v).max(initial=0))
-    gmax = max((abs(e) for row in gi for e in row), default=0)
-    if v.shape[1] * gmax * vmax < _I64_SAFE:
-        a = v @ np.array(gi, dtype=np.int64)
-    else:
-        a = v.astype(object) @ np.array(gi, dtype=object)
+    a = exact_matmul(v, gi)
 
     off = m  # |scaled product| <= scaled min norm by Cauchy-Schwarz
     nbins = 2 * m + 1
     hist = _hist_blocks(a, v, off, nbins, threads)
-    if x.antipodal:
-        hist = 2 * (hist + hist[::-1])
 
     counts: dict[Fraction, int] = {}
     for idx in np.nonzero(hist)[0]:
         counts[Fraction(int(idx) - off, m)] = int(hist[idx])
-    return PairSpectrum(d=x.rank - 1, size=x.count, antipodal=x.antipodal,
+    spec = PairSpectrum(d=x.rank - 1, size=work.count,
                         entries=tuple(counts.items()))
+    return spec.mirrored() if x.antipodal else spec

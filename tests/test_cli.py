@@ -200,3 +200,12 @@ def test_vectors_with_lattice_gram(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--lattice", "A2",
                        "--vectors", str(tmp_path / "a2.vecs"))
     assert code == 0 and "verdict: PASS" in out
+
+
+def test_vector_coordinate_past_int64_exit_two(tmp_path, capsys):
+    vecs = tmp_path / "huge.vecs"
+    vecs.write_text(f"2 2 1\n{2 ** 63} 0\n{-2 ** 63} 0\n")
+    code, out, err = run(capsys, "verify", "--vectors", str(vecs))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "out of range" in err

@@ -17,11 +17,12 @@ from sphdesign.embedding import (
     dim_harm,
     embed,
     embedded_gram,
-    iterate_embedding,
     realize_coordinates,
     theorem_check,
+    _source_products,
 )
-from sphdesign.enumeration import NotAntipodalError, halve_antipodal
+from sphdesign.enumeration import NotAntipodalError, VectorSet, halve_antipodal
+from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 from conftest import lattice_vectors
@@ -44,10 +45,23 @@ def test_dim_harm_quadratic_values():
         [2, 9, 20, 27, 35, 54, 77, 135, 299]
 
 
-def test_embed_rejects_antipodal_input(hexagon):
-    full = pair_spectrum(hexagon)
-    with pytest.raises(NotAntipodalError, match="halve"):
-        embed(full)
+def test_embed_full_spectrum_equals_halved():
+    # the kernel is even: folding the antipodal spectrum gives the same
+    # embedded code as embedding any half-set
+    for name in ("A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8"):
+        vs = lattice_vectors(name)
+        full = embed(pair_spectrum(vs))
+        for seed in (None, 0, 1, 7):
+            half = embed(pair_spectrum(halve_antipodal(vs, seed=seed)))
+            assert half == full, (name, seed)
+
+
+def test_embed_rejects_odd_antipodal_count():
+    # a valid antipodal spectrum of 5 points, which no antipodal set has
+    odd = PairSpectrum.from_counts(2, {F(1): 5, F(0): 15, F(-1): 5},
+                                   antipodal=True)
+    with pytest.raises(EmbeddingError, match="odd count"):
+        embed(odd)
 
 
 def test_hexagon_embeds_to_hexagon(hexagon):
@@ -62,7 +76,7 @@ def test_hexagon_embeds_to_hexagon(hexagon):
 def test_hexagon_embedding_iterates():
     # the embedded hexagon is again a hexagon on S^1; iterating is stable
     emb = embed(pair_spectrum(halve_antipodal(lattice_vectors("A2"))))
-    emb2 = iterate_embedding(emb)
+    emb2 = embed(emb.spectrum)
     assert emb2.spectrum.counts() == emb.spectrum.counts()
 
 
@@ -107,6 +121,20 @@ def test_rank_certificates_small(name, rank):
     eg = embedded_gram(half)
     is_psd, r = eg.rank_certificate()
     assert is_psd and r == rank
+
+
+@pytest.mark.parametrize("k", [2 ** 30 - 1, 2 ** 30])
+def test_source_products_both_sides_of_bound(k):
+    # v G v^T is certified in int64 while n^2 max|G| max|v|^2 = 4 k^2 < 2^62
+    j = k - 1
+    half = VectorSet(gram=GramMatrix.identity(2), min_norm=k * k + j * j,
+                     coords=np.array([[k, j], [j, k], [j, -k]]),
+                     antipodal=False)
+    half.validate()
+    rows = half.as_tuples()
+    want = [[F(v[0] * w[0] + v[1] * w[1], k * k + j * j) for w in rows]
+            for v in rows]
+    assert _source_products(half) == want
 
 
 def test_embedded_gram_signs(hexagon):
@@ -163,7 +191,7 @@ def test_embedded_spectrum_validates():
 
 def test_iterate_embedding_divisibility(d4_vectors):
     emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
-    emb2 = iterate_embedding(emb)
+    emb2 = embed(emb.spectrum)
     ok, lhs, rhs = theorem_check(emb2)
     assert emb2.target_D == dim_harm(2, 8)
     assert not ok  # a 3-design is not automatically a 5-design; the

@@ -106,6 +106,18 @@ def test_exact_norms_object_fallback():
     assert [int(x) for x in norms] == [2 ** 70, 2 ** 70]
 
 
+@pytest.mark.parametrize("k", [2 ** 30 - 1, 2 ** 30])
+def test_exact_norms_both_sides_of_bound(k):
+    # the int64 certificate n^2 max|G| max|v|^2 = 4 k^2 reaches 2^62 at
+    # k = 2^30; both tiers must equal the Fraction oracle
+    g = GramMatrix.from_rows([[1, -1], [-1, 1]])
+    coords = np.array([[k, k - 1], [k - 1, -k], [-k, 1]], dtype=np.int64)
+    norms = exact_norms(g, coords)
+    assert norms.dtype == (np.int64 if k < 2 ** 30 else object)
+    assert [int(x) for x in norms] == [g.quadratic_form(v)
+                                       for v in coords.tolist()]
+
+
 def test_halving_canonical_rule():
     vs = minimal_vector_set(A2)
     half = halve_antipodal(vs)

@@ -91,3 +91,11 @@ def test_vector_roundtrip_property(tmp_path_factory, vecs):
     rank, count, min_norm, out = read_vector_set(p)
     assert rank == 3 and count == len(uniq) and min_norm == F(7, 2)
     assert sorted(out) == uniq
+
+
+def test_vector_coordinates_must_fit_int64():
+    rank, _, _, vecs = parse_vector_set(f"1 2 1\n{2 ** 63 - 1}\n{1 - 2 ** 63}\n")
+    assert vecs == [(2 ** 63 - 1,), (1 - 2 ** 63,)]
+    for x in (2 ** 63, -2 ** 63):
+        with pytest.raises(FormatError, match="out of range"):
+            parse_vector_set(f"1 1 1\n{x}\n")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sphdesign import report
 from sphdesign.catalog import catalog
 from sphdesign.embedding import embed
 from sphdesign.enumeration import NotAntipodalError, halve_antipodal
@@ -152,3 +153,29 @@ def test_verify_report_json_serializable():
     back = json.loads(blob)
     assert back["embedded"]["theorem_check"] == {"lhs": "1/20", "rhs": "1/20"}
     assert back["min_norm"] == "4/3"
+
+
+def _count_spectrum_passes(monkeypatch) -> list:
+    calls = []
+    real = report.pair_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].count)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(report, "pair_spectrum", counting)
+    return calls
+
+
+def test_verify_runs_one_spectrum_pass(monkeypatch):
+    calls = _count_spectrum_passes(monkeypatch)
+    rep = verify_lattice(catalog("E8"))
+    assert rep["verdict"] == "PASS"
+    assert calls == [240]
+
+
+def test_reproduce_row_runs_one_spectrum_pass(monkeypatch):
+    calls = _count_spectrum_passes(monkeypatch)
+    e8 = next(r for r in rows_for_example(1) if r.lattice == "E8")
+    assert _reproduce_row(e8, threads=1).status == "PASS"
+    assert calls == [240]

@@ -105,6 +105,21 @@ def test_object_entry_fallback():
     assert sp.counts() == {F(1): 4, F(0): 8, F(-1): 4}
 
 
+@pytest.mark.parametrize("k", [2 ** 20, 2 ** 21])
+def test_products_both_sides_of_bound(k):
+    # a = v G is certified in int64 while n max|G| max|v| = 2 (k^2 + 1) k
+    # < 2^62, which holds at k = 2^20 and fails at k = 2^21
+    vs = _skewed_unimodular(k)
+    assert pair_spectrum(vs).counts() == brute_spectrum(vs)
+
+
+def test_min_norm_off_gram_scale():
+    vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1, 2),
+                   coords=np.array([[1, 0], [-1, 0]]), antipodal=True)
+    with pytest.raises(SpectrumError, match="min_norm 1/2"):
+        pair_spectrum(vs)
+
+
 def test_hist_blocks_int64_branch_cancellation():
     # a float64 pass would round 1 - 2**54 to -2**54 and report product 0;
     # the integer tier must see the true product 1
