@@ -2,7 +2,8 @@
 
 Subcommands: lattices, minvec, spectrum, verify, embed, reproduce,
 export-coords.  Exit codes: 0 success or PASS, 1 verification FAIL,
-2 usage or data error.  All numeric output is exact rational notation
+2 usage or data error, 3 unexpected internal error (one line, no
+traceback).  All numeric output is exact rational notation
 unless --decimal is given.  Output is deterministic: the same flags and
 seed produce byte-identical output, and --threads never changes results.
 """
@@ -348,6 +349,13 @@ def main(argv=None) -> int:
     except (CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input: exit 1 is kept for a
+        # verification FAIL, so report it on one line as exit 3
+        detail = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

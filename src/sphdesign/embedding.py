@@ -30,14 +30,12 @@ class EmbeddingError(ValueError):
 
 
 def dim_harm(k: int, d: int) -> int:
-    """Dimension of the space of degree-k harmonic polynomials on S^d."""
+    """Dimension of the space of degree-k harmonic polynomials on S^d:
+    C(d+k, k) - C(d+k-2, k-2), all polynomials of degree k in d+1
+    variables minus the multiples of |x|^2."""
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    if k == 0:
-        return 1
-    val = Fraction(2 * k + d - 1, k + d - 1) * comb(d + k - 1, k)
-    assert val.denominator == 1
-    return int(val)
+    return comb(d + k, k) - (comb(d + k - 2, k - 2) if k >= 2 else 0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,14 @@ def theorem_check(emb: EmbeddedSpectrum) -> tuple[bool, Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class EmbeddedGram:
-    """Exact Gram matrix of G_X' union -G_X' (diagonal 1, symmetric)."""
+    """Exact Gram matrix A of the half-set image G_X' (diagonal 1,
+    symmetric).
+
+    The embedded set G_X' union -G_X' has Gram matrix
+    [[A, -A], [-A, A]] = [[1, -1], [-1, 1]] (x) A, and the 2 x 2 factor
+    has eigenvalues 2 and 0, so that matrix is PSD exactly when A is and
+    has the same rank: A alone carries the certificate.
+    """
 
     source_d: int
     gram: GramMatrix
@@ -109,14 +114,16 @@ class EmbeddedGram:
 
     @property
     def m(self) -> int:
-        return self.gram.n
+        """Number of embedded points, 2 |X'|."""
+        return 2 * self.gram.n
 
     @property
     def target_D(self) -> int:
         return dim_harm(2, self.source_d)
 
     def rank_certificate(self) -> tuple[bool, int]:
-        """(is_psd, rank), proving the code lies on S^(target_D - 1)."""
+        """(is_psd, rank) of A, equal to those of the full embedded Gram
+        matrix, proving the code lies on S^(target_D - 1)."""
         is_psd, rank = psd_rank(self.gram)
         if rank > self.target_D:
             raise EmbeddingError(
@@ -136,11 +143,12 @@ def _source_products(x_halved: VectorSet) -> list[list[Fraction]]:
 
 
 def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
-    """Full exact Gram matrix of the mirrored embedded set.
+    """Exact Gram matrix A = (g((x, y)))_{x, y in X'} of the half-set image.
 
-    Row layout: the |X'| embedded points followed by their negatives.
-    Sets larger than cap must use the spectrum-only pipeline (embed +
-    theorem_check), which needs no m x m matrix.
+    Row i is the embedded image of the i-th vector of x_halved; the
+    negated images need no rows of their own (see EmbeddedGram).  Sets
+    larger than cap must use the spectrum-only pipeline (embed +
+    theorem_check), which needs no |X'| x |X'| matrix.
     """
     if x_halved.antipodal:
         raise NotAntipodalError(
@@ -162,9 +170,7 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
 
     prods = _source_products(x_halved)
     a = [[gval(s) for s in row] for row in prods]
-    top = [row + [-e for e in row] for row in a]
-    bottom = [[-e for e in row] + list(row) for row in a]
-    return EmbeddedGram(source_d=d, gram=GramMatrix.from_rows(top + bottom))
+    return EmbeddedGram(source_d=d, gram=GramMatrix.from_rows(a))
 
 
 def realize_coordinates(x_halved: VectorSet, precision: int = 12,
@@ -172,8 +178,9 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
     """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
 
     Exactness lives in the Gram matrix; this is a float export built from
-    the exact LDL^T rank factorization, verified against the exact products
-    before returning.
+    the exact LDL^T rank factorization of A, verified against the exact
+    products before returning.  Rows are the images of x_halved followed
+    by their negatives, the same rows LDL^T of [[A, -A], [-A, A]] gives.
     """
     eg = embedded_gram(x_halved, cap=cap)
     lmat, diag = ldlt(eg.gram)
@@ -183,14 +190,16 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
         raise EmbeddingError("rank factorization wider than dim Harm")
     roots = [sqrt(diag[j]) for j in cols]
     pts = []
-    for i in range(eg.m):
-        row = [float(lmat[i][j]) * r for j, r in zip(cols, roots)]
-        row += [0.0] * (dim - len(row))
-        pts.append(tuple(row))
+    for sign in (1, -1):
+        # negate exactly, before rounding, so a zero stays +0.0
+        for lrow in lmat:
+            row = [float(sign * lrow[j]) * r for j, r in zip(cols, roots)]
+            row += [0.0] * (dim - len(row))
+            pts.append(tuple(row))
     arr = np.array(pts)
     got = arr @ arr.T
-    want = np.array([[float(eg.gram[i, j]) for j in range(eg.m)]
-                     for i in range(eg.m)])
+    a = np.array([[float(x) for x in row] for row in eg.gram.entries])
+    want = np.block([[a, -a], [-a, a]])
     err = float(np.abs(got - want).max())
     if err > 10.0 ** (-precision):
         raise EmbeddingError(

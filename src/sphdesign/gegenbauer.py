@@ -66,5 +66,8 @@ def gegenbauer(k: int, d: int) -> GegenbauerPoly:
         b = prev2[i] if i < len(prev2) else Fraction(0)
         coeffs.append(num_x * a - num_c * b)
     poly = GegenbauerPoly(k, d, tuple(coeffs))
-    assert poly.at_one() == 1
+    if poly.at_one() != 1:
+        raise ArithmeticError(
+            f"g_{{{k},{d}}}(1) = {poly.at_one()}, not 1: the recurrence "
+            f"lost its normalization")
     return poly

@@ -143,46 +143,38 @@ def psd_rank(g: GramMatrix) -> tuple[bool, int]:
     Pivoting picks the largest remaining |diagonal| entry, which terminates
     correctly for PSD rank-deficient inputs.  Runs fraction-free (Bareiss) on
     the integer-scaled matrix, so only exact integer arithmetic is used.
+    Only the lower triangle is stored and updated, and nothing is swapped:
+    low[t] holds the entries of the t-th remaining index against the
+    remaining indices up to t, and a pivot's row and column are dropped.
     """
-    n = g.n
-    if n == 0:
-        return True, 0
     _, a = g.integer_entries()
-    perm = list(range(n))
+    low = [row[:i + 1] for i, row in enumerate(a)]
     rank = 0
     is_psd = True
     prev_pivot = 1
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][i]))
-        if a[p][p] == 0:
-            rest_zero = all(
-                a[i][j] == 0 for i in range(k, n) for j in range(k, n)
-            )
-            if rest_zero:
+    while low:
+        q = max(range(len(low)), key=lambda t: abs(low[t][t]))
+        pivot = low[q][q]
+        if pivot == 0:
+            if not any(any(row) for row in low):
                 break
             # symmetric matrix with zero diagonal but nonzero block: not PSD,
             # and diagonal pivoting cannot finish -- count rank unsymmetrically
-            is_psd = False
-            rank += _row_rank([row[k:] for row in a[k:]])
-            return is_psd, rank
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            for row in a:
-                row[k], row[p] = row[p], row[k]
-            perm[k], perm[p] = perm[p], perm[k]
-        pivot = a[k][k]
-        # Bareiss pivots have sign of D_k * sign(prev stuff); the true LDL^T
-        # pivot is a[k][k]/prev_pivot
+            m = len(low)
+            rest = [[low[t][u] if u <= t else low[u][t] for u in range(m)]
+                    for t in range(m)]
+            return False, rank + _row_rank(rest)
+        # the Bareiss pivot is a leading principal minor of the pivoted
+        # matrix; the true LDL^T pivot is pivot/prev_pivot
         if pivot * prev_pivot < 0:
             is_psd = False
         rank += 1
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            arow_i, arow_k = a[i], a[k]
-            for j in range(k + 1, n):
-                arow_i[j] = (pivot * arow_i[j] - aik * arow_k[j]) // prev_pivot
-        for i in range(k + 1, n):
-            a[i][k] = 0
+        col = low[q][:q] + [row[q] for row in low[q + 1:]]
+        del low[q]
+        for row in low[q:]:
+            del row[q]
+        low = [[(pivot * x - ct * cu) // prev_pivot for x, cu in zip(row, col)]
+               for row, ct in zip(low, col)]
         prev_pivot = pivot
     return is_psd, rank
 

@@ -95,16 +95,19 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
     pair-spectrum pass, the source moment criteria, design strength up to
     t_max (skipped when None), the embedded spectrum folded from the same
     spectrum, its 3-design identity, and an exact PSD rank certificate
-    when the half-set (picked by seed) fits the matrix cap."""
+    when the half-set fits the matrix cap.  An antipodal set is halved
+    once (picked by seed): the pair spectrum is that of the half-set,
+    mirrored, whichever half-set it is."""
     vs = minimal_vector_set(spec.gram) if vectors is None else vectors
-    src = pair_spectrum(vs, threads=threads)
+    half = halve_antipodal(vs, seed=seed) if vs.antipodal else None
+    src = (pair_spectrum(vs, threads=threads) if half is None
+           else pair_spectrum(half, threads=threads).mirrored())
     venkov5 = venkov_5design(src)   # first: it rejects non-antipodal sets
     strength = None if t_max is None else design_strength(src, t_max)
     emb = embed(src)
     rank = None
-    if vs.count // 2 <= matrix_cap:
-        eg = embedded_gram(halve_antipodal(vs, seed=seed), cap=matrix_cap)
-        rank = eg.rank_certificate()
+    if half.count <= matrix_cap:    # venkov_5design made sure half is set
+        rank = embedded_gram(half, cap=matrix_cap).rank_certificate()
     return Certificate(
         min_norm=vs.min_norm,
         kissing_ok=(None if spec.expected_kissing is None

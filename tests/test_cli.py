@@ -209,3 +209,19 @@ def test_vector_coordinate_past_int64_exit_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "out of range" in err
+
+
+def test_unexpected_exception_exit_three(monkeypatch, capsys):
+    # a fault of the program is one stderr line and exit 3, never exit 1
+    # (a verification FAIL) and never a traceback
+    import sphdesign.report as report
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage broke\nsecond line")
+
+    monkeypatch.setattr(report, "pair_spectrum", broken)
+    code, out, err = run(capsys, "verify", "--lattice", "A2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal RuntimeError: stage broke second line\n"
+    assert "Traceback" not in err

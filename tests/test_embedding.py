@@ -4,7 +4,7 @@ identity, exact rank certification, and float coordinate realization."""
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from sphdesign.embedding import (
     _source_products,
 )
 from sphdesign.enumeration import NotAntipodalError, VectorSet, halve_antipodal
-from sphdesign.linalg import GramMatrix
+from sphdesign.linalg import GramMatrix, ldlt, psd_rank
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 from conftest import lattice_vectors
@@ -137,15 +137,29 @@ def test_source_products_both_sides_of_bound(k):
     assert _source_products(half) == want
 
 
-def test_embedded_gram_signs(hexagon):
-    eg = embedded_gram(halve_antipodal(hexagon))
-    assert eg.m == 6
-    half = eg.m // 2
-    # block structure [[A, -A], [-A, A]]
-    for i in range(half):
-        for j in range(half):
-            assert eg.gram[i, j] == -eg.gram[i, half + j]
-            assert eg.gram[i, j] == eg.gram[half + i, half + j]
+def test_rank_certificate_ct12():
+    eg = embedded_gram(halve_antipodal(lattice_vectors("CT12")))
+    assert eg.gram.n == 378 and eg.m == 756
+    assert eg.rank_certificate() == (True, 77)
+    assert dim_harm(2, eg.source_d) == 77
+
+
+def _mirrored(a: GramMatrix) -> GramMatrix:
+    """[[A, -A], [-A, A]]: the Gram matrix of G_X' union -G_X'."""
+    top = [list(row) + [-x for x in row] for row in a.entries]
+    bottom = [[-x for x in row] + list(row) for row in a.entries]
+    return GramMatrix.from_rows(top + bottom)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E6dual", "E7",
+                                  "E7dual", "E8"])
+def test_half_block_certificate_equals_mirrored(name):
+    # [[1, -1], [-1, 1]] (x) A has the PSD verdict and the rank of A
+    vs = lattice_vectors(name)
+    for seed in (None, 0, 7):
+        eg = embedded_gram(halve_antipodal(vs, seed=seed))
+        assert eg.m == 2 * eg.gram.n == vs.count
+        assert psd_rank(eg.gram) == psd_rank(_mirrored(eg.gram)), (name, seed)
 
 
 def test_embedded_gram_rejects_antipodal(hexagon):
@@ -175,6 +189,21 @@ def test_realize_coordinates_hexagon_exact_products():
     assert abs(g[0, 0] - 1.0) < 1e-12
     vals = {round(x, 6) for x in np.unique(np.round(g, 6))}
     assert vals == {-1.0, -0.5, 0.5, 1.0}
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6dual"])
+def test_realize_coordinates_equal_mirrored_ldlt(name):
+    # rows of LDL^T of [[A, -A], [-A, A]], scaled by sqrt(D): the bottom
+    # half is the negated top half and the pivots after A's are zero
+    half = halve_antipodal(lattice_vectors(name))
+    eg = embedded_gram(half)
+    lmat, diag = ldlt(_mirrored(eg.gram))
+    cols = [j for j, dj in enumerate(diag) if dj != 0]
+    want = [tuple([float(row[j]) * sqrt(diag[j]) for j in cols]
+                  + [0.0] * (eg.target_D - len(cols))) for row in lmat]
+    got = realize_coordinates(half)
+    assert [[x.hex() for x in row] for row in got] == \
+        [[x.hex() for x in row] for row in want]
 
 
 def test_realize_coordinates_default_precision_e8(e8_vectors):

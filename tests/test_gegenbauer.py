@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -74,3 +75,17 @@ def test_rejects_bad_arguments():
         gegenbauer(-1, 3)
     with pytest.raises(ValueError):
         gegenbauer(2, 0)
+
+
+def test_lost_normalization_raises(monkeypatch):
+    # a broken recurrence must fail loudly, also under python -O
+    geg = importlib.import_module("sphdesign.gegenbauer")
+
+    monkeypatch.setattr(geg, "_shift_up",
+                        lambda c: (F(0),) + tuple(2 * x for x in c))
+    geg.gegenbauer.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="normalization"):
+            geg.gegenbauer(2, 5)
+    finally:
+        geg.gegenbauer.cache_clear()

@@ -77,6 +77,8 @@ def test_psd_rank_cases():
     assert psd_rank(GramMatrix.from_rows([[1, 1], [1, 1]])) == (True, 1)
     assert psd_rank(GramMatrix.from_rows([[1, 2], [2, 1]])) == (False, 2)
     assert psd_rank(GramMatrix.from_rows([[0, 0], [0, 0]])) == (True, 0)
+    assert psd_rank(GramMatrix.from_rows([[0, 1], [1, 0]])) == (False, 2)
+    assert psd_rank(GramMatrix.from_rows([])) == (True, 0)
 
 
 def test_invert_roundtrip():
@@ -102,26 +104,32 @@ _entries = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def _psd_grams(draw, nmax=4):
-    """A^T A is PSD for any integer A; adding identity makes it PD."""
-    n = draw(st.integers(min_value=1, max_value=nmax))
-    m = draw(st.integers(min_value=1, max_value=nmax))
+def _psd_grams(draw, nmax=4, deficient=False):
+    """A^T A is PSD for any integer A; adding identity makes it PD.  With
+    deficient, A has fewer rows than columns, so the rank is below n."""
+    n = draw(st.integers(min_value=2 if deficient else 1, max_value=nmax))
+    m = draw(st.integers(min_value=1,
+                         max_value=n - 1 if deficient else nmax))
     a = [[draw(_entries) for _ in range(n)] for _ in range(m)]
     rows = [[sum(a[k][i] * a[k][j] for k in range(m)) for j in range(n)]
             for i in range(n)]
     return GramMatrix.from_rows(rows)
 
 
-@given(_psd_grams())
-@settings(max_examples=60, deadline=None)
-def test_psd_rank_matches_sympy(g):
+def _sympy_verdict(g):
     import sympy
 
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                       for x in g.row(i)] for i in range(g.n)])
+    return m.is_positive_semidefinite, m.rank()
+
+
+@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True)))
+@settings(max_examples=100, deadline=None)
+def test_psd_rank_matches_sympy(g):
     ok, rank = psd_rank(g)
     assert ok
-    m = sympy.Matrix([[sympy.Rational(x) for x in g.row(i)]
-                      for i in range(g.n)])
-    assert rank == m.rank()
+    assert (ok, rank) == _sympy_verdict(g)
 
 
 @given(_psd_grams())
@@ -133,3 +141,24 @@ def test_pd_shift_ldlt_positive_pivots(g):
     _, D = ldlt(gp)
     assert all(x > 0 for x in D)
     assert gp.is_positive_definite()
+
+
+@st.composite
+def _symmetric(draw, nmax=5, zero_diagonal=False):
+    n = draw(st.integers(min_value=1, max_value=nmax))
+    den = draw(st.integers(min_value=1, max_value=6))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i == j and zero_diagonal:
+                continue
+            rows[i][j] = rows[j][i] = F(draw(_entries), den)
+    return GramMatrix.from_rows(rows)
+
+
+@given(st.one_of(_symmetric(), _symmetric(zero_diagonal=True)))
+@settings(max_examples=120, deadline=None)
+def test_psd_rank_symmetric_matches_sympy(g):
+    # mostly indefinite; a zero diagonal leaves no pivot, and then only
+    # the zero matrix is PSD
+    assert psd_rank(g) == _sympy_verdict(g)

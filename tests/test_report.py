@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sphdesign import report
+from sphdesign import report, spectrum
 from sphdesign.catalog import catalog
 from sphdesign.embedding import embed
 from sphdesign.enumeration import NotAntipodalError, halve_antipodal
@@ -156,26 +156,46 @@ def test_verify_report_json_serializable():
 
 
 def _count_spectrum_passes(monkeypatch) -> list:
+    """Sizes of the sets passed to pair_spectrum and halve_antipodal,
+    under every name certify reaches them by."""
     calls = []
-    real = report.pair_spectrum
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].count)
-        return real(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(report, "pair_spectrum", counting)
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0].count))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(report, "pair_spectrum")
+    counting(report, "halve_antipodal")
+    counting(spectrum, "halve_antipodal")
     return calls
 
 
 def test_verify_runs_one_spectrum_pass(monkeypatch):
+    # one halving, one spectrum pass on the 120-point half-set, whose
+    # mirror is the full spectrum and which the rank certificate reuses
     calls = _count_spectrum_passes(monkeypatch)
-    rep = verify_lattice(catalog("E8"))
-    assert rep["verdict"] == "PASS"
-    assert calls == [240]
+    for seed in (None, 7):
+        calls.clear()
+        rep = verify_lattice(catalog("E8"), seed=seed)
+        assert rep["verdict"] == "PASS"
+        assert calls == [("halve_antipodal", 240), ("pair_spectrum", 120)]
 
 
 def test_reproduce_row_runs_one_spectrum_pass(monkeypatch):
     calls = _count_spectrum_passes(monkeypatch)
     e8 = next(r for r in rows_for_example(1) if r.lattice == "E8")
     assert _reproduce_row(e8, threads=1).status == "PASS"
-    assert calls == [240]
+    assert calls == [("halve_antipodal", 240), ("pair_spectrum", 120)]
+
+
+@pytest.mark.parametrize("name", ["D4", "E8", "E7dual"])
+def test_any_half_set_mirrors_to_the_full_spectrum(name):
+    vs = lattice_vectors(name)
+    full = pair_spectrum(vs)
+    for seed in (None, 0, 7):
+        assert pair_spectrum(halve_antipodal(vs, seed=seed)).mirrored() == full
