@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 
 import numpy as np
 
@@ -68,13 +68,12 @@ def embed(spec: PairSpectrum) -> EmbeddedSpectrum:
     full = spec if spec.antipodal else spec.mirrored()
     d = full.d
     g = gegenbauer(2, d)
-    g1 = g.at_one()
     out: dict[Fraction, int] = {}
     for s, c in full.entries:
         if c % 2:
             raise EmbeddingError(
                 f"odd count {c} at s = {s}: not an antipodal spectrum")
-        val = g(s) / g1
+        val = g(s)
         out[val] = out.get(val, 0) + c // 2
         out[-val] = out.get(-val, 0) + c // 2
     emb = PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
@@ -95,27 +94,29 @@ def theorem_check(emb: EmbeddedSpectrum) -> tuple[bool, Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class EmbeddedGram:
-    """Exact Gram matrix A of the half-set image G_X' (diagonal 1,
-    symmetric).
+    """Exact Gram matrix A = entries / scale of the half-set image G_X'
+    (diagonal 1, symmetric), held as integers.
 
     The embedded set G_X' union -G_X' has Gram matrix
     [[A, -A], [-A, A]] = [[1, -1], [-1, 1]] (x) A, and the 2 x 2 factor
     has eigenvalues 2 and 0, so that matrix is PSD exactly when A is and
-    has the same rank: A alone carries the certificate.
+    has the same rank: A alone carries the certificate, and the positive
+    scale changes neither.
     """
 
     source_d: int
-    gram: GramMatrix
+    scale: int
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for i in range(self.gram.n):
-            if self.gram[i, i] != 1:
+        for i, row in enumerate(self.entries):
+            if row[i] != self.scale:
                 raise EmbeddingError("embedded Gram diagonal entry != 1")
 
     @property
     def m(self) -> int:
         """Number of embedded points, 2 |X'|."""
-        return 2 * self.gram.n
+        return 2 * len(self.entries)
 
     @property
     def target_D(self) -> int:
@@ -124,7 +125,7 @@ class EmbeddedGram:
     def rank_certificate(self) -> tuple[bool, int]:
         """(is_psd, rank) of A, equal to those of the full embedded Gram
         matrix, proving the code lies on S^(target_D - 1)."""
-        is_psd, rank = psd_rank(self.gram)
+        is_psd, rank = psd_rank(self.entries)
         if rank > self.target_D:
             raise EmbeddingError(
                 f"embedded Gram rank {rank} exceeds dim Harm = {self.target_D}")
@@ -134,21 +135,16 @@ class EmbeddedGram:
 MATRIX_CAP = 512
 
 
-def _source_products(x_halved: VectorSet) -> list[list[Fraction]]:
-    scale, gi = x_halved.gram.integer_entries()
-    m = int(x_halved.min_norm * scale)
-    v = x_halved.coords
-    rows = exact_matmul(v, gi, v.T).tolist()
-    return [[Fraction(int(p), m) for p in row] for row in rows]
-
-
 def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
     """Exact Gram matrix A = (g((x, y)))_{x, y in X'} of the half-set image.
 
     Row i is the embedded image of the i-th vector of x_halved; the
-    negated images need no rows of their own (see EmbeddedGram).  Sets
-    larger than cap must use the spectrum-only pipeline (embed +
-    theorem_check), which needs no |X'| x |X'| matrix.
+    negated images need no rows of their own (see EmbeddedGram).  With
+    P = V (cG) V^T the integer products (c the Gram matrix's denominator
+    scale), m = c min_norm and l the common denominator of the
+    coefficients of g, entry (i, j) is l m^2 g(P_ij / m), an integer, and
+    the scale is l m^2.  Sets larger than cap must use the spectrum-only
+    pipeline (embed + theorem_check), which needs no |X'| x |X'| matrix.
     """
     if x_halved.antipodal:
         raise NotAntipodalError(
@@ -159,18 +155,16 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
             f"{npts} points exceed the matrix cap {cap}; use the "
             f"spectrum-only embedding (embed/theorem_check) instead")
     d = x_halved.sphere_dim
-    g = gegenbauer(2, d)
-    g1 = g.at_one()
-    cache: dict[Fraction, Fraction] = {}
-
-    def gval(s: Fraction) -> Fraction:
-        if s not in cache:
-            cache[s] = g(s) / g1
-        return cache[s]
-
-    prods = _source_products(x_halved)
-    a = [[gval(s) for s in row] for row in prods]
-    return EmbeddedGram(source_d=d, gram=GramMatrix.from_rows(a))
+    coeffs = gegenbauer(2, d).coefficients      # g(t) = c0 + c2 t^2
+    lden = lcm(*(c.denominator for c in coeffs))
+    c0, _, c2 = (int(c * lden) for c in coeffs)
+    c, gi = x_halved.gram.integer_entries()
+    m = int(x_halved.min_norm * c)
+    v = x_halved.coords
+    c0m2 = c0 * m * m
+    a = tuple(tuple(c2 * p * p + c0m2 for p in row)
+              for row in exact_matmul(v, gi, v.T).tolist())
+    return EmbeddedGram(source_d=d, scale=lden * m * m, entries=a)
 
 
 def realize_coordinates(x_halved: VectorSet, precision: int = 12,
@@ -183,7 +177,9 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
     by their negatives, the same rows LDL^T of [[A, -A], [-A, A]] gives.
     """
     eg = embedded_gram(x_halved, cap=cap)
-    lmat, diag = ldlt(eg.gram)
+    gram = GramMatrix.from_rows(
+        [Fraction(x, eg.scale) for x in row] for row in eg.entries)
+    lmat, diag = ldlt(gram)
     dim = eg.target_D
     cols = [j for j, dj in enumerate(diag) if dj != 0]
     if len(cols) > dim:
@@ -198,7 +194,7 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
             pts.append(tuple(row))
     arr = np.array(pts)
     got = arr @ arr.T
-    a = np.array([[float(x) for x in row] for row in eg.gram.entries])
+    a = np.array([[float(x) for x in row] for row in gram.entries])
     want = np.block([[a, -a], [-a, a]])
     err = float(np.abs(got - want).max())
     if err > 10.0 ** (-precision):

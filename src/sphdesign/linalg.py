@@ -1,15 +1,16 @@
 """Exact symmetric linear algebra over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` throughout: always in lowest terms,
-positive denominator, no rounding anywhere.  Floating point never enters
-this module.
+Scalars are ``fractions.Fraction`` (always in lowest terms, positive
+denominator), except in psd_rank, which takes an integer matrix: no
+rounding anywhere.  Floating point never enters this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -70,10 +71,6 @@ class GramMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    def scaled(self, c) -> "GramMatrix":
-        c = _as_fraction(c)
-        return GramMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
     def denominator_scale(self) -> int:
         """Smallest positive integer c with c * self integral."""
         return lcm(*(x.denominator for row in self.entries for x in row), 1)
@@ -127,28 +124,34 @@ def ldlt(g: GramMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fractio
             lik = L[i][k]
             if lik == 0:
                 continue
-            arow_i, arow_k = a[i], a[k]
+            arow_i = a[i]
             for j in range(k + 1, i + 1):
-                arow_i[j] -= lik * arow_k[j]
-        # keep the symmetric upper copies consistent for later column reads
-        for i in range(k + 1, n):
-            for j in range(i + 1, n):
-                a[i][j] = a[j][i]
+                arow_i[j] -= lik * a[j][k]
     return tuple(tuple(row) for row in L), tuple(d)
 
 
-def psd_rank(g: GramMatrix) -> tuple[bool, int]:
-    """Exact PSD verdict and rank via symmetrically pivoted elimination.
+def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
+    """Exact PSD verdict and rank of a symmetric integer matrix.
 
-    Pivoting picks the largest remaining |diagonal| entry, which terminates
-    correctly for PSD rank-deficient inputs.  Runs fraction-free (Bareiss) on
-    the integer-scaled matrix, so only exact integer arithmetic is used.
+    Raises LinalgError unless a is square and symmetric.  The entries are
+    divided by their gcd first, which changes neither the verdict nor the
+    rank but keeps the Bareiss minors small.  The elimination is
+    symmetrically pivoted, picking the largest remaining |diagonal| entry,
+    which terminates correctly for PSD rank-deficient inputs, and runs
+    fraction-free (Bareiss), so only exact integer arithmetic is used.
     Only the lower triangle is stored and updated, and nothing is swapped:
     low[t] holds the entries of the t-th remaining index against the
     remaining indices up to t, and a pivot's row and column are dropped.
     """
-    _, a = g.integer_entries()
-    low = [row[:i + 1] for i, row in enumerate(a)]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise LinalgError("matrix is not square")
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise LinalgError(f"matrix is not symmetric at ({i},{j})")
+    g = gcd(*(x for row in a for x in row)) or 1
+    low = [[index(x) // g for x in row[:i + 1]] for i, row in enumerate(a)]
     rank = 0
     is_psd = True
     prev_pivot = 1

@@ -3,9 +3,9 @@
 The design tests downstream are functions of the pair spectrum alone, so
 this module does the only O(N^2) work in the pipeline: counting ordered
 pairs by exact normalized inner product.  Products are computed on
-unnormalized integer vectors in machine words (with proven overflow-free
-bounds), histogrammed per block, and converted to rationals once per
-distinct value at the end.
+unnormalized integer vectors, in machine words where a proven bound
+certifies them exact and in Python integers otherwise, histogrammed per
+block, and converted to rationals once per distinct value at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .enumeration import I64_SAFE, VectorSet, exact_matmul, halve_antipodal
+from .enumeration import VectorSet, exact_matmul, halve_antipodal
 
 _BLOCK = 2048
 # any partial sum of a dot product below this is an exactly represented
@@ -99,32 +99,24 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int, nbins: int,
     """Histogram of all pairwise products a[i] . v[j] (a = V G precomputed).
 
     Counts ordered pairs one way only; caller owns any doubling.  Uses
-    float64 BLAS when exactness is certified, int64 matmul otherwise.
+    float64 BLAS when k max|a| max|v| < 2^53 certifies it exact, else
+    exact_matmul on each block.  Every product p has |p| <= off, so a block
+    of Python ints casts to int64 for the bincount.
     """
-    n = a.shape[0]
+    n, k = a.shape
     amax = int(np.abs(a).max(initial=0))
     vmax = int(np.abs(v).max(initial=0))
-    k = a.shape[1]
     use_f64 = k * amax * vmax < _F64_SAFE
-    if not (use_f64 or k * amax * vmax < I64_SAFE):
-        # beyond machine range; exact object-dtype fallback (slow, unused
-        # by the shipped catalog but keeps the contract for hostile input)
-        hist = np.zeros(nbins, dtype=object)
-        av = a.astype(object)
-        vv = v.astype(object)
-        prods = av @ vv.T
-        for p in prods.ravel():
-            hist[int(p) + off] += 1
-        return hist.astype(np.int64)
     af = a.astype(np.float64) if use_f64 else a
     vf = v.astype(np.float64).T if use_f64 else v.T
+    product = np.matmul if use_f64 else exact_matmul
 
     starts = range(0, n, _BLOCK)
     tasks = [(i, j) for i in starts for j in range(i, n, _BLOCK)]
 
     def run(task) -> np.ndarray:
         i, j = task
-        p = af[i:i + _BLOCK] @ vf[:, j:j + _BLOCK]
+        p = product(af[i:i + _BLOCK], vf[:, j:j + _BLOCK])
         idx = p.astype(np.int64, copy=False).ravel() + off
         h = np.bincount(idx, minlength=nbins)
         if i != j:

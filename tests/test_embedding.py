@@ -19,9 +19,9 @@ from sphdesign.embedding import (
     embedded_gram,
     realize_coordinates,
     theorem_check,
-    _source_products,
 )
 from sphdesign.enumeration import NotAntipodalError, VectorSet, halve_antipodal
+from sphdesign.gegenbauer import gegenbauer
 from sphdesign.linalg import GramMatrix, ldlt, psd_rank
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
@@ -124,31 +124,33 @@ def test_rank_certificates_small(name, rank):
 
 
 @pytest.mark.parametrize("k", [2 ** 30 - 1, 2 ** 30])
-def test_source_products_both_sides_of_bound(k):
+def test_embedded_gram_both_sides_of_bound(k):
     # v G v^T is certified in int64 while n^2 max|G| max|v|^2 = 4 k^2 < 2^62
     j = k - 1
     half = VectorSet(gram=GramMatrix.identity(2), min_norm=k * k + j * j,
                      coords=np.array([[k, j], [j, k], [j, -k]]),
                      antipodal=False)
     half.validate()
+    g = gegenbauer(2, 1)
     rows = half.as_tuples()
-    want = [[F(v[0] * w[0] + v[1] * w[1], k * k + j * j) for w in rows]
+    want = [[g(F(v[0] * w[0] + v[1] * w[1], k * k + j * j)) for w in rows]
             for v in rows]
-    assert _source_products(half) == want
+    eg = embedded_gram(half)
+    assert [[F(x, eg.scale) for x in row] for row in eg.entries] == want
 
 
 def test_rank_certificate_ct12():
     eg = embedded_gram(halve_antipodal(lattice_vectors("CT12")))
-    assert eg.gram.n == 378 and eg.m == 756
+    assert len(eg.entries) == 378 and eg.m == 756
     assert eg.rank_certificate() == (True, 77)
     assert dim_harm(2, eg.source_d) == 77
 
 
-def _mirrored(a: GramMatrix) -> GramMatrix:
+def _mirrored(a):
     """[[A, -A], [-A, A]]: the Gram matrix of G_X' union -G_X'."""
-    top = [list(row) + [-x for x in row] for row in a.entries]
-    bottom = [[-x for x in row] + list(row) for row in a.entries]
-    return GramMatrix.from_rows(top + bottom)
+    top = [list(row) + [-x for x in row] for row in a]
+    bottom = [[-x for x in row] + list(row) for row in a]
+    return top + bottom
 
 
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E6dual", "E7",
@@ -158,8 +160,9 @@ def test_half_block_certificate_equals_mirrored(name):
     vs = lattice_vectors(name)
     for seed in (None, 0, 7):
         eg = embedded_gram(halve_antipodal(vs, seed=seed))
-        assert eg.m == 2 * eg.gram.n == vs.count
-        assert psd_rank(eg.gram) == psd_rank(_mirrored(eg.gram)), (name, seed)
+        assert eg.m == 2 * len(eg.entries) == vs.count
+        assert psd_rank(eg.entries) == psd_rank(_mirrored(eg.entries)), \
+            (name, seed)
 
 
 def test_embedded_gram_rejects_antipodal(hexagon):
@@ -197,7 +200,8 @@ def test_realize_coordinates_equal_mirrored_ldlt(name):
     # half is the negated top half and the pivots after A's are zero
     half = halve_antipodal(lattice_vectors(name))
     eg = embedded_gram(half)
-    lmat, diag = ldlt(_mirrored(eg.gram))
+    lmat, diag = ldlt(GramMatrix.from_rows(
+        [F(x, eg.scale) for x in row] for row in _mirrored(eg.entries)))
     cols = [j for j, dj in enumerate(diag) if dj != 0]
     want = [tuple([float(row[j]) * sqrt(diag[j]) for j in cols]
                   + [0.0] * (eg.target_D - len(cols))) for row in lmat]

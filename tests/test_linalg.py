@@ -73,12 +73,21 @@ def test_ldlt_psd_singular():
 
 
 def test_psd_rank_cases():
-    assert psd_rank(GramMatrix.identity(4)) == (True, 4)
-    assert psd_rank(GramMatrix.from_rows([[1, 1], [1, 1]])) == (True, 1)
-    assert psd_rank(GramMatrix.from_rows([[1, 2], [2, 1]])) == (False, 2)
-    assert psd_rank(GramMatrix.from_rows([[0, 0], [0, 0]])) == (True, 0)
-    assert psd_rank(GramMatrix.from_rows([[0, 1], [1, 0]])) == (False, 2)
-    assert psd_rank(GramMatrix.from_rows([])) == (True, 0)
+    assert psd_rank(GramMatrix.identity(4).integer_entries()[1]) == (True, 4)
+    assert psd_rank([[1, 1], [1, 1]]) == (True, 1)
+    assert psd_rank([[1, 2], [2, 1]]) == (False, 2)
+    assert psd_rank([[0, 0], [0, 0]]) == (True, 0)
+    assert psd_rank([[0, 1], [1, 0]]) == (False, 2)
+    assert psd_rank([]) == (True, 0)
+
+
+def test_psd_rank_rejects_non_square_and_non_symmetric():
+    with pytest.raises(LinalgError, match="not square"):
+        psd_rank([[1, 2, 3], [2, 1, 0]])
+    with pytest.raises(LinalgError, match="not square"):
+        psd_rank([[1, 0], [0]])
+    with pytest.raises(LinalgError, match="not symmetric at \\(1,0\\)"):
+        psd_rank([[1, 2], [3, 1]])
 
 
 def test_invert_roundtrip():
@@ -124,10 +133,22 @@ def _sympy_verdict(g):
     return m.is_positive_semidefinite, m.rank()
 
 
-@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True)))
+# a positive scale changes neither the PSD verdict nor the rank
+_scales = st.sampled_from([1, 4, 2 ** 40])
+
+
+def _scaled_verdict(g, c):
+    """psd_rank of the integer-scaled g, asserted equal at scale c."""
+    a = g.integer_entries()[1]
+    verdict = psd_rank(a)
+    assert psd_rank([[c * x for x in row] for row in a]) == verdict
+    return verdict
+
+
+@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True)), _scales)
 @settings(max_examples=100, deadline=None)
-def test_psd_rank_matches_sympy(g):
-    ok, rank = psd_rank(g)
+def test_psd_rank_matches_sympy(g, c):
+    ok, rank = _scaled_verdict(g, c)
     assert ok
     assert (ok, rank) == _sympy_verdict(g)
 
@@ -156,9 +177,9 @@ def _symmetric(draw, nmax=5, zero_diagonal=False):
     return GramMatrix.from_rows(rows)
 
 
-@given(st.one_of(_symmetric(), _symmetric(zero_diagonal=True)))
+@given(st.one_of(_symmetric(), _symmetric(zero_diagonal=True)), _scales)
 @settings(max_examples=120, deadline=None)
-def test_psd_rank_symmetric_matches_sympy(g):
+def test_psd_rank_symmetric_matches_sympy(g, c):
     # mostly indefinite; a zero diagonal leaves no pivot, and then only
     # the zero matrix is PSD
-    assert psd_rank(g) == _sympy_verdict(g)
+    assert _scaled_verdict(g, c) == _sympy_verdict(g)

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from sphdesign import spectrum
 from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
@@ -109,6 +110,17 @@ def test_object_entry_fallback():
 def test_products_both_sides_of_bound(k):
     # a = v G is certified in int64 while n max|G| max|v| = 2 (k^2 + 1) k
     # < 2^62, which holds at k = 2^20 and fails at k = 2^21
+    vs = _skewed_unimodular(k)
+    assert pair_spectrum(vs).counts() == brute_spectrum(vs)
+
+
+@pytest.mark.parametrize("k", [2 ** 21, 2 ** 30, 2 ** 52])
+def test_blocked_tiers_match_brute_force(monkeypatch, k):
+    # one-row blocks, so the off-diagonal block is counted twice.
+    # k max|a| max|v| = 2 k^2 passes the float64 bound at 2^21 only; at
+    # 2^30 every block is certified in int64, at 2^52 the off-diagonal
+    # block runs in Python ints and the diagonal ones in int64
+    monkeypatch.setattr(spectrum, "_BLOCK", 1)
     vs = _skewed_unimodular(k)
     assert pair_spectrum(vs).counts() == brute_spectrum(vs)
 
