@@ -1,10 +1,14 @@
 """Exact short-vector enumeration and vector-set handling.
 
-The Fincke-Pohst search keeps every pruning decision in exact arithmetic:
-the LDL^T data is converted to per-level scaled integers, interval endpoints
-come from integer square roots, and no floating point is consulted anywhere.
-A rounding error in pruning would silently drop vectors and corrupt every
-downstream certificate, so none is allowed.
+Enumeration first LLL-reduces the Gram matrix exactly (size_reduce, an
+integral LLL that keeps the unimodular transform), runs Fincke-Pohst in the
+reduced basis, where far fewer search nodes die, and maps the vectors back
+through the transform.  The Fincke-Pohst search keeps every pruning
+decision in exact arithmetic: the LDL^T data is converted to per-level
+scaled integers, interval endpoints come from integer square roots, and no
+floating point is consulted anywhere.  A rounding error in pruning would
+silently drop vectors and corrupt every downstream certificate, so none is
+allowed.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ class VectorSet:
 
 # every partial sum of an int64 product certified below this stays in range
 I64_SAFE = 2**62
+I64_MAX = 2**63 - 1
 
 
 def exact_matmul(*factors) -> np.ndarray:
@@ -107,48 +112,95 @@ def exact_norms(gram: GramMatrix, coords: np.ndarray) -> np.ndarray:
     return exact_matmul(v[:, None, :], gi, v[:, :, None])[:, 0, 0]
 
 
-def _round_half(x: Fraction) -> int:
-    """Nearest integer to x (half rounds down in magnitude-neutral floor way)."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
-    """Integral size-reduction pass at Gram level.
+    """Exact integral LLL reduction (delta = 3/4) at Gram level.
+
+    LLL includes size reduction, hence the name.  This is the integral LLL
+    of Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.6.7, run on c * g with c the denominator scale of g.  The loop
+    holds only integers: the Gram entries of the current basis, d[i] (the
+    Gram determinant of the first i basis vectors) and
+    lam[k][j] = d[j + 1] * mu_kj, so no Fraction and no float enters it.
 
     Returns (reduced_gram, transform) with transform unimodular and
-    reduced_gram == T * g * T^T; Gram-Schmidt coefficients of the result
-    all have absolute value <= 1/2.
+    reduced_gram == T * g * T^T exactly.  The Gram-Schmidt coefficients of
+    the result satisfy |mu_kj| <= 1/2 and the Lovasz condition
+    |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.  Raises LinalgError when
+    some d[k] <= 0, i.e. g is not positive definite.
     """
     n = g.n
-    a = [list(row) for row in g.entries]
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    lmat, _ = ldlt(GramMatrix.from_rows(a))
-    mu = [list(row) for row in lmat]
-    for i in range(1, n):
-        for j in range(i - 1, -1, -1):
-            q = _round_half(mu[i][j])
-            if q == 0:
-                continue
-            # b_i <- b_i - q b_j
-            for k in range(n):
-                t[i][k] -= q * t[j][k]
-            aij = a[i][j]
-            for k in range(n):
-                if k != i:
-                    a[i][k] -= q * a[j][k]
-                    a[k][i] = a[i][k]
-            a[i][i] += q * q * a[j][j] - 2 * q * aij
-            for k in range(j + 1):
-                mu[i][k] -= q * mu[j][k]
-    return GramMatrix.from_rows(a), t
+    c, a = g.integer_entries()
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k: int) -> None:
+        for j in range(k + 1):
+            u = a[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise LinalgError("gram matrix is not positive definite")
+            else:
+                d[k + 1] = u
+
+    def reduce_pair(k: int, l: int) -> None:
+        # b_k <- b_k - q b_l with q the integer nearest mu_kl
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        t[k] = [x - q * y for x, y in zip(t[k], t[l])]
+        akk = a[k][k] - 2 * q * a[k][l] + q * q * a[l][l]
+        for i in range(n):
+            a[k][i] -= q * a[l][i]
+            a[i][k] = a[k][i]
+        a[k][k] = akk
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int, kmax: int) -> None:
+        # exchange b_{k-1} and b_k; lam[k][k-1] is unchanged
+        t[k - 1], t[k] = t[k], t[k - 1]
+        a[k - 1], a[k] = a[k], a[k - 1]
+        for row in a:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            ti = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * ti) // d[k]
+            lam[i][k - 1] = (b * ti + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce_pair(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce_pair(k, l)
+            k += 1
+    reduced = GramMatrix.from_rows([[Fraction(x, c) for x in row] for row in a])
+    return reduced, t
 
 
 def _level_data(g: GramMatrix):
     """Scaled-integer Fincke-Pohst tables from the exact LDL^T of g."""
     n = g.n
     lmat, diag = ldlt(g)
-    if any(d <= 0 for d in diag):
-        raise LinalgError("gram matrix is not positive definite")
     # Q(x) = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2
     dn = [d.numerator for d in diag]
     dd = [d.denominator for d in diag]
@@ -166,17 +218,10 @@ def _level_data(g: GramMatrix):
     return dn, dd, qden, urow, mscale, fup, gup
 
 
-def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
-    """All nonzero integer vectors v with v^T gram v <= bound, both signs.
-
-    Output rows are sorted lexicographically; the set is sign-symmetric and
-    duplicate-free.  Raises on an indefinite gram matrix.
-    """
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise EnumerationError("bound must be positive")
-    n = gram.n
-    reduced, trans = size_reduce(gram)
+def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
+    """One vector of each +-pair with v^T reduced v <= bound, as unsorted
+    int64 rows in the basis of ``reduced`` (the LLL-reduced Gram)."""
+    n = reduced.n
     dn, dd, qden, urow, mscale, fup, gup = _level_data(reduced)
     bn, bd = bound.numerator, bound.denominator
 
@@ -221,31 +266,60 @@ def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
         coords[i] = 0
 
     descend(n - 1, 0, False)
-    half = np.frombuffer(out.tobytes(), dtype=np.int64).reshape(-1, n) if len(out) else np.zeros((0, n), np.int64)
-    if half.size:
-        half = half @ np.array(trans, dtype=np.int64)
-        full = np.concatenate([half, -half])
-        full = full[np.lexsort(full.T[::-1])]
-    else:
-        full = half
-    return full
+    if not out:
+        return np.zeros((0, n), np.int64)
+    return np.frombuffer(out.tobytes(), dtype=np.int64).reshape(-1, n)
+
+
+def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
+    """Rows half @ trans and their negations, sorted lexicographically.
+
+    The map back to input coordinates is an exact_matmul; a coordinate
+    that does not fit in int64 (with its negation) raises EnumerationError.
+    """
+    half = exact_matmul(half, trans)
+    if half.dtype == object:
+        big = max((abs(x) for x in half.flat), default=0)
+        if big > I64_MAX:
+            raise EnumerationError(
+                f"vector coordinate of magnitude {big} does not fit in int64")
+        half = half.astype(np.int64)
+    full = np.concatenate([half, -half])
+    return full[np.lexsort(full.T[::-1])]
+
+
+def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
+    """All nonzero integer vectors v with v^T gram v <= bound, both signs.
+
+    Fincke-Pohst runs in the LLL-reduced basis and the vectors are mapped
+    back through its transform.  Output rows are sorted lexicographically;
+    the set is sign-symmetric and duplicate-free.  Raises LinalgError on a
+    gram matrix that is not positive definite.
+    """
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise EnumerationError("bound must be positive")
+    reduced, trans = size_reduce(gram)
+    return _both_signs(_fincke_pohst(reduced, bound), trans)
 
 
 def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
     """Minimal nonzero norm of the lattice and all vectors attaining it.
 
-    Enumerates at the smallest Gram diagonal entry (the shortest basis
-    vector's norm) and shrinks to the smallest norm found.
+    Reduces once, enumerates at the smallest diagonal entry of the reduced
+    Gram (the shortest reduced basis vector's norm, at most 2^(n-1) times
+    the minimal norm), keeps the vectors of the smallest norm found and
+    maps only those back to input coordinates.
     """
-    bound = min(gram[i, i] for i in range(gram.n))
-    vecs = enumerate_short_vectors(gram, bound)
-    if vecs.shape[0] == 0:
+    reduced, trans = size_reduce(gram)
+    bound = min(reduced[i, i] for i in range(reduced.n))
+    half = _fincke_pohst(reduced, bound)
+    if half.shape[0] == 0:
         raise EnumerationError("no nonzero vectors at the basis-diagonal bound")
-    scale, _ = gram.integer_entries()
-    norms = exact_norms(gram, vecs)
+    scale, _ = reduced.integer_entries()
+    norms = exact_norms(reduced, half)
     m = norms.min()
-    keep = vecs[norms == m]
-    return Fraction(int(m), scale), keep
+    return Fraction(int(m), scale), _both_signs(half[norms == m], trans)
 
 
 def minimal_vector_set(gram: GramMatrix, expected_kissing: int | None = None) -> VectorSet:

@@ -211,6 +211,17 @@ def test_vector_coordinate_past_int64_exit_two(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_minimal_vector_past_int64_exit_two(tmp_path, capsys):
+    # the minimal vectors +-(2^64, -1) of this unimodular form exist but
+    # do not fit the int64 coordinates a vector set holds
+    p = tmp_path / "huge.gram"
+    p.write_text(f"2\n1 {2 ** 64}\n{2 ** 64} {2 ** 128 + 1}\n")
+    code, out, err = run(capsys, "minvec", "--gram-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int64" in err
+
+
 def test_unexpected_exception_exit_three(monkeypatch, capsys):
     # a fault of the program is one stderr line and exit 3, never exit 1
     # (a verification FAIL) and never a traceback
