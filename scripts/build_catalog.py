@@ -104,11 +104,10 @@ def gram_of(basis: list[list[int]], form: list[list[Fraction]] | None = None,
 
 
 def determinant(g: GramMatrix) -> Fraction:
-    _, diag = ldlt(g)
-    out = Fraction(1)
-    for d in diag:
-        out *= d
-    return out
+    """det g: the last pivot of the integer LDL^T of c*g is det(c*g) = c^n det g."""
+    c, a = g.integer_entries()
+    pivots, _ = ldlt(a)
+    return Fraction(pivots[-1], c ** g.n)
 
 
 # ------------------------------------------------------------- root lattices

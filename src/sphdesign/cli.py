@@ -29,7 +29,12 @@ from .catalog import (
     from_gram_file,
 )
 from .embedding import MATRIX_CAP, embed, realize_coordinates, theorem_check
-from .enumeration import VectorSet, halve_antipodal, minimal_vector_set
+from .enumeration import (
+    VectorSet,
+    halve_antipodal,
+    is_sign_symmetric,
+    minimal_vector_set,
+)
 from .gramfile import format_rational, read_vector_set, write_vector_set
 from .report import (
     code_params,
@@ -85,8 +90,7 @@ def _load_vector_file(path: str, gram=None) -> VectorSet:
         from .linalg import GramMatrix
         gram = GramMatrix.identity(rank)
     coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), rank)
-    seen = {tuple(v) for v in vecs}
-    antipodal = all(tuple(-x for x in v) in seen for v in seen)
+    antipodal = is_sign_symmetric(coords[np.lexsort(coords.T[::-1])])
     vs = VectorSet(gram=gram, min_norm=min_norm, coords=coords,
                    antipodal=antipodal)
     vs.validate()

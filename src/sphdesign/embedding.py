@@ -21,7 +21,7 @@ import numpy as np
 from .designs import moment_target, venkov_3design
 from .enumeration import NotAntipodalError, VectorSet, exact_matmul
 from .gegenbauer import gegenbauer
-from .linalg import GramMatrix, ldlt, psd_rank
+from .linalg import ldlt, psd_rank
 from .spectrum import PairSpectrum
 
 
@@ -172,29 +172,33 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
     """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
 
     Exactness lives in the Gram matrix; this is a float export built from
-    the exact LDL^T rank factorization of A, verified against the exact
+    the integer LDL^T (ldlt) of the integer-scaled A, whose nonzero pivots
+    give a rank factorization, verified against the exact
     products before returning.  Rows are the images of x_halved followed
     by their negatives, the same rows LDL^T of [[A, -A], [-A, A]] gives.
     """
     eg = embedded_gram(x_halved, cap=cap)
-    gram = GramMatrix.from_rows(
-        [Fraction(x, eg.scale) for x in row] for row in eg.entries)
-    lmat, diag = ldlt(gram)
+    pivots, lam = ldlt(eg.entries)
+    # L[i][j] = lam[i][j] / p[j] and D[j] = p[j] / (p_prev * scale) for the
+    # nonzero pivots p[j]; the other columns of L are zero
+    cols = [j for j, p in enumerate(pivots) if p]
+    roots = [sqrt(Fraction(pivots[j], prev * eg.scale))
+             for j, prev in zip(cols, [1] + [pivots[j] for j in cols])]
     dim = eg.target_D
-    cols = [j for j, dj in enumerate(diag) if dj != 0]
     if len(cols) > dim:
         raise EmbeddingError("rank factorization wider than dim Harm")
-    roots = [sqrt(diag[j]) for j in cols]
     pts = []
     for sign in (1, -1):
         # negate exactly, before rounding, so a zero stays +0.0
-        for lrow in lmat:
-            row = [float(sign * lrow[j]) * r for j, r in zip(cols, roots)]
+        for i, lrow in enumerate(lam):
+            row = [float(Fraction(sign * lrow[j], pivots[j])) * r if j < i
+                   else (sign * r if j == i else 0.0)
+                   for j, r in zip(cols, roots)]
             row += [0.0] * (dim - len(row))
             pts.append(tuple(row))
     arr = np.array(pts)
     got = arr @ arr.T
-    a = np.array([[float(x) for x in row] for row in gram.entries])
+    a = np.array([[x / eg.scale for x in row] for row in eg.entries])
     want = np.block([[a, -a], [-a, a]])
     err = float(np.abs(got - want).max())
     if err > 10.0 ** (-precision):

@@ -4,9 +4,10 @@ Enumeration first LLL-reduces the Gram matrix exactly (size_reduce, an
 integral LLL that keeps the unimodular transform), runs Fincke-Pohst in the
 reduced basis, where far fewer search nodes die, and maps the vectors back
 through the transform.  The Fincke-Pohst search keeps every pruning
-decision in exact arithmetic: the LDL^T data is converted to per-level
-scaled integers, interval endpoints come from integer square roots, and no
-floating point is consulted anywhere.  A rounding error in pruning would
+decision in exact arithmetic: the per-level tables are the integer pivots
+and multipliers of the fraction-free LDL^T (linalg.ldlt), interval
+endpoints come from integer square roots, and no floating point is
+consulted anywhere.  A rounding error in pruning would
 silently drop vectors and corrupt every downstream certificate, so none is
 allowed.
 """
@@ -198,31 +199,32 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
 
 
 def _level_data(g: GramMatrix):
-    """Scaled-integer Fincke-Pohst tables from the exact LDL^T of g."""
+    """Scaled-integer Fincke-Pohst tables from the integer LDL^T of c*g.
+
+    With p the pivots and lam the multipliers of c*g (c the denominator
+    scale), D_i = p[i] / (c p[i-1]) and L[j][i] = lam[j][i] / p[i], so
+    Q(x) = sum_i (p[i] x_i + sum_{j>i} lam[j][i] x_j)^2 / w[i] with
+    w[i] = c p[i-1] p[i].  mscale[i] clears the denominators of levels
+    i.., so the partial sums T_i are kept as integers T_i * mscale[i].
+    """
     n = g.n
-    lmat, diag = ldlt(g)
-    # Q(x) = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2
-    dn = [d.numerator for d in diag]
-    dd = [d.denominator for d in diag]
-    qden = [1] * n
-    urow: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        us = [lmat[j][i] for j in range(i + 1, n)]
-        qden[i] = lcm(*(u.denominator for u in us), 1)
-        urow[i] = [int(u * qden[i]) for u in us]
+    c, a = g.integer_entries()
+    p, lam = ldlt(a)
+    w = [c * x * y for x, y in zip([1] + p, p)]
+    urow = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     mscale = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
-        mscale[i] = lcm(mscale[i + 1], dd[i] * qden[i] * qden[i])
+        mscale[i] = lcm(mscale[i + 1], w[i])
     fup = [mscale[i] // mscale[i + 1] for i in range(n)]
-    gup = [mscale[i] // (dd[i] * qden[i] * qden[i]) for i in range(n)]
-    return dn, dd, qden, urow, mscale, fup, gup
+    gup = [mscale[i] // w[i] for i in range(n)]
+    return p, w, urow, mscale, fup, gup
 
 
 def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
     """One vector of each +-pair with v^T reduced v <= bound, as unsorted
     int64 rows in the basis of ``reduced`` (the LLL-reduced Gram)."""
     n = reduced.n
-    dn, dd, qden, urow, mscale, fup, gup = _level_data(reduced)
+    p, w, urow, mscale, fup, gup = _level_data(reduced)
     bn, bd = bound.numerator, bound.denominator
 
     coords = [0] * n
@@ -231,18 +233,18 @@ def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
     isqrt_ = isqrt
 
     def descend(i: int, ts_next: int, nonzero_above: bool) -> None:
-        # interval for x_i: d_i (x_i + C/q)^2 <= bound - T_{i+1}
+        # interval for x_i: (q x_i + C)^2 / w_i <= bound - T_{i+1}, q = p_i
         rn = bn * mscale[i + 1] - bd * ts_next
         if rn < 0:
             return
-        q = qden[i]
+        q = p[i]
         c = 0
         row = urow[i]
         if row:
             xs = coords[i + 1:]
             c = sum(u * x for u, x in zip(row, xs) if x)
-        den = bd * mscale[i + 1] * dn[i]
-        s = isqrt_(q * q * dd[i] * rn * den)
+        den = bd * mscale[i + 1]
+        s = isqrt_(w[i] * rn * den)
         a = -c * den
         qq = q * den
         hi = (a + s) // qq
@@ -257,12 +259,12 @@ def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
             return
         if not nonzero_above:
             lo = max(lo, 0)
-        f_i, g_i, dn_i = fup[i], gup[i], dn[i]
+        f_i, g_i = fup[i], gup[i]
         base = ts_next * f_i
         for x in range(lo, hi + 1):
             coords[i] = x
             t = x * q + c
-            descend(i - 1, base + g_i * dn_i * t * t, nonzero_above or x != 0)
+            descend(i - 1, base + g_i * t * t, nonzero_above or x != 0)
         coords[i] = 0
 
     descend(n - 1, 0, False)
@@ -333,44 +335,47 @@ def minimal_vector_set(gram: GramMatrix, expected_kissing: int | None = None) ->
     return VectorSet(gram=gram, min_norm=min_norm, coords=vecs, antipodal=True)
 
 
-def _pair_index(vs: VectorSet) -> list[tuple[int, int]]:
-    """Indices (i, j) of each antipodal pair with row i lexicographically
-    smaller; raises NotAntipodalError naming an unpaired vector."""
-    lookup = {tuple(int(x) for x in row): i for i, row in enumerate(vs.coords)}
-    pairs = []
-    seen = set()
-    for i, row in enumerate(vs.coords):
-        if i in seen:
-            continue
-        v = tuple(int(x) for x in row)
-        j = lookup.get(tuple(-x for x in v))
-        if j is None or j == i:
-            raise NotAntipodalError(f"vector {v} has no antipodal partner")
-        pairs.append((i, j))
-        seen.add(i)
-        seen.add(j)
-    return pairs
-
-
 def halve_antipodal(vs: VectorSet, seed: int | None = None) -> VectorSet:
     """One representative per antipodal pair.
 
-    The canonical rule keeps the vector whose first nonzero coordinate is
-    positive; passing a seed instead picks per-pair representatives from a
-    seeded RNG (for halving-invariance property tests).
+    Rows are sorted lexicographically and negation reverses that order, so
+    a zero-free set is sign-symmetric exactly when its count is even and
+    coords[::-1] == -coords, and the partner of row i is row N-1-i.  The
+    canonical rule keeps the vector whose first nonzero coordinate is
+    positive, i.e. the upper half coords[N//2:]; passing a seed instead
+    picks per-pair representatives from a seeded RNG (for
+    halving-invariance property tests).  Raises NotAntipodalError naming
+    an unpaired vector.
     """
-    pairs = _pair_index(vs)
-    rng = random.Random(seed) if seed is not None else None
-    keep_rows = []
-    for i, j in pairs:
-        if rng is not None:
-            keep_rows.append(i if rng.random() < 0.5 else j)
-        else:
-            row = vs.coords[i]
-            first = next(int(x) for x in row if x != 0)
-            keep_rows.append(i if first > 0 else j)
-    return VectorSet(gram=vs.gram, min_norm=vs.min_norm,
-                     coords=vs.coords[sorted(keep_rows)], antipodal=False)
+    c = vs.coords
+    n = vs.count
+    if n % 2 or not is_sign_symmetric(c):
+        raise NotAntipodalError(
+            f"vector {_unpaired(c)} has no antipodal partner")
+    if seed is None:
+        keep = c[n // 2:]
+    else:
+        rng = random.Random(seed)
+        keep = c[[i if rng.random() < 0.5 else n - 1 - i
+                  for i in range(n // 2)]]
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=keep,
+                     antipodal=False)
+
+
+def is_sign_symmetric(coords: np.ndarray) -> bool:
+    """Whether lexicographically sorted, duplicate-free rows are closed
+    under negation: negation reverses lexicographic order, so exactly
+    when coords[::-1] == -coords."""
+    return np.array_equal(coords[::-1], -coords)
+
+
+def _unpaired(coords: np.ndarray) -> tuple[int, ...]:
+    """A row with no antipodal partner: one whose negation is absent, else
+    the middle row, the zero vector when an odd count passes the identity."""
+    rows = [tuple(row) for row in coords.tolist()]
+    present = set(rows)
+    return next((v for v in rows if tuple(-x for x in v) not in present),
+                rows[len(rows) // 2])
 
 
 def union_with_negation(vs: VectorSet) -> VectorSet:

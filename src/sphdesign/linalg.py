@@ -1,8 +1,11 @@
 """Exact symmetric linear algebra over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), except in psd_rank, which takes an integer matrix: no
-rounding anywhere.  Floating point never enters this module.
+GramMatrix entries are ``fractions.Fraction`` (always in lowest terms,
+positive denominator).  There is one symmetric elimination, ldlt: a
+fraction-free (Bareiss) LDL^T of an integer matrix, whose pivots and
+multipliers the PSD rank certificate, the positive-definiteness check, the
+Fincke-Pohst level data and the float coordinate export all read.  No
+rounding anywhere; floating point never enters this module.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ class LinalgError(ValueError):
 
 
 class PivotError(LinalgError):
-    """Plain LDL^T hit a zero pivot with nonzero remainder; requires the
-    pivoted variant (psd_rank)."""
+    """LDL^T hit a zero pivot with nonzero remainder: the matrix is not
+    positive semidefinite."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -90,44 +93,47 @@ class GramMatrix:
         return total
 
     def is_positive_definite(self) -> bool:
+        """Sylvester's criterion: every leading principal minor of c*self,
+        i.e. every pivot of its integer LDL^T, is positive."""
         try:
-            _, diag = ldlt(self)
+            pivots, _ = ldlt(self.integer_entries()[1])
         except PivotError:
             return False
-        return all(d > 0 for d in diag)
+        return all(p > 0 for p in pivots)
 
 
-def ldlt(g: GramMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-    """Unpivoted LDL^T factorization: returns (L, D) with L unit lower triangular
-    and L*diag(D)*L^T == g exactly.
+def ldlt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Unpivoted fraction-free (Bareiss) LDL^T of a symmetric integer matrix.
 
-    Raises PivotError on a zero pivot with nonzero remainder below it; that
-    case needs the symmetrically pivoted psd_rank instead.
+    Only the lower triangle of a is read.  Returns (p, lam): p[k] is the
+    k-th integer pivot, the leading principal minor of the rows and
+    columns kept so far, and lam[i][k] (k < i) the scaled multiplier, so
+    that L[i][k] = lam[i][k] / p[k] and D[k] = p[k] / p_prev with p_prev
+    the last nonzero pivot before k (1 if none).  A zero pivot whose
+    column is zero below it is skipped (D[k] = 0, column k of L zero) and
+    the previous pivot is kept; every division is exact.
+
+    Raises PivotError on a zero pivot with a nonzero column below it.
     """
-    n = g.n
-    a = [list(row) for row in g.entries]
-    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
+    n = len(a)
+    low = [[index(x) for x in row[:i + 1]] for i, row in enumerate(a)]
+    prev = 1
     for k in range(n):
-        pivot = a[k][k]
+        pivot = low[k][k]
+        col = [low[i][k] for i in range(k + 1, n)]
         if pivot == 0:
-            if any(a[i][k] != 0 for i in range(k + 1, n)):
+            if any(col):
                 raise PivotError(
-                    f"zero pivot at step {k} with nonzero remainder; requires pivoted variant"
-                )
-            d.append(Fraction(0))
+                    f"zero pivot at step {k} with nonzero remainder; "
+                    f"the matrix is not positive semidefinite")
             continue
-        d.append(pivot)
-        for i in range(k + 1, n):
-            L[i][k] = a[i][k] / pivot
-        for i in range(k + 1, n):
-            lik = L[i][k]
-            if lik == 0:
-                continue
-            arow_i = a[i]
-            for j in range(k + 1, i + 1):
-                arow_i[j] -= lik * a[j][k]
-    return tuple(tuple(row) for row in L), tuple(d)
+        for i, ct in enumerate(col, start=k + 1):
+            row = low[i]
+            row[k + 1:] = [(pivot * x - ct * cu) // prev
+                           for x, cu in zip(row[k + 1:], col)]
+        prev = pivot
+    pivots = [row.pop() for row in low]     # the diagonal; low keeps lam
+    return pivots, low
 
 
 def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
@@ -135,13 +141,11 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
 
     Raises LinalgError unless a is square and symmetric.  The entries are
     divided by their gcd first, which changes neither the verdict nor the
-    rank but keeps the Bareiss minors small.  The elimination is
-    symmetrically pivoted, picking the largest remaining |diagonal| entry,
-    which terminates correctly for PSD rank-deficient inputs, and runs
-    fraction-free (Bareiss), so only exact integer arithmetic is used.
-    Only the lower triangle is stored and updated, and nothing is swapped:
-    low[t] holds the entries of the t-th remaining index against the
-    remaining indices up to t, and a pivot's row and column are dropped.
+    rank but keeps the Bareiss minors small.  The one integer elimination
+    is ldlt: a is PSD exactly when it raises no PivotError (a PSD matrix
+    has a zero column below every zero pivot) and every nonzero pivot is
+    positive, and the rank is the number of nonzero pivots.  After a
+    PivotError, a is not PSD and its rank comes from row elimination.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -151,35 +155,12 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
             if a[i][j] != a[j][i]:
                 raise LinalgError(f"matrix is not symmetric at ({i},{j})")
     g = gcd(*(x for row in a for x in row)) or 1
-    low = [[index(x) // g for x in row[:i + 1]] for i, row in enumerate(a)]
-    rank = 0
-    is_psd = True
-    prev_pivot = 1
-    while low:
-        q = max(range(len(low)), key=lambda t: abs(low[t][t]))
-        pivot = low[q][q]
-        if pivot == 0:
-            if not any(any(row) for row in low):
-                break
-            # symmetric matrix with zero diagonal but nonzero block: not PSD,
-            # and diagonal pivoting cannot finish -- count rank unsymmetrically
-            m = len(low)
-            rest = [[low[t][u] if u <= t else low[u][t] for u in range(m)]
-                    for t in range(m)]
-            return False, rank + _row_rank(rest)
-        # the Bareiss pivot is a leading principal minor of the pivoted
-        # matrix; the true LDL^T pivot is pivot/prev_pivot
-        if pivot * prev_pivot < 0:
-            is_psd = False
-        rank += 1
-        col = low[q][:q] + [row[q] for row in low[q + 1:]]
-        del low[q]
-        for row in low[q:]:
-            del row[q]
-        low = [[(pivot * x - ct * cu) // prev_pivot for x, cu in zip(row, col)]
-               for row, ct in zip(low, col)]
-        prev_pivot = pivot
-    return is_psd, rank
+    b = [[index(x) // g for x in row] for row in a]
+    try:
+        pivots, _ = ldlt(b)
+    except PivotError:
+        return False, _row_rank(b)
+    return all(p >= 0 for p in pivots), sum(1 for p in pivots if p)
 
 
 def _row_rank(a: list[list[int]]) -> int:

@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .enumeration import VectorSet, exact_matmul, halve_antipodal
+from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 
 _BLOCK = 2048
 # any partial sum of a dot product below this is an exactly represented
@@ -94,14 +94,17 @@ class PairSpectrum:
                    entries=tuple((Fraction(s), int(c)) for s, c in counts.items()))
 
 
-def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int, nbins: int,
-                 threads: int) -> np.ndarray:
-    """Histogram of all pairwise products a[i] . v[j] (a = V G precomputed).
+def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
+                 threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of all pairwise products a[i] . v[j] (a = V G precomputed)
+    as (products, counts), products ascending and counts positive.
 
     Counts ordered pairs one way only; caller owns any doubling.  Uses
     float64 BLAS when k max|a| max|v| < 2^53 certifies it exact, else
     exact_matmul on each block.  Every product p has |p| <= off, so a block
-    of Python ints casts to int64 for the bincount.
+    casts to int64 when off fits in it.  A block bincounts the 2 off + 1
+    possible values when they are no more than its products, and else
+    sorts the products it has, so memory never grows with off.
     """
     n, k = a.shape
     amax = int(np.abs(a).max(initial=0))
@@ -114,25 +117,31 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int, nbins: int,
     starts = range(0, n, _BLOCK)
     tasks = [(i, j) for i in starts for j in range(i, n, _BLOCK)]
 
-    def run(task) -> np.ndarray:
+    def run(task) -> tuple[np.ndarray, np.ndarray]:
         i, j = task
         p = product(af[i:i + _BLOCK], vf[:, j:j + _BLOCK])
-        idx = p.astype(np.int64, copy=False).ravel() + off
-        h = np.bincount(idx, minlength=nbins)
+        p = p.astype(np.int64 if off <= I64_MAX else object, copy=False).ravel()
+        if 2 * off < p.size:
+            h = np.bincount(p + off, minlength=2 * off + 1)
+            vals = np.flatnonzero(h)
+            vals, cnt = vals - off, h[vals]
+        else:
+            vals, cnt = np.unique(p, return_counts=True)
         if i != j:
             # mirror block: products are symmetric, count (w, v) too
-            h *= 2
-        return h
+            cnt *= 2
+        return vals, cnt
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, tasks))
     else:
         parts = [run(t) for t in tasks]
-    total = np.zeros(nbins, dtype=np.int64)
-    for h in parts:
-        total += h
-    return total
+    vals, where = np.unique(np.concatenate([p for p, _ in parts]),
+                            return_inverse=True)
+    total = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(total, where, np.concatenate([c for _, c in parts]))
+    return vals, total
 
 
 def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
@@ -156,13 +165,9 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     v = work.coords
     a = exact_matmul(v, gi)
 
-    off = m  # |scaled product| <= scaled min norm by Cauchy-Schwarz
-    nbins = 2 * m + 1
-    hist = _hist_blocks(a, v, off, nbins, threads)
-
-    counts: dict[Fraction, int] = {}
-    for idx in np.nonzero(hist)[0]:
-        counts[Fraction(int(idx) - off, m)] = int(hist[idx])
+    # |scaled product| <= m, the scaled min norm, by Cauchy-Schwarz
+    vals, hist = _hist_blocks(a, v, m, threads)
+    counts = {Fraction(int(p), m): int(c) for p, c in zip(vals, hist)}
     spec = PairSpectrum(d=x.rank - 1, size=work.count,
                         entries=tuple(counts.items()))
     return spec.mirrored() if x.antipodal else spec

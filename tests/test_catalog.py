@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import math
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -37,8 +38,10 @@ SHIPPED = {
 
 
 def det(g: GramMatrix) -> F:
-    _, d = ldlt(g)
-    return math.prod(d, start=F(1))
+    # the last pivot of the integer LDL^T of c*g is det(c*g) = c^n det g
+    c, a = g.integer_entries()
+    pivots, _ = ldlt(a)
+    return F(pivots[-1], c ** g.n)
 
 
 def test_names_and_availability():
@@ -100,3 +103,17 @@ def test_from_gram_file(tmp_path):
 def test_latticespec_rejects_indefinite():
     with pytest.raises(ValueError, match="positive definite"):
         LatticeSpec(name="bad", gram=GramMatrix.from_rows([[1, 2], [2, 1]]))
+
+
+BUILD_CATALOG = Path(__file__).resolve().parents[1] / "scripts/build_catalog.py"
+
+
+def test_build_catalog_determinant():
+    # load the generator without running main(), which rewrites the
+    # shipped data files
+    spec = importlib.util.spec_from_file_location("build_catalog",
+                                                  BUILD_CATALOG)
+    build_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_catalog)
+    for name, (expected_det, _) in SHIPPED.items():
+        assert build_catalog.determinant(catalog(name).gram) == expected_det

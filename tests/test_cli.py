@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sphdesign
 from sphdesign.cli import _decimal_str, build_parser, main
 from fractions import Fraction as F
 
@@ -236,3 +242,24 @@ def test_unexpected_exception_exit_three(monkeypatch, capsys):
     assert out == ""
     assert err == "error: internal RuntimeError: stage broke second line\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("den", [10 ** 9, 10 ** 20])
+def test_huge_denominator_spectrum_bounded_memory(tmp_path, den):
+    # scaled min norm m = den: a dense histogram of all 2m + 1 possible
+    # products would take 16 GB at 10^9, and products past 2^63 do not fit
+    # int64; under a 1 GiB address-space cap both commands must still give
+    # a verdict, not an internal error
+    p = tmp_path / "huge.gram"
+    p.write_text(f"3\n1 0 0\n0 1 0\n0 0 {den + 1}/{den}\n")
+    cap = 1 << 30
+    src = str(Path(sphdesign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for cmd in ("spectrum", "verify"):
+        r = subprocess.run(
+            [sys.executable, "-m", "sphdesign.cli", cmd, "--gram-file", str(p)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert r.returncode in (0, 1), (cmd, r.stderr)
+        assert "Traceback" not in r.stderr and "internal" not in r.stderr

@@ -200,11 +200,21 @@ def test_realize_coordinates_equal_mirrored_ldlt(name):
     # half is the negated top half and the pivots after A's are zero
     half = halve_antipodal(lattice_vectors(name))
     eg = embedded_gram(half)
-    lmat, diag = ldlt(GramMatrix.from_rows(
-        [F(x, eg.scale) for x in row] for row in _mirrored(eg.entries)))
-    cols = [j for j, dj in enumerate(diag) if dj != 0]
-    want = [tuple([float(row[j]) * sqrt(diag[j]) for j in cols]
-                  + [0.0] * (eg.target_D - len(cols))) for row in lmat]
+    pivots, lam = ldlt(_mirrored(eg.entries))
+    # D[j] = p[j] / (p_prev * scale) for A = entries / scale; L unit lower
+    # triangular with L[i][j] = lam[i][j] / p[j]
+    roots, prev = {}, 1
+    for j, p in enumerate(pivots):
+        if p:
+            roots[j] = sqrt(F(p, prev * eg.scale))
+            prev = p
+
+    def lmat(i, j):
+        return F(int(i == j)) if j >= i else F(lam[i][j], pivots[j])
+
+    want = [tuple([float(lmat(i, j)) * r for j, r in roots.items()]
+                  + [0.0] * (eg.target_D - len(roots)))
+            for i in range(len(pivots))]
     got = realize_coordinates(half)
     assert [[x.hex() for x in row] for row in got] == \
         [[x.hex() for x in row] for row in want]

@@ -46,30 +46,84 @@ def test_integer_entries_scale():
     assert gi == [[4, -2], [-2, 4]]
 
 
-def test_ldlt_reconstructs():
-    g = GramMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    L, D = ldlt(g)
+def reference_ldlt(g: GramMatrix) -> tuple[tuple[tuple[F, ...], ...], tuple[F, ...]]:
+    """Oracle: the former Fraction-arithmetic LDL^T of linalg, unchanged.
+
+    Unpivoted LDL^T factorization: returns (L, D) with L unit lower
+    triangular and L*diag(D)*L^T == g exactly.  Raises PivotError on a zero
+    pivot with nonzero remainder below it.
+    """
     n = g.n
-    ld = [[sum(L[i][k] * D[k] * L[j][k] for k in range(n))
-           for j in range(n)] for i in range(n)]
-    assert all(ld[i][j] == g[i, j] for i in range(n) for j in range(n))
+    a = [list(row) for row in g.entries]
+    L = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    d: list[F] = []
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            if any(a[i][k] != 0 for i in range(k + 1, n)):
+                raise PivotError(
+                    f"zero pivot at step {k} with nonzero remainder; requires pivoted variant"
+                )
+            d.append(F(0))
+            continue
+        d.append(pivot)
+        for i in range(k + 1, n):
+            L[i][k] = a[i][k] / pivot
+        for i in range(k + 1, n):
+            lik = L[i][k]
+            if lik == 0:
+                continue
+            arow_i = a[i]
+            for j in range(k + 1, i + 1):
+                arow_i[j] -= lik * a[j][k]
+    return tuple(tuple(row) for row in L), tuple(d)
+
+
+def rational_factors(pivots, lam):
+    """(L, D) in the reference's form, from the integer pivots p and
+    multipliers lam: L[i][k] = lam[i][k] / p[k], D[k] = p[k] / p_prev."""
+    n = len(pivots)
+    L = [[F(int(i == k)) for k in range(n)] for i in range(n)]
+    D, prev = [], 1
+    for k, p in enumerate(pivots):
+        D.append(F(p, prev))
+        if p:
+            for i in range(k + 1, n):
+                L[i][k] = F(lam[i][k], p)
+            prev = p
+    return tuple(tuple(row) for row in L), tuple(D)
+
+
+def rebuild(L, D):
+    n = len(D)
+    return [[sum(L[i][k] * D[k] * L[j][k] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def test_ldlt_reconstructs():
+    a = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    pivots, lam = ldlt(a)
+    assert pivots == [2, 3, 4]          # leading principal minors
+    assert rebuild(*rational_factors(pivots, lam)) == a
+    # only the lower triangle is read
+    assert ldlt([row[:i + 1] for i, row in enumerate(a)]) == (pivots, lam)
 
 
 def test_ldlt_indefinite_has_negative_pivot():
-    _, D = ldlt(GramMatrix.from_rows([[1, 2], [2, 1]]))
-    assert tuple(D) == (F(1), F(-3))
+    pivots, _ = ldlt([[1, 2], [2, 1]])
+    assert pivots == [1, -3]
+    assert rational_factors(*ldlt([[1, 2], [2, 1]]))[1] == (F(1), F(-3))
 
 
 def test_ldlt_zero_pivot_nonzero_column_raises():
-    with pytest.raises(PivotError, match="pivoted"):
-        ldlt(GramMatrix.from_rows([[0, 1], [1, 0]]))
+    with pytest.raises(PivotError, match="not positive semidefinite"):
+        ldlt([[0, 1], [1, 0]])
 
 
 def test_ldlt_psd_singular():
     # rank-1 PSD: zero pivot with a zero column below it is accepted
-    g = GramMatrix.from_rows([[1, 1], [1, 1]])
-    L, D = ldlt(g)
-    assert tuple(D) == (F(1), F(0))
+    pivots, _ = ldlt([[1, 1], [1, 1]])
+    assert pivots == [1, 0]
 
 
 def test_psd_rank_cases():
@@ -159,8 +213,8 @@ def test_pd_shift_ldlt_positive_pivots(g):
     rows = [[g[i, j] + (1 if i == j else 0) for j in range(g.n)]
             for i in range(g.n)]
     gp = GramMatrix.from_rows(rows)
-    _, D = ldlt(gp)
-    assert all(x > 0 for x in D)
+    pivots, _ = ldlt(gp.integer_entries()[1])
+    assert all(x > 0 for x in pivots)
     assert gp.is_positive_definite()
 
 
@@ -183,3 +237,22 @@ def test_psd_rank_symmetric_matches_sympy(g, c):
     # mostly indefinite; a zero diagonal leaves no pivot, and then only
     # the zero matrix is PSD
     assert _scaled_verdict(g, c) == _sympy_verdict(g)
+
+
+@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True),
+                 _symmetric(), _symmetric(zero_diagonal=True)))
+@settings(max_examples=150, deadline=None)
+def test_ldlt_exact_and_equals_fraction_reference(g):
+    # PD, rank-deficient PSD and indefinite: L diag(D) L^T rebuilt from the
+    # integer pivots and multipliers is the input exactly (an inexact floor
+    # division would show here), and the factors are the Fraction ones
+    a = g.integer_entries()[1]
+    try:
+        want = reference_ldlt(GramMatrix.from_rows(a))
+    except PivotError:
+        with pytest.raises(PivotError):
+            ldlt(a)
+        return
+    got = rational_factors(*ldlt(a))
+    assert got == want
+    assert rebuild(*got) == a

@@ -139,8 +139,25 @@ def test_hist_blocks_int64_branch_cancellation():
 
     a = np.array([[2 ** 54, 1 - 2 ** 54]], dtype=np.int64)
     v = np.array([[1, 1]], dtype=np.int64)
-    hist = _hist_blocks(a, v, off=1, nbins=3, threads=1)
-    assert hist.tolist() == [0, 0, 1]
+    vals, counts = _hist_blocks(a, v, off=1, threads=1)
+    assert (vals.tolist(), counts.tolist()) == ([1], [1])
+
+
+def test_hist_blocks_counting_independent_of_offset():
+    # a small offset bincounts each block, a huge one (2 off + 1 bins, more
+    # than the block's products) sorts the products it has, and one past
+    # int64 sorts them as Python ints: same histogram
+    from sphdesign.spectrum import _hist_blocks
+
+    rng = np.random.default_rng(0)
+    v = rng.integers(-3, 4, size=(2100, 4))   # two blocks of rows
+    a = v @ np.diag([1, 2, 3, 4])
+    off = int(np.abs(a).max() * np.abs(v).max() * 4)
+    for n, big in ((2100, 10 ** 12), (300, 2 ** 70)):
+        dense = _hist_blocks(a[:n], v[:n], off=off, threads=1)
+        sparse = _hist_blocks(a[:n], v[:n], off=big, threads=2)
+        assert [x.tolist() for x in dense] == [x.tolist() for x in sparse]
+        assert dense[1].sum() == n ** 2
 
 
 def test_entries_sorted_descending(e8_spectrum):
