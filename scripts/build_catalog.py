@@ -105,9 +105,8 @@ def gram_of(basis: list[list[int]], form: list[list[Fraction]] | None = None,
 
 def determinant(g: GramMatrix) -> Fraction:
     """det g: the last pivot of the integer LDL^T of c*g is det(c*g) = c^n det g."""
-    c, a = g.integer_entries()
-    pivots, _ = ldlt(a)
-    return Fraction(pivots[-1], c ** g.n)
+    pivots, _ = ldlt(g.entries)
+    return Fraction(pivots[-1], g.scale ** g.n)
 
 
 # ------------------------------------------------------------- root lattices

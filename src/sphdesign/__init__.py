@@ -1,93 +1,1 @@
 """Exact construction and certification of spherical designs from lattices."""
-
-from .linalg import GramMatrix, LinalgError, PivotError, ldlt, psd_rank, invert
-from .gegenbauer import GegenbauerPoly, gegenbauer
-from .enumeration import (
-    VectorSet,
-    EnumerationError,
-    NotAntipodalError,
-    enumerate_short_vectors,
-    minimal_vector_set,
-    halve_antipodal,
-    union_with_negation,
-)
-from .catalog import (
-    CatalogDataMissing,
-    CatalogError,
-    LatticeSpec,
-    available_names,
-    catalog,
-    catalog_names,
-    dual,
-    from_gram_file,
-)
-from .spectrum import PairSpectrum, SpectrumError, pair_spectrum
-from .designs import (
-    design_strength,
-    even_moment,
-    gegenbauer_sum,
-    moment,
-    moment_target,
-    venkov_3design,
-    venkov_5design,
-)
-from .embedding import (
-    EmbeddedGram,
-    EmbeddedSpectrum,
-    EmbeddingError,
-    dim_harm,
-    embed,
-    embedded_gram,
-    realize_coordinates,
-    theorem_check,
-)
-from .report import CodeParams, TableRow, code_params, reproduce_table, verify_lattice
-
-__all__ = [
-    "GramMatrix",
-    "LinalgError",
-    "PivotError",
-    "ldlt",
-    "psd_rank",
-    "invert",
-    "GegenbauerPoly",
-    "gegenbauer",
-    "VectorSet",
-    "EnumerationError",
-    "NotAntipodalError",
-    "enumerate_short_vectors",
-    "minimal_vector_set",
-    "halve_antipodal",
-    "union_with_negation",
-    "CatalogError",
-    "CatalogDataMissing",
-    "LatticeSpec",
-    "catalog",
-    "catalog_names",
-    "available_names",
-    "dual",
-    "from_gram_file",
-    "PairSpectrum",
-    "SpectrumError",
-    "pair_spectrum",
-    "gegenbauer_sum",
-    "design_strength",
-    "moment",
-    "moment_target",
-    "even_moment",
-    "venkov_3design",
-    "venkov_5design",
-    "EmbeddedSpectrum",
-    "EmbeddedGram",
-    "EmbeddingError",
-    "dim_harm",
-    "embed",
-    "theorem_check",
-    "embedded_gram",
-    "realize_coordinates",
-    "CodeParams",
-    "code_params",
-    "TableRow",
-    "reproduce_table",
-    "verify_lattice",
-]

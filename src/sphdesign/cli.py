@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+# eager on purpose: perfbench/traced_cli.py wraps every module after importing cli
 from .catalog import (
     _CATALOG,
     CatalogError,
@@ -126,7 +127,7 @@ def _resolve_input(args) -> tuple[LatticeSpec, VectorSet | None]:
 def _vector_set(args) -> tuple[LatticeSpec, VectorSet]:
     spec, vs = _resolve_input(args)
     if vs is None:
-        vs = minimal_vector_set(spec.gram, expected_kissing=None)
+        vs = minimal_vector_set(spec.gram)
     return spec, vs
 
 

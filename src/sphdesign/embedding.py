@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, sqrt
+from math import comb, gcd, lcm, sqrt
 
 import numpy as np
 
@@ -95,7 +95,8 @@ def theorem_check(emb: EmbeddedSpectrum) -> tuple[bool, Fraction, Fraction]:
 @dataclass(frozen=True)
 class EmbeddedGram:
     """Exact Gram matrix A = entries / scale of the half-set image G_X'
-    (diagonal 1, symmetric), held as integers.
+    (diagonal 1, symmetric), held as integers with no common factor, so
+    the Bareiss minors of its elimination stay small.
 
     The embedded set G_X' union -G_X' has Gram matrix
     [[A, -A], [-A, A]] = [[1, -1], [-1, 1]] (x) A, and the 2 x 2 factor
@@ -140,11 +141,12 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
 
     Row i is the embedded image of the i-th vector of x_halved; the
     negated images need no rows of their own (see EmbeddedGram).  With
-    P = V (cG) V^T the integer products (c the Gram matrix's denominator
-    scale), m = c min_norm and l the common denominator of the
-    coefficients of g, entry (i, j) is l m^2 g(P_ij / m), an integer, and
-    the scale is l m^2.  Sets larger than cap must use the spectrum-only
-    pipeline (embed + theorem_check), which needs no |X'| x |X'| matrix.
+    P = V (cG) V^T the integer products, m = x_halved.m the scaled min norm
+    and l the common denominator of the coefficients of g, entry (i, j) is
+    l m^2 g(P_ij / m), an integer, and the scale is l m^2; entries and
+    scale are then divided by their gcd.  Sets larger than cap must use
+    the spectrum-only pipeline (embed + theorem_check), which needs no
+    |X'| x |X'| matrix.
     """
     if x_halved.antipodal:
         raise NotAntipodalError(
@@ -158,13 +160,15 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
     coeffs = gegenbauer(2, d).coefficients      # g(t) = c0 + c2 t^2
     lden = lcm(*(c.denominator for c in coeffs))
     c0, _, c2 = (int(c * lden) for c in coeffs)
-    c, gi = x_halved.gram.integer_entries()
-    m = int(x_halved.min_norm * c)
+    m = x_halved.m
     v = x_halved.coords
     c0m2 = c0 * m * m
-    a = tuple(tuple(c2 * p * p + c0m2 for p in row)
-              for row in exact_matmul(v, gi, v.T).tolist())
-    return EmbeddedGram(source_d=d, scale=lden * m * m, entries=a)
+    a = [[c2 * p * p + c0m2 for p in row]
+         for row in exact_matmul(v, x_halved.gram.entries, v.T).tolist()]
+    # the diagonal entries equal the scale, so g divides it too
+    g = gcd(*(x for row in a for x in row))
+    return EmbeddedGram(source_d=d, scale=lden * m * m // g,
+                        entries=tuple(tuple(x // g for x in row) for row in a))
 
 
 def realize_coordinates(x_halved: VectorSet, precision: int = 12,

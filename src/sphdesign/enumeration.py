@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import isqrt, lcm, prod
@@ -39,13 +39,16 @@ class VectorSet:
     """Finite set of integer coordinate vectors with constant norm.
 
     coords is an (N x rank) integer array, rows in canonical (lexicographic)
-    order; every row v satisfies v^T gram v == min_norm exactly.
+    order; every row v satisfies v^T gram v == min_norm exactly.  m is the
+    scaled min norm c * min_norm (c = gram.scale), a positive int: every
+    row has v^T (c gram) v == m, and every scaled product lies in [-m, m].
     """
 
     gram: GramMatrix
     min_norm: Fraction
     coords: np.ndarray
     antipodal: bool
+    m: int = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=np.int64)
@@ -54,7 +57,14 @@ class VectorSet:
         c = c[np.lexsort(c.T[::-1])]
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "min_norm", Fraction(self.min_norm))
+        min_norm = Fraction(self.min_norm)
+        m = min_norm * self.gram.scale
+        if m.denominator != 1 or m <= 0:
+            raise ValueError(
+                f"min_norm {min_norm} is not a positive multiple of "
+                f"1/{self.gram.scale}, the Gram matrix's scale")
+        object.__setattr__(self, "min_norm", min_norm)
+        object.__setattr__(self, "m", int(m))
 
     @property
     def rank(self) -> int:
@@ -75,11 +85,7 @@ class VectorSet:
     def validate(self) -> None:
         """Check the constant-norm and uniqueness invariants exactly."""
         norms = exact_norms(self.gram, self.coords)
-        scale, _ = self.gram.integer_entries()
-        target = self.min_norm * scale
-        if target.denominator != 1:
-            raise ValueError("min_norm inconsistent with gram denominator scale")
-        if not np.all(norms == int(target)):
+        if not np.all(norms == self.m):
             raise ValueError("vector with norm != min_norm present")
         if len(np.unique(self.coords, axis=0)) != self.count:
             raise ValueError("duplicate vectors present")
@@ -108,9 +114,8 @@ def exact_matmul(*factors) -> np.ndarray:
 
 def exact_norms(gram: GramMatrix, coords: np.ndarray) -> np.ndarray:
     """Integer-scaled norms v^T (c*gram) v for all rows, computed exactly."""
-    _, gi = gram.integer_entries()
     v = np.asarray(coords)
-    return exact_matmul(v[:, None, :], gi, v[:, :, None])[:, 0, 0]
+    return exact_matmul(v[:, None, :], gram.entries, v[:, :, None])[:, 0, 0]
 
 
 def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
@@ -118,19 +123,21 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
 
     LLL includes size reduction, hence the name.  This is the integral LLL
     of Cohen, *A Course in Computational Algebraic Number Theory*,
-    Alg. 2.6.7, run on c * g with c the denominator scale of g.  The loop
+    Alg. 2.6.7, run on the integer entries c * g of g.  The loop
     holds only integers: the Gram entries of the current basis, d[i] (the
     Gram determinant of the first i basis vectors) and
     lam[k][j] = d[j + 1] * mu_kj, so no Fraction and no float enters it.
 
     Returns (reduced_gram, transform) with transform unimodular and
-    reduced_gram == T * g * T^T exactly.  The Gram-Schmidt coefficients of
-    the result satisfy |mu_kj| <= 1/2 and the Lovasz condition
-    |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.  Raises LinalgError when
-    some d[k] <= 0, i.e. g is not positive definite.
+    reduced_gram == T * g * T^T exactly, at the scale c of g: a unimodular
+    T keeps the Z-span of the Gram entries, so c stays minimal.  The
+    Gram-Schmidt coefficients of the result satisfy |mu_kj| <= 1/2 and the
+    Lovasz condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.
+    Raises LinalgError when some d[k] <= 0, i.e. g is not positive
+    definite.
     """
     n = g.n
-    c, a = g.integer_entries()
+    a = [list(row) for row in g.entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
@@ -194,22 +201,20 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 reduce_pair(k, l)
             k += 1
-    reduced = GramMatrix.from_rows([[Fraction(x, c) for x in row] for row in a])
-    return reduced, t
+    return GramMatrix(g.scale, a), t
 
 
 def _level_data(g: GramMatrix):
     """Scaled-integer Fincke-Pohst tables from the integer LDL^T of c*g.
 
-    With p the pivots and lam the multipliers of c*g (c the denominator
-    scale), D_i = p[i] / (c p[i-1]) and L[j][i] = lam[j][i] / p[i], so
+    With p the pivots and lam the multipliers of c*g (c = g.scale),
+    D_i = p[i] / (c p[i-1]) and L[j][i] = lam[j][i] / p[i], so
     Q(x) = sum_i (p[i] x_i + sum_{j>i} lam[j][i] x_j)^2 / w[i] with
     w[i] = c p[i-1] p[i].  mscale[i] clears the denominators of levels
     i.., so the partial sums T_i are kept as integers T_i * mscale[i].
     """
-    n = g.n
-    c, a = g.integer_entries()
-    p, lam = ldlt(a)
+    n, c = g.n, g.scale
+    p, lam = ldlt(g.entries)
     w = [c * x * y for x, y in zip([1] + p, p)]
     urow = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     mscale = [1] * (n + 1)
@@ -318,20 +323,14 @@ def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
     half = _fincke_pohst(reduced, bound)
     if half.shape[0] == 0:
         raise EnumerationError("no nonzero vectors at the basis-diagonal bound")
-    scale, _ = reduced.integer_entries()
     norms = exact_norms(reduced, half)
     m = norms.min()
-    return Fraction(int(m), scale), _both_signs(half[norms == m], trans)
+    return Fraction(int(m), reduced.scale), _both_signs(half[norms == m], trans)
 
 
-def minimal_vector_set(gram: GramMatrix, expected_kissing: int | None = None) -> VectorSet:
-    """VectorSet of all minimal vectors; cross-checked against an expected count."""
+def minimal_vector_set(gram: GramMatrix) -> VectorSet:
+    """VectorSet of all minimal vectors."""
     min_norm, vecs = shortest_norm_and_vectors(gram)
-    if expected_kissing is not None and vecs.shape[0] != expected_kissing:
-        raise EnumerationError(
-            f"kissing number mismatch: enumerated {vecs.shape[0]}, "
-            f"expected {expected_kissing} (catalog data corrupt)"
-        )
     return VectorSet(gram=gram, min_norm=min_norm, coords=vecs, antipodal=True)
 
 

@@ -64,7 +64,7 @@ def parse_gram(text: str) -> GramMatrix:
         if len(tokens) != n:
             raise FormatError(f"expected {n} entries per row, got {len(tokens)}")
         rows.append(tuple(parse_rational(t) for t in tokens))
-    return GramMatrix(tuple(rows))
+    return GramMatrix.from_rows(rows)
 
 
 def read_gram(path: str | Path) -> GramMatrix:
@@ -91,6 +91,9 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, list[tuple[int, ...
     if len(header) != 3:
         raise FormatError('header must be "rank N min_norm"')
     rank, count = int(header[0]), int(header[1])
+    if rank < 1 or count < 1:
+        raise FormatError(
+            f"rank and vector count must be positive, got {rank} and {count}")
     min_norm = parse_rational(header[2])
     if len(lines) != count + 1:
         raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")

@@ -1,11 +1,13 @@
 """Exact symmetric linear algebra over arbitrary-precision rationals.
 
-GramMatrix entries are ``fractions.Fraction`` (always in lowest terms,
-positive denominator).  There is one symmetric elimination, ldlt: a
-fraction-free (Bareiss) LDL^T of an integer matrix, whose pivots and
-multipliers the PSD rank certificate, the positive-definiteness check, the
-Fincke-Pohst level data and the float coordinate export all read.  No
-rounding anywhere; floating point never enters this module.
+A GramMatrix G is held once as integers, (c, c*G) with c the smallest
+scale clearing its denominators; Fraction appears only where rationals
+come in (from_rows, invert) or a single entry is read out.  There is one
+symmetric elimination, ldlt: a fraction-free (Bareiss) LDL^T of an integer
+matrix, whose pivots and multipliers the PSD rank certificate, the
+positive-definiteness check, the Fincke-Pohst level data and the float
+coordinate export all read.  No rounding anywhere; floating point never
+enters this module.
 """
 
 from __future__ import annotations
@@ -26,42 +28,56 @@ class PivotError(LinalgError):
     positive semidefinite."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of exact rationals defining an inner-product structure."""
+    """Symmetric rational matrix G held as integers: scale is the smallest
+    c > 0 with c*G integral and entries are the int rows of c*G.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The constructor rejects a non-square or non-symmetric matrix, non-int
+    entries and a scale that is not positive or not minimal (one sharing
+    a factor with every entry); from_rows builds one from rationals.
+    """
+
+    scale: int
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(row) for row in self.entries)
+        n = len(rows)
+        if not isinstance(self.scale, int) or self.scale <= 0:
+            raise LinalgError(f"scale must be a positive int, got {self.scale!r}")
         for row in rows:
             if len(row) != n:
                 raise LinalgError("matrix is not square")
+            if not all(isinstance(x, int) for x in row):
+                raise LinalgError("scaled entries must be int")
         for i in range(n):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise LinalgError(f"matrix is not symmetric at ({i},{j})")
+        if gcd(self.scale, *(x for row in rows for x in row)) != 1:
+            raise LinalgError(f"scale {self.scale} is not minimal")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "GramMatrix":
-        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
+        """GramMatrix of exact rationals (int, Fraction or "p/q" text);
+        floats are rejected."""
+        frows = []
+        for row in rows:
+            frow = []
+            for x in row:
+                if not isinstance(x, (int, Fraction, str)):
+                    raise TypeError(
+                        f"expected exact rational, got {type(x).__name__}")
+                frow.append(Fraction(x))
+            frows.append(frow)
+        c = lcm(1, *(x.denominator for row in frows for x in row))
+        return cls(c, tuple(tuple(int(x * c) for x in row) for row in frows))
 
     @classmethod
     def identity(cls, n: int) -> "GramMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -69,34 +85,22 @@ class GramMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def denominator_scale(self) -> int:
-        """Smallest positive integer c with c * self integral."""
-        return lcm(*(x.denominator for row in self.entries for x in row), 1)
-
-    def integer_entries(self) -> tuple[int, list[list[int]]]:
-        """Return (c, c*self) with c the denominator scale and the result integral."""
-        c = self.denominator_scale()
-        return c, [[int(x * c) for x in row] for row in self.entries]
+        return Fraction(self.entries[i][j], self.scale)
 
     def quadratic_form(self, v: Sequence[int]) -> Fraction:
         """v^T * self * v, exact."""
         rows = self.entries
-        total = Fraction(0)
+        total = 0
         for i, vi in enumerate(v):
             if vi:
                 total += vi * sum(rows[i][j] * vj for j, vj in enumerate(v) if vj)
-        return total
+        return Fraction(total, self.scale)
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion: every leading principal minor of c*self,
         i.e. every pivot of its integer LDL^T, is positive."""
         try:
-            pivots, _ = ldlt(self.integer_entries()[1])
+            pivots, _ = ldlt(self.entries)
         except PivotError:
             return False
         return all(p > 0 for p in pivots)
@@ -139,13 +143,14 @@ def ldlt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
 def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
     """Exact PSD verdict and rank of a symmetric integer matrix.
 
-    Raises LinalgError unless a is square and symmetric.  The entries are
-    divided by their gcd first, which changes neither the verdict nor the
-    rank but keeps the Bareiss minors small.  The one integer elimination
-    is ldlt: a is PSD exactly when it raises no PivotError (a PSD matrix
-    has a zero column below every zero pivot) and every nonzero pivot is
-    positive, and the rank is the number of nonzero pivots.  After a
-    PivotError, a is not PSD and its rank comes from row elimination.
+    Raises LinalgError unless a is square and symmetric.  The one integer
+    elimination is ldlt: a is PSD exactly when it raises no PivotError (a
+    PSD matrix has a zero column below every zero pivot) and every nonzero
+    pivot is positive, and the rank is the number of nonzero pivots.
+    After a PivotError, a is not PSD and its rank comes from row
+    elimination.  A caller keeps the Bareiss minors small by dividing a
+    by the gcd of its entries first, which changes neither answer;
+    embedding.embedded_gram builds its block reduced.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -154,18 +159,16 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise LinalgError(f"matrix is not symmetric at ({i},{j})")
-    g = gcd(*(x for row in a for x in row)) or 1
-    b = [[index(x) // g for x in row] for row in a]
     try:
-        pivots, _ = ldlt(b)
+        pivots, _ = ldlt(a)
     except PivotError:
-        return False, _row_rank(b)
+        return False, _row_rank(a)
     return all(p >= 0 for p in pivots), sum(1 for p in pivots if p)
 
 
-def _row_rank(a: list[list[int]]) -> int:
+def _row_rank(a: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free row elimination."""
-    a = [row[:] for row in a]
+    a = [[index(x) for x in row] for row in a]
     m = len(a)
     ncols = len(a[0]) if m else 0
     rank = 0
@@ -190,9 +193,12 @@ def _row_rank(a: list[list[int]]) -> int:
 
 
 def invert(g: GramMatrix) -> GramMatrix:
-    """Exact inverse; g * invert(g) == identity entrywise."""
+    """Exact inverse; g * invert(g) == identity entrywise.
+
+    Gauss-Jordan on the integer rows of c*g, whose inverse times c is the
+    inverse of g."""
     n = g.n
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(g.entries)]
     for col in range(n):
         p = next((i for i in range(col, n) if a[i][col] != 0), None)
@@ -205,12 +211,4 @@ def invert(g: GramMatrix) -> GramMatrix:
             if i != col and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return GramMatrix(tuple(tuple(row[n:]) for row in a))
-
-
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    """Exact rational matrix product as nested tuples."""
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return GramMatrix.from_rows([[g.scale * x for x in row[n:]] for row in a])

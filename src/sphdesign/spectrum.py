@@ -153,21 +153,13 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     """
     if x.count == 0:
         raise SpectrumError("empty vector set")
-    scale, gi = x.gram.integer_entries()
-    norm_scaled = x.min_norm * scale
-    if norm_scaled.denominator != 1 or norm_scaled <= 0:
-        raise SpectrumError(
-            f"min_norm {x.min_norm} is not a positive multiple of 1/{scale}, "
-            f"the Gram matrix's denominator scale")
-    m = int(norm_scaled)
-
     work = halve_antipodal(x) if x.antipodal else x
     v = work.coords
-    a = exact_matmul(v, gi)
+    a = exact_matmul(v, x.gram.entries)
 
     # |scaled product| <= m, the scaled min norm, by Cauchy-Schwarz
-    vals, hist = _hist_blocks(a, v, m, threads)
-    counts = {Fraction(int(p), m): int(c) for p, c in zip(vals, hist)}
+    vals, hist = _hist_blocks(a, v, x.m, threads)
+    counts = {Fraction(int(p), x.m): int(c) for p, c in zip(vals, hist)}
     spec = PairSpectrum(d=x.rank - 1, size=work.count,
                         entries=tuple(counts.items()))
     return spec.mirrored() if x.antipodal else spec

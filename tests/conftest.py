@@ -12,20 +12,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphdesign import (
-    GramMatrix,
-    VectorSet,
-    catalog,
-    minimal_vector_set,
-    pair_spectrum,
-)
+from sphdesign.catalog import catalog
+from sphdesign.enumeration import VectorSet, minimal_vector_set
+from sphdesign.linalg import GramMatrix
+from sphdesign.spectrum import pair_spectrum
 
 THREADS = min(4, os.cpu_count() or 1)
 
 
 def lattice_vectors(name: str) -> VectorSet:
     spec = catalog(name)
-    return minimal_vector_set(spec.gram, expected_kissing=spec.expected_kissing)
+    vs = minimal_vector_set(spec.gram)
+    assert vs.count == spec.expected_kissing, \
+        f"{name}: enumerated {vs.count}, expected {spec.expected_kissing}"
+    return vs
+
+
+def matmul(a, b):
+    """Exact matrix product of nested sequences, as nested tuples."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
 
 
 @pytest.fixture(scope="session")

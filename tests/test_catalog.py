@@ -39,9 +39,8 @@ SHIPPED = {
 
 def det(g: GramMatrix) -> F:
     # the last pivot of the integer LDL^T of c*g is det(c*g) = c^n det g
-    c, a = g.integer_entries()
-    pivots, _ = ldlt(a)
-    return F(pivots[-1], c ** g.n)
+    pivots, _ = ldlt(g.entries)
+    return F(pivots[-1], g.scale ** g.n)
 
 
 def test_names_and_availability():

@@ -228,6 +228,19 @@ def test_minimal_vector_past_int64_exit_two(tmp_path, capsys):
     assert "int64" in err
 
 
+@pytest.mark.parametrize("command",
+                         ["verify", "spectrum", "embed", "export-coords"])
+@pytest.mark.parametrize("header", ["0 0 1", "-2 0 1", "2 0 1"])
+def test_bad_vector_header_exit_two(tmp_path, capsys, header, command):
+    # no rank or no vectors is a data error, not a numpy fault (exit 3)
+    vecs = tmp_path / "bad.vecs"
+    vecs.write_text(header + "\n")
+    code, out, err = run(capsys, command, "--vectors", str(vecs))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be positive" in err
+
+
 def test_unexpected_exception_exit_three(monkeypatch, capsys):
     # a fault of the program is one stderr line and exit 3, never exit 1
     # (a verification FAIL) and never a traceback

@@ -4,7 +4,7 @@ identity, exact rank certification, and float coordinate realization."""
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import comb, sqrt
+from math import comb, gcd, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -137,6 +137,20 @@ def test_embedded_gram_both_sides_of_bound(k):
             for v in rows]
     eg = embedded_gram(half)
     assert [[F(x, eg.scale) for x in row] for row in eg.entries] == want
+
+
+@pytest.mark.parametrize("name, factor", [
+    ("A2", 2), ("D4", 4), ("E6", 2), ("E6dual", 2), ("E7", 1),
+    ("E7dual", 2), ("E8", 4), ("CT12", 4)])
+def test_embedded_gram_reduced(name, factor):
+    # entries and scale share no factor: the common factor of the block
+    # at scale l m^2 is divided out
+    half = halve_antipodal(lattice_vectors(name))
+    eg = embedded_gram(half)
+    assert gcd(*(x for row in eg.entries for x in row)) == 1
+    coeffs = gegenbauer(2, half.sphere_dim).coefficients
+    lden = lcm(*(c.denominator for c in coeffs))
+    assert eg.scale * factor == lden * half.m ** 2
 
 
 def test_rank_certificate_ct12():

@@ -12,9 +12,10 @@ from sphdesign.linalg import (
     PivotError,
     invert,
     ldlt,
-    matmul,
     psd_rank,
 )
+
+from conftest import matmul
 
 
 def test_from_rows_symmetrizes_nothing_but_validates():
@@ -24,12 +25,35 @@ def test_from_rows_symmetrizes_nothing_but_validates():
         GramMatrix.from_rows([[1, 2, 3], [2, 1, 0]])
 
 
+def test_constructor_rejects_non_minimal_scale():
+    # (2, [[2, 4], [4, 6]]) is G = [[1, 2], [2, 3]], whose scale is 1
+    with pytest.raises(LinalgError, match="scale 2 is not minimal"):
+        GramMatrix(2, ((2, 4), (4, 6)))
+    assert GramMatrix(2, ((2, 1), (1, 6)))[0, 1] == F(1, 2)
+    for scale in (0, -1):
+        with pytest.raises(LinalgError, match="positive"):
+            GramMatrix(scale, ((1,),))
+
+
+def test_constructor_rejects_non_symmetric_and_non_int():
+    with pytest.raises(LinalgError, match="not symmetric at \\(1,0\\)"):
+        GramMatrix(1, ((1, 2), (3, 1)))
+    with pytest.raises(LinalgError, match="int"):
+        GramMatrix(1, ((F(1), 0), (0, 1)))
+
+
+def test_from_rows_rejects_float():
+    with pytest.raises(TypeError, match="float"):
+        GramMatrix.from_rows([[1.0, 0], [0, 1]])
+
+
 def test_identity_and_indexing():
     g = GramMatrix.identity(3)
     assert g.n == 3
     assert g[0, 0] == F(1)
     assert g[0, 1] == F(0)
-    assert g.row(2) == (F(0), F(0), F(1))
+    assert g.scale == 1
+    assert g.entries[2] == (0, 0, 1)
 
 
 def test_quadratic_form_exact():
@@ -41,9 +65,9 @@ def test_quadratic_form_exact():
 
 def test_integer_entries_scale():
     g = GramMatrix.from_rows([[F(4, 3), F(-2, 3)], [F(-2, 3), F(4, 3)]])
-    scale, gi = g.integer_entries()
-    assert scale == 3
-    assert gi == [[4, -2], [-2, 4]]
+    assert g.scale == 3
+    assert g.entries == ((4, -2), (-2, 4))
+    assert g[0, 1] == F(-2, 3)
 
 
 def reference_ldlt(g: GramMatrix) -> tuple[tuple[tuple[F, ...], ...], tuple[F, ...]]:
@@ -54,7 +78,7 @@ def reference_ldlt(g: GramMatrix) -> tuple[tuple[tuple[F, ...], ...], tuple[F, .
     pivot with nonzero remainder below it.
     """
     n = g.n
-    a = [list(row) for row in g.entries]
+    a = [[g[i, j] for j in range(n)] for i in range(n)]
     L = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
     d: list[F] = []
     for k in range(n):
@@ -127,7 +151,7 @@ def test_ldlt_psd_singular():
 
 
 def test_psd_rank_cases():
-    assert psd_rank(GramMatrix.identity(4).integer_entries()[1]) == (True, 4)
+    assert psd_rank(GramMatrix.identity(4).entries) == (True, 4)
     assert psd_rank([[1, 1], [1, 1]]) == (True, 1)
     assert psd_rank([[1, 2], [2, 1]]) == (False, 2)
     assert psd_rank([[0, 0], [0, 0]]) == (True, 0)
@@ -147,7 +171,8 @@ def test_psd_rank_rejects_non_square_and_non_symmetric():
 def test_invert_roundtrip():
     g = GramMatrix.from_rows([[2, -1], [-1, 2]])
     gi = invert(g)
-    prod = matmul([g.row(i) for i in range(2)], [gi.row(i) for i in range(2)])
+    prod = matmul([[g[i, j] for j in range(2)] for i in range(2)],
+                  [[gi[i, j] for j in range(2)] for i in range(2)])
     assert [list(r) for r in prod] == [[F(1), F(0)], [F(0), F(1)]]
     assert gi[0, 0] == F(2, 3)
 
@@ -182,8 +207,8 @@ def _psd_grams(draw, nmax=4, deficient=False):
 def _sympy_verdict(g):
     import sympy
 
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                       for x in g.row(i)] for i in range(g.n)])
+    m = sympy.Matrix([[sympy.Rational(x, g.scale) for x in row]
+                      for row in g.entries])
     return m.is_positive_semidefinite, m.rank()
 
 
@@ -193,7 +218,7 @@ _scales = st.sampled_from([1, 4, 2 ** 40])
 
 def _scaled_verdict(g, c):
     """psd_rank of the integer-scaled g, asserted equal at scale c."""
-    a = g.integer_entries()[1]
+    a = g.entries
     verdict = psd_rank(a)
     assert psd_rank([[c * x for x in row] for row in a]) == verdict
     return verdict
@@ -213,7 +238,7 @@ def test_pd_shift_ldlt_positive_pivots(g):
     rows = [[g[i, j] + (1 if i == j else 0) for j in range(g.n)]
             for i in range(g.n)]
     gp = GramMatrix.from_rows(rows)
-    pivots, _ = ldlt(gp.integer_entries()[1])
+    pivots, _ = ldlt(gp.entries)
     assert all(x > 0 for x in pivots)
     assert gp.is_positive_definite()
 
@@ -246,7 +271,7 @@ def test_ldlt_exact_and_equals_fraction_reference(g):
     # PD, rank-deficient PSD and indefinite: L diag(D) L^T rebuilt from the
     # integer pivots and multipliers is the input exactly (an inexact floor
     # division would show here), and the factors are the Fraction ones
-    a = g.integer_entries()[1]
+    a = [list(row) for row in g.entries]
     try:
         want = reference_ldlt(GramMatrix.from_rows(a))
     except PivotError:

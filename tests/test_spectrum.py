@@ -126,10 +126,11 @@ def test_blocked_tiers_match_brute_force(monkeypatch, k):
 
 
 def test_min_norm_off_gram_scale():
-    vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1, 2),
-                   coords=np.array([[1, 0], [-1, 0]]), antipodal=True)
-    with pytest.raises(SpectrumError, match="min_norm 1/2"):
-        pair_spectrum(vs)
+    # the scaled min norm m is checked once, where the set is built
+    for bad in (F(1, 2), F(0), F(-1)):
+        with pytest.raises(ValueError, match=f"min_norm {bad} is not"):
+            VectorSet(gram=GramMatrix.identity(2), min_norm=bad,
+                      coords=np.array([[1, 0], [-1, 0]]), antipodal=True)
 
 
 def test_hist_blocks_int64_branch_cancellation():
