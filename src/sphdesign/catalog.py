@@ -31,10 +31,6 @@ class LatticeSpec:
         if not self.gram.is_positive_definite():
             raise ValueError(f"{self.name}: gram matrix is not positive definite")
 
-    @property
-    def rank(self) -> int:
-        return self.gram.n
-
 
 # name -> (data file stem, expected kissing, expected min norm)
 _CATALOG: dict[str, tuple[str, int | None, Fraction | None]] = {

@@ -29,7 +29,8 @@ from .catalog import (
     catalog_names,
     from_gram_file,
 )
-from .embedding import MATRIX_CAP, embed, realize_coordinates, theorem_check
+from .designs import moment_target, venkov_3design
+from .embedding import MATRIX_CAP, embed, realize_coordinates
 from .enumeration import (
     VectorSet,
     halve_antipodal,
@@ -58,6 +59,13 @@ def _default_threads() -> int:
     except ValueError:
         return 1
     return n if n >= 1 else 1
+
+
+def _places(text: str) -> int:
+    """Type of --decimal K: a count of decimal places, an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return int(text)
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -220,7 +228,7 @@ def _cmd_verify(args) -> int:
 def _cmd_embed(args) -> int:
     spec, vs = _vector_set(args)
     emb = embed(pair_spectrum(vs, threads=args.threads))
-    ok, lhs, rhs = theorem = theorem_check(emb)
+    ok, lhs = theorem = venkov_3design(emb)
     cp = code_params(emb)
     if args.format == "json":
         payload = {"lattice": spec.name, **embedded_report(emb, cp, theorem)}
@@ -228,11 +236,11 @@ def _cmd_embed(args) -> int:
     else:
         lines = [
             f"embedded code ({cp.ambient}, {cp.size}, "
-            f"{_render(cp.a, args.decimal)}) on S^{emb.target_D - 1}",
+            f"{_render(cp.a, args.decimal)}) on S^{emb.d}",
             f"3-design: {ok} (moment {_render(lhs, args.decimal)} vs "
-            f"{_render(rhs, args.decimal)})",
+            f"{_render(moment_target(emb.d, 2), args.decimal)})",
         ]
-        lines += _spectrum_lines(emb.spectrum.entries, args.decimal)
+        lines += _spectrum_lines(emb.entries, args.decimal)
         _write_or_print("\n".join(lines), args.out)
     return 0 if ok else 1
 
@@ -282,7 +290,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output to a file")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    metavar="N", help=f"worker threads (env {_THREADS_ENV})")
-    p.add_argument("--decimal", type=int, metavar="K", default=None,
+    p.add_argument("--decimal", type=_places, metavar="K", default=None,
                    help="render decimals with K places instead of rationals")
 
 

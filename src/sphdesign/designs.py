@@ -81,10 +81,3 @@ def venkov_5design(spec: PairSpectrum) -> tuple[bool, Fraction, Fraction]:
              and lhs4 == moment_target(spec.d, 4))
     return holds, lhs2, lhs4
 
-
-def even_moment(spec: PairSpectrum, two_k: int) -> tuple[Fraction, Fraction]:
-    """(lhs, target) for the 2k-th moment test; equality for all k <= K is
-    equivalent to design strength >= 2K+1 on antipodal sets."""
-    if two_k < 2 or two_k % 2:
-        raise ValueError("even power >= 2 required")
-    return moment(spec, two_k), moment_target(spec.d, two_k)

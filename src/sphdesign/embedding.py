@@ -6,8 +6,10 @@ G_x in the d(d+3)/2-dimensional space of degree-2 spherical harmonics with
 The kernel is even, so G_(-x) = G_x and the embedded set G_X' union -G_X'
 is the same for every half-set X' of an antipodal X: its spectrum follows
 from the pair spectrum of X alone.  Its Gram matrix (which does need a
-half-set) can be realized exactly, and its 3-design property is certified
-by an exact moment identity.  Float coordinates are export-only.
+half-set) can be realized exactly.  embed returns that spectrum as a plain
+PairSpectrum on S^(D-1), D = d(d+3)/2, so its 3-design property is the
+antipodal moment criterion of designs.venkov_3design, as for any code.
+Float coordinates are export-only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from math import comb, gcd, lcm, sqrt
 
 import numpy as np
 
-from .designs import moment_target, venkov_3design
 from .enumeration import NotAntipodalError, VectorSet, exact_matmul
 from .gegenbauer import gegenbauer
 from .linalg import ldlt, psd_rank
@@ -38,32 +39,15 @@ def dim_harm(k: int, d: int) -> int:
     return comb(d + k, k) - (comb(d + k - 2, k - 2) if k >= 2 else 0)
 
 
-@dataclass(frozen=True)
-class EmbeddedSpectrum:
-    """Spectrum of G_X' union -G_X' viewed as a code on S^(D-1)."""
-
-    source_d: int
-    spectrum: PairSpectrum
-
-    def __post_init__(self):
-        if not self.spectrum.antipodal:
-            raise EmbeddingError("embedded spectrum must be antipodal")
-        if self.spectrum.d != self.target_D - 1:
-            raise EmbeddingError("spectrum sphere dimension != D - 1")
-
-    @property
-    def target_D(self) -> int:
-        return dim_harm(2, self.source_d)
-
-
-def embed(spec: PairSpectrum) -> EmbeddedSpectrum:
-    """Spectrum of G_X' union -G_X', folded from the pair spectrum of X.
+def embed(spec: PairSpectrum) -> PairSpectrum:
+    """Spectrum of G_X' union -G_X' on S^(D-1), folded from the pair
+    spectrum of X.
 
     Each source product s contributes C(s)/2 at +g(s) and C(s)/2 at -g(s),
     where g is the normalized degree-2 Gegenbauer polynomial and C the
     spectrum of the antipodal set X; an odd C(s) raises EmbeddingError.
-    embed(emb.spectrum) embeds an embedded code again.  A spectrum not
-    flagged antipodal is read as that of a half-set X' and mirrored first.
+    embed(emb) embeds an embedded code again.  A spectrum not flagged
+    antipodal is read as that of a half-set X' and mirrored first.
     """
     full = spec if spec.antipodal else spec.mirrored()
     d = full.d
@@ -76,20 +60,8 @@ def embed(spec: PairSpectrum) -> EmbeddedSpectrum:
         val = g(s)
         out[val] = out.get(val, 0) + c // 2
         out[-val] = out.get(-val, 0) + c // 2
-    emb = PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
-                       antipodal=True, entries=tuple(out.items()))
-    return EmbeddedSpectrum(source_d=d, spectrum=emb)
-
-
-def theorem_check(emb: EmbeddedSpectrum) -> tuple[bool, Fraction, Fraction]:
-    """Exact quadratic-moment identity certifying the embedded 3-design.
-
-    lhs is the mean squared embedded inner product, rhs = 1/D =
-    2/(d(d+3)); the set is a 3-design iff they agree, which is the
-    antipodal 3-design criterion on S^(D-1).
-    """
-    holds, lhs = venkov_3design(emb.spectrum)
-    return holds, lhs, moment_target(emb.spectrum.d, 2)
+    return PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
+                        antipodal=True, entries=tuple(out.items()))
 
 
 @dataclass(frozen=True)
@@ -113,11 +85,6 @@ class EmbeddedGram:
         for i, row in enumerate(self.entries):
             if row[i] != self.scale:
                 raise EmbeddingError("embedded Gram diagonal entry != 1")
-
-    @property
-    def m(self) -> int:
-        """Number of embedded points, 2 |X'|."""
-        return 2 * len(self.entries)
 
     @property
     def target_D(self) -> int:
@@ -145,8 +112,8 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
     and l the common denominator of the coefficients of g, entry (i, j) is
     l m^2 g(P_ij / m), an integer, and the scale is l m^2; entries and
     scale are then divided by their gcd.  Sets larger than cap must use
-    the spectrum-only pipeline (embed + theorem_check), which needs no
-    |X'| x |X'| matrix.
+    the spectrum-only embedding (embed), which needs no |X'| x |X'|
+    matrix.
     """
     if x_halved.antipodal:
         raise NotAntipodalError(
@@ -155,7 +122,7 @@ def embedded_gram(x_halved: VectorSet, cap: int = MATRIX_CAP) -> EmbeddedGram:
     if npts > cap:
         raise EmbeddingError(
             f"{npts} points exceed the matrix cap {cap}; use the "
-            f"spectrum-only embedding (embed/theorem_check) instead")
+            f"spectrum-only embedding (sphdesign embed) instead")
     d = x_halved.sphere_dim
     coeffs = gegenbauer(2, d).coefficients      # g(t) = c0 + c2 t^2
     lden = lcm(*(c.denominator for c in coeffs))

@@ -147,10 +147,11 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
     elimination is ldlt: a is PSD exactly when it raises no PivotError (a
     PSD matrix has a zero column below every zero pivot) and every nonzero
     pivot is positive, and the rank is the number of nonzero pivots.
-    After a PivotError, a is not PSD and its rank comes from row
-    elimination.  A caller keeps the Bareiss minors small by dividing a
-    by the gcd of its entries first, which changes neither answer;
-    embedding.embedded_gram builds its block reduced.
+    After a PivotError, a is not PSD and its rank is that of a^T a, which
+    is PSD with the same rank over Q, so ldlt never raises on it.  A
+    caller keeps the Bareiss minors small by dividing a by the gcd of its
+    entries first, which changes neither answer; embedding.embedded_gram
+    builds its block reduced.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -162,34 +163,10 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
     try:
         pivots, _ = ldlt(a)
     except PivotError:
-        return False, _row_rank(a)
+        # a is symmetric: (a^T a)_ij is the product of rows i and j
+        ata = [[sum(x * y for x, y in zip(r, t)) for t in a] for r in a]
+        return False, sum(1 for p in ldlt(ata)[0] if p)
     return all(p >= 0 for p in pivots), sum(1 for p in pivots if p)
-
-
-def _row_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free row elimination."""
-    a = [[index(x) for x in row] for row in a]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        p = next((i for i in range(row, m) if a[i][col] != 0), None)
-        if p is None:
-            continue
-        a[row], a[p] = a[p], a[row]
-        pivot = a[row][col]
-        for i in range(row + 1, m):
-            aic = a[i][col]
-            for j in range(col, ncols):
-                a[i][j] = (pivot * a[i][j] - aic * a[row][j]) // prev
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
 
 
 def invert(g: GramMatrix) -> GramMatrix:

@@ -1,11 +1,12 @@
 """Spherical-code parameters, the certify pipeline and its two views.
 
 certify() runs every stage once per lattice and returns exact quantities
-only.  The verification report renders them, with JSON writing every
-rational as a "p/q" string so nothing is rounded on the way out.  Table
-reproduction compares them to the stored reference rows with exact
-equality and emits PASS/FAIL (or DATA-REQUIRED when a catalog Gram file is
-not shipped).
+only; the embedded code is a plain PairSpectrum, read by the same
+code_params and moment criterion as the source.  The verification report
+renders them, with JSON writing every rational as a "p/q" string so
+nothing is rounded on the way out.  Table reproduction compares them to
+the stored reference rows with exact equality and emits PASS/FAIL (or
+DATA-REQUIRED when a catalog Gram file is not shipped).
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import CatalogDataMissing, LatticeSpec, catalog
-from .designs import design_strength, moment_target, venkov_5design
-from .embedding import (
-    MATRIX_CAP,
-    EmbeddedSpectrum,
-    embed,
-    embedded_gram,
-    theorem_check,
+from .designs import (
+    design_strength,
+    moment_target,
+    venkov_3design,
+    venkov_5design,
 )
+from .embedding import MATRIX_CAP, embed, embedded_gram
 from .enumeration import (
     NotAntipodalError,
     VectorSet,
@@ -41,17 +41,14 @@ class CodeParams:
     size: int
     a: Fraction
     spectrum_abs: tuple[Fraction, ...]
-    antipodal: bool = True
 
     def as_tuple(self) -> tuple[int, int, Fraction]:
         return (self.ambient, self.size, self.a)
 
 
-def code_params(spec: PairSpectrum | EmbeddedSpectrum) -> CodeParams:
+def code_params(spec: PairSpectrum) -> CodeParams:
     """Code parameters of an antipodal set: s = +-1 pairs (self/antipodal)
     are excluded, the rest enter by absolute value."""
-    if isinstance(spec, EmbeddedSpectrum):
-        spec = spec.spectrum
     if not spec.antipodal:
         raise NotAntipodalError("code parameters are defined for antipodal sets")
     vals = sorted({abs(s) for s, _ in spec.entries if abs(s) != 1})
@@ -75,9 +72,9 @@ class Certificate:
     source_code: CodeParams
     venkov5: tuple[bool, Fraction, Fraction]  # (holds, moment2, moment4)
     strength: int | None                      # None when not requested
-    embedded: EmbeddedSpectrum
+    embedded: PairSpectrum                    # the code on S^(D-1)
     embedded_code: CodeParams
-    theorem: tuple[bool, Fraction, Fraction]  # (is_3design, lhs, rhs)
+    theorem: tuple[bool, Fraction]            # (is_3design, moment2)
     rank: tuple[bool, int] | None             # (is_psd, rank); None over cap
 
     @property
@@ -116,18 +113,19 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
                      or vs.min_norm == spec.expected_min_norm),
         source=src, source_code=code_params(src), venkov5=venkov5,
         strength=strength, embedded=emb, embedded_code=code_params(emb),
-        theorem=theorem_check(emb), rank=rank)
+        theorem=venkov_3design(emb), rank=rank)
 
 
-def embedded_report(emb: EmbeddedSpectrum, code: CodeParams,
-                    theorem: tuple[bool, Fraction, Fraction]) -> dict:
+def embedded_report(emb: PairSpectrum, code: CodeParams,
+                    theorem: tuple[bool, Fraction]) -> dict:
     """JSON-ready embedded code and its 3-design check."""
-    is3, lhs, rhs = theorem
+    is3, lhs = theorem
     return {
-        "D": emb.target_D,
+        "D": emb.d + 1,
         "code": [code.ambient, code.size, _frac(code.a)],
-        "spectrum": emb.spectrum.to_triples(),
-        "theorem_check": {"lhs": _frac(lhs), "rhs": _frac(rhs)},
+        "spectrum": emb.to_triples(),
+        "theorem_check": {"lhs": _frac(lhs),
+                          "rhs": _frac(moment_target(emb.d, 2))},
         "is_3design": is3,
     }
 
@@ -201,9 +199,10 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
         problems.append(
             f"source products {_abs_str(src_abs)} != "
             f"{_abs_str(ref.source_abs)}")
-    is3, lhs, rhs = cert.theorem
+    is3, lhs = cert.theorem
     if not is3:
-        problems.append(f"embedded moment {lhs} != {rhs}")
+        problems.append(f"embedded moment {lhs} != "
+                        f"{moment_target(cert.embedded.d, 2)}")
     emb_code = cert.embedded_code
     if emb_code.as_tuple() != (ref.ambient, ref.size, ref.a):
         problems.append(

@@ -3,7 +3,8 @@
 One test per criterion; each prints a single PASS/FAIL line (the -v test
 status line mirrors it).  All comparisons are exact rational equalities
 unless a criterion states otherwise.  The two heavyweight point sets are
-computed once per module with their wall-clock budgets enforced.
+computed once per module with their wall-clock budgets enforced; the tests
+that use them are marked slow, so `pytest -m "not slow"` skips them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import pytest
 from sphdesign.catalog import available_names, catalog
 from sphdesign.designs import (
     design_strength,
-    even_moment,
     gegenbauer_sum,
+    moment,
+    moment_target,
     venkov_3design,
     venkov_5design,
 )
-from sphdesign.embedding import dim_harm, embed, embedded_gram, theorem_check
+from sphdesign.embedding import dim_harm, embed, embedded_gram
 from sphdesign.enumeration import halve_antipodal
 from sphdesign.report import code_params, reproduce_table, verify_lattice
 from sphdesign.reference_tables import REFERENCE_ROWS
@@ -69,6 +71,7 @@ def test_criterion_01_example1_mandatory_rows_exact():
     _line(1, ok, f"Example 1 mandatory rows exact ({elapsed:.1f}s < 60s)")
 
 
+@pytest.mark.slow
 def test_criterion_02_bw16_row(bw16_run):
     vs, sp, elapsed = bw16_run
     emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
@@ -76,12 +79,13 @@ def test_criterion_02_bw16_row(bw16_run):
     ok = cp.as_tuple() == (135, 4320, F(1, 5))
     ok = ok and cp.spectrum_abs == (F(0), F(1, 15), F(1, 5))
     ok = ok and design_strength(sp, 8) == 7
-    t_ok, lhs, rhs = theorem_check(emb)
-    ok = ok and t_ok and lhs == rhs == F(2, 15 * 18)
+    t_ok, lhs = venkov_3design(emb)
+    ok = ok and t_ok and lhs == moment_target(emb.d, 2) == F(2, 15 * 18)
     ok = ok and elapsed < 600.0
     _line(2, ok, f"BW16 (135, 4320, 1/5), strength 7 ({elapsed:.0f}s < 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_leech_row(leech_run):
     vs, sp, elapsed = leech_run
     emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
@@ -89,13 +93,14 @@ def test_criterion_03_leech_row(leech_run):
     ok = cp.as_tuple() == (299, 196560, F(5, 23))
     ok = ok and cp.spectrum_abs == (F(1, 46), F(1, 23), F(5, 23))
     ok = ok and design_strength(sp, 12) == 11
-    t_ok, lhs, rhs = theorem_check(emb)
-    ok = ok and t_ok and lhs == rhs == F(2, 23 * 26)
+    t_ok, lhs = venkov_3design(emb)
+    ok = ok and t_ok and lhs == moment_target(emb.d, 2) == F(2, 23 * 26)
     ok = ok and elapsed < 3600.0
     _line(3, ok, f"Leech (299, 196560, 5/23), strength 11 "
                  f"({elapsed:.0f}s < 3600s, spectrum-only)")
 
 
+@pytest.mark.slow
 def test_criterion_04_theorem_on_every_lattice(bw16_run, leech_run):
     ok = True
     for name in available_names():
@@ -107,10 +112,9 @@ def test_criterion_04_theorem_on_every_lattice(bw16_run, leech_run):
             vs = lattice_vectors(name)
         d = vs.sphere_dim
         emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
-        t_ok, lhs, _ = theorem_check(emb)
+        t_ok, lhs = venkov_3design(emb)
         ok = ok and t_ok and lhs == F(2, d * (d + 3))
-        v_ok, _ = venkov_3design(emb.spectrum)
-        ok = ok and v_ok and emb.spectrum.d == d * (d + 3) // 2 - 1
+        ok = ok and emb.d == d * (d + 3) // 2 - 1
         if name == "E8":
             ok = ok and lhs == F(1, 35)
     _line(4, ok, "embedded quadratic moment = 2/(d(d+3)) on every lattice")
@@ -122,12 +126,12 @@ def test_criterion_05_halving_invariance():
         vs = lattice_vectors(name)
         spec = catalog(name)
         base_emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
-        base_bytes = json.dumps(base_emb.spectrum.to_triples()).encode()
+        base_bytes = json.dumps(base_emb.to_triples()).encode()
         base_report = json.dumps(verify_lattice(spec), sort_keys=True).encode()
         for seed in range(10):
             alt = embed(pair_spectrum(halve_antipodal(vs, seed=seed),
                                       threads=THREADS))
-            ok = ok and json.dumps(alt.spectrum.to_triples()).encode() == base_bytes
+            ok = ok and json.dumps(alt.to_triples()).encode() == base_bytes
             rep = json.dumps(verify_lattice(spec, seed=seed),
                              sort_keys=True).encode()
             ok = ok and rep == base_report
@@ -138,11 +142,11 @@ def test_criterion_06_octahedron_negative_control(octahedron):
     sp = pair_spectrum(octahedron)
     holds, _, lhs4 = venkov_5design(sp)
     ok = (not holds) and lhs4 == F(1, 3)
-    from sphdesign.designs import moment_target
     ok = ok and moment_target(2, 4) == F(1, 5)
     emb = embed(pair_spectrum(halve_antipodal(octahedron)))
-    t_ok, lhs, rhs = theorem_check(emb)
-    ok = ok and (not t_ok) and lhs == F(1, 2) and rhs == F(1, 5)
+    t_ok, lhs = venkov_3design(emb)
+    ok = ok and (not t_ok) and lhs == F(1, 2)
+    ok = ok and moment_target(emb.d, 2) == F(1, 5)
     _line(6, ok, "octahedron fails: lhs4 1/3 vs 1/5, embedded 1/2 vs 1/5")
 
 
@@ -150,7 +154,7 @@ def test_criterion_07_hexagon_matches_a2_row(hexagon):
     emb = embed(pair_spectrum(halve_antipodal(hexagon)))
     cp = code_params(emb)
     ok = cp.as_tuple() == (2, 6, F(1, 2))
-    ok = ok and emb.spectrum.d == 1 and theorem_check(emb)[0]
+    ok = ok and emb.d == 1 and venkov_3design(emb)[0]
     _line(7, ok, "hexagon end-to-end reproduces (2, 6, 1/2)")
 
 
@@ -163,6 +167,7 @@ def test_criterion_08_rank_certificates():
     _line(8, ok, "embedded Gram PSD with rank 35 (E8) and 9 (D4), exact")
 
 
+@pytest.mark.slow
 def test_criterion_09_design_criteria_cross_oracle(octahedron, hexagon,
                                                    bw16_run, leech_run):
     spectra = {"hexagon": pair_spectrum(hexagon),
@@ -176,7 +181,7 @@ def test_criterion_09_design_criteria_cross_oracle(octahedron, hexagon,
     for sp in spectra.values():
         for cap in range(1, 6):
             by_moments = all(
-                even_moment(sp, 2 * j)[0] == even_moment(sp, 2 * j)[1]
+                moment(sp, 2 * j) == moment_target(sp.d, 2 * j)
                 for j in range(1, cap + 1))
             by_sums = all(gegenbauer_sum(sp, k) == 0
                           for k in range(1, 2 * cap + 2))
@@ -185,6 +190,7 @@ def test_criterion_09_design_criteria_cross_oracle(octahedron, hexagon,
                  f"{len(spectra)} point sets")
 
 
+@pytest.mark.slow
 def test_criterion_10_kissing_numbers(bw16_run, leech_run):
     expected = {"A2": 6, "D4": 24, "E6": 72, "E6dual": 54, "E7": 126,
                 "E7dual": 56, "E8": 240, "CT12": 756}

@@ -177,6 +177,19 @@ def test_decimal_rendering(capsys):
     assert "0.500 12" in out and "-0.500 12" in out
 
 
+@pytest.mark.parametrize("command", ["spectrum", "embed", "export-coords"])
+@pytest.mark.parametrize("places", ["-1", "x"])
+def test_bad_decimal_usage_error(capsys, command, places):
+    # K is a count of places: a bad one is a usage error naming --decimal,
+    # caught before any format string sees it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "A2", "--decimal", places])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --decimal: expected an int >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_decimal_str_exact():
     assert _decimal_str(F(1, 3), 6) == "0.333333"
     assert _decimal_str(F(-5, 4), 3) == "-1.250"

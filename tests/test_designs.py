@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sphdesign.designs import (
     design_strength,
-    even_moment,
     gegenbauer_sum,
     moment,
     moment_target,
@@ -45,7 +44,7 @@ def test_moment_accessors(octahedron):
     sp = pair_spectrum(octahedron)
     assert moment(sp, 2) == F(1, 3)
     assert moment(sp, 4) == F(1, 3)
-    assert even_moment(sp, 4) == (F(1, 3), F(1, 5))
+    assert moment_target(sp.d, 4) == F(1, 5)
 
 
 def test_octahedron_is_3_not_5(octahedron):
@@ -112,7 +111,7 @@ def test_criteria_agree_small_lattices(name):
     sp = pair_spectrum(lattice_vectors(name))
     for cap in range(1, 6):
         by_moments = all(
-            even_moment(sp, 2 * j)[0] == even_moment(sp, 2 * j)[1]
+            moment(sp, 2 * j) == moment_target(sp.d, 2 * j)
             for j in range(1, cap + 1))
         by_sums = all(
             gegenbauer_sum(sp, k) == 0 for k in range(1, 2 * cap + 2))
@@ -138,7 +137,7 @@ def test_criteria_agree_on_random_antipodal_subsets(picks):
     sp = pair_spectrum(vs)
     for cap in (1, 2, 3):
         by_moments = all(
-            even_moment(sp, 2 * j)[0] == even_moment(sp, 2 * j)[1]
+            moment(sp, 2 * j) == moment_target(sp.d, 2 * j)
             for j in range(1, cap + 1))
         by_sums = all(
             gegenbauer_sum(sp, k) == 0 for k in range(1, 2 * cap + 2))

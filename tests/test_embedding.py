@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphdesign.designs import moment_target, venkov_3design
 from sphdesign.embedding import (
-    EmbeddedSpectrum,
     EmbeddingError,
     dim_harm,
     embed,
     embedded_gram,
     realize_coordinates,
-    theorem_check,
 )
 from sphdesign.enumeration import NotAntipodalError, VectorSet, halve_antipodal
 from sphdesign.gegenbauer import gegenbauer
@@ -66,51 +65,50 @@ def test_embed_rejects_odd_antipodal_count():
 
 def test_hexagon_embeds_to_hexagon(hexagon):
     emb = embed(pair_spectrum(halve_antipodal(hexagon)))
-    assert emb.target_D == 2
-    assert emb.spectrum.counts() == {F(1): 6, F(1, 2): 12,
-                                     F(-1, 2): 12, F(-1): 6}
-    ok, lhs, rhs = theorem_check(emb)
-    assert ok and lhs == rhs == F(1, 2)
+    assert emb.d + 1 == 2
+    assert emb.counts() == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}
+    ok, lhs = venkov_3design(emb)
+    assert ok and lhs == moment_target(emb.d, 2) == F(1, 2)
 
 
 def test_hexagon_embedding_iterates():
     # the embedded hexagon is again a hexagon on S^1; iterating is stable
     emb = embed(pair_spectrum(halve_antipodal(lattice_vectors("A2"))))
-    emb2 = embed(emb.spectrum)
-    assert emb2.spectrum.counts() == emb.spectrum.counts()
+    emb2 = embed(emb)
+    assert emb2.counts() == emb.counts()
 
 
 def test_octahedron_embedding_fails_theorem(octahedron):
     emb = embed(pair_spectrum(halve_antipodal(octahedron)))
-    assert emb.target_D == 5
-    ok, lhs, rhs = theorem_check(emb)
-    assert not ok and lhs == F(1, 2) and rhs == F(1, 5)
+    assert emb.d + 1 == 5
+    ok, lhs = venkov_3design(emb)
+    assert not ok and lhs == F(1, 2) and moment_target(emb.d, 2) == F(1, 5)
 
 
 def test_d4_embedded_spectrum(d4_vectors):
     emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
-    assert emb.target_D == 9
-    assert emb.spectrum.counts() == {
+    assert emb.d + 1 == 9
+    assert emb.counts() == {
         F(1): 24, F(1, 3): 72, F(0): 384, F(-1, 3): 72, F(-1): 24}
-    ok, lhs, rhs = theorem_check(emb)
-    assert ok and lhs == rhs == F(1, 9)
+    ok, lhs = venkov_3design(emb)
+    assert ok and lhs == moment_target(emb.d, 2) == F(1, 9)
 
 
 def test_e8_embedded_spectrum(e8_vectors):
     emb = embed(pair_spectrum(halve_antipodal(e8_vectors)))
-    assert emb.target_D == 35
+    assert emb.d + 1 == 35
     # +-1/2 sources land on +1/7, the 0 products land on -1/7, and the
     # sign closure symmetrizes: 13440 + 30240/2 on each side
-    assert emb.spectrum.counts() == {F(1): 240, F(1, 7): 28560,
-                                     F(-1, 7): 28560, F(-1): 240}
-    ok, lhs, rhs = theorem_check(emb)
-    assert ok and lhs == rhs == F(1, 35)
+    assert emb.counts() == {F(1): 240, F(1, 7): 28560,
+                            F(-1, 7): 28560, F(-1): 240}
+    ok, lhs = venkov_3design(emb)
+    assert ok and lhs == moment_target(emb.d, 2) == F(1, 35)
 
 
 def test_embedded_size_doubles(e8_vectors):
     emb = embed(pair_spectrum(halve_antipodal(e8_vectors)))
-    assert emb.spectrum.size == 240
-    assert emb.spectrum.antipodal
+    assert emb.size == 240
+    assert emb.antipodal
 
 
 @pytest.mark.parametrize("name,rank", [("A2", 2), ("D4", 9), ("E6", 20),
@@ -155,7 +153,7 @@ def test_embedded_gram_reduced(name, factor):
 
 def test_rank_certificate_ct12():
     eg = embedded_gram(halve_antipodal(lattice_vectors("CT12")))
-    assert len(eg.entries) == 378 and eg.m == 756
+    assert len(eg.entries) == 378
     assert eg.rank_certificate() == (True, 77)
     assert dim_harm(2, eg.source_d) == 77
 
@@ -174,7 +172,7 @@ def test_half_block_certificate_equals_mirrored(name):
     vs = lattice_vectors(name)
     for seed in (None, 0, 7):
         eg = embedded_gram(halve_antipodal(vs, seed=seed))
-        assert eg.m == 2 * len(eg.entries) == vs.count
+        assert 2 * len(eg.entries) == vs.count
         assert psd_rank(eg.entries) == psd_rank(_mirrored(eg.entries)), \
             (name, seed)
 
@@ -194,7 +192,7 @@ def test_halving_invariance_ten_seeds(d4_vectors):
     base = embed(pair_spectrum(halve_antipodal(d4_vectors)))
     for seed in range(10):
         alt = embed(pair_spectrum(halve_antipodal(d4_vectors, seed=seed)))
-        assert alt.spectrum.entries == base.spectrum.entries
+        assert alt.entries == base.entries
 
 
 def test_realize_coordinates_hexagon_exact_products():
@@ -239,18 +237,11 @@ def test_realize_coordinates_default_precision_e8(e8_vectors):
     assert len(pts) == 240 and len(pts[0]) == 35
 
 
-def test_embedded_spectrum_validates():
-    bad = PairSpectrum.from_counts(
-        1, {F(1): 4, F(-1): 4, F(1, 2): 4, F(-1, 2): 4}, antipodal=True)
-    with pytest.raises(EmbeddingError):
-        EmbeddedSpectrum(source_d=7, spectrum=bad)  # wrong target dim
-
-
 def test_iterate_embedding_divisibility(d4_vectors):
     emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
-    emb2 = embed(emb.spectrum)
-    ok, lhs, rhs = theorem_check(emb2)
-    assert emb2.target_D == dim_harm(2, 8)
+    emb2 = embed(emb)
+    ok, _ = venkov_3design(emb2)
+    assert emb2.d + 1 == dim_harm(2, 8)
     assert not ok  # a 3-design is not automatically a 5-design; the
     # iterated embedding needs the source to be 4-design strength
 
@@ -260,5 +251,4 @@ def test_iterate_embedding_divisibility(d4_vectors):
 def test_halving_invariance_property(seed):
     vs = lattice_vectors("A2")
     emb = embed(pair_spectrum(halve_antipodal(vs, seed=seed)))
-    assert emb.spectrum.counts() == {F(1): 6, F(1, 2): 12,
-                                     F(-1, 2): 12, F(-1): 6}
+    assert emb.counts() == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}

@@ -1,10 +1,12 @@
 """Golden CLI transcripts: exit code, stdout and stderr of a fixed set of
 commands, pinned by sha256.
 
-Every digest was taken from the program before the integer Gram forms
-(GramMatrix as (scale, entries), VectorSet.m, the gcd-reduced embedded
-block) replaced the Fraction ones, so a refactor that changes any byte of
-output fails here, naming the command.  Regenerate the table only for an
+The verify, reproduce, export-coords and CT12 digests were taken from the
+program before the integer Gram forms (GramMatrix as (scale, entries),
+VectorSet.m, the gcd-reduced embedded block) replaced the Fraction ones;
+the E8 and D4 embed and E8 spectrum digests before the embedded code
+became a plain PairSpectrum.  A refactor that changes any byte of output
+fails here, naming the command.  Regenerate the table only for an
 intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,7 +32,10 @@ COMMANDS = (
         "verify --lattice E8 --seed 7",
         "verify --lattice E8 --matrix-cap 10 --decimal 5",
         "embed --lattice CT12",
+        "embed --lattice E8 --format json",
+        "embed --lattice D4 --decimal 3",
         "spectrum --lattice CT12",
+        "spectrum --lattice E8 --format json",
         "reproduce --example 1",
         "reproduce --example 1 --format json",
         "reproduce --example 2",
@@ -85,8 +90,14 @@ GOLDEN = {
         'f80d648be6318b1f7dba5197443aa57a36a75b8991bca45ea7fd546007f73b7f',
     'embed --lattice CT12':
         '95973c333d93b7f0a9ff428b3a6ffc91535446df16fdc5faa62527654f13ca09',
+    'embed --lattice E8 --format json':
+        '355cbcbf490e87f932531012be8459537f5cf936816aa44130a97532f3f098e3',
+    'embed --lattice D4 --decimal 3':
+        'b6eeda73ef4695073334ac3babf0f7c25f50c1fc4b2e4548f505ffb1a67bab9f',
     'spectrum --lattice CT12':
         'e163fc7c62bac51683c420a8ad17ba2698a3bb9f8d9c39cc10066dffba9b865c',
+    'spectrum --lattice E8 --format json':
+        '827f998e4b330c10ca4f407a8bce2f2fe3e5b51420e56fd0ec115cf0d5aff320',
     'reproduce --example 1':
         '45776115758d0c7d467a0ccd5f62d2959790c7ced9049c135fe42cc715d2ee4e',
     'reproduce --example 1 --format json':
