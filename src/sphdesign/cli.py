@@ -61,20 +61,38 @@ def _default_threads() -> int:
     return n if n >= 1 else 1
 
 
+# --decimal bounds the output: K digits per rendered number
+MAX_PLACES = 10_000
+# digits per int-to-str conversion, under the interpreter's smallest
+# nonzero int_max_str_digits (640), so no K trips that limit
+_DIGIT_CHUNK = 600
+
+
 def _places(text: str) -> int:
-    """Type of --decimal K: a count of decimal places, an int >= 0."""
+    """Type of --decimal K: a count of decimal places, 0 <= K <= MAX_PLACES."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    # the length test first: int() of a long digit string trips the
+    # interpreter's str-to-int limit
+    if len(text.lstrip("0")) > len(str(MAX_PLACES)) or int(text) > MAX_PLACES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_PLACES} places, got {text!r}")
     return int(text)
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
-    """Fixed-point decimal expansion of x, exact integer arithmetic."""
+    """Fixed-point decimal expansion of x truncated to places digits,
+    exact integer long division, _DIGIT_CHUNK digits at a time."""
     sign = "-" if x < 0 else ""
     num, den = abs(x.numerator), x.denominator
     whole, rem = divmod(num, den)
-    digits = (rem * 10 ** places) // den
-    return f"{sign}{whole}.{digits:0{places}d}" if places else f"{sign}{whole}"
+    out = [f"{sign}{whole}", "." if places else ""]
+    while places:
+        k = min(places, _DIGIT_CHUNK)
+        digits, rem = divmod(rem * 10 ** k, den)
+        out.append(f"{digits:0{k}d}")
+        places -= k
+    return "".join(out)
 
 
 def _render(x: Fraction, decimal: int | None) -> str:

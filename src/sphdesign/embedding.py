@@ -2,14 +2,20 @@
 
 A point x on S^d maps to the function y -> g_{2,d}((x,y)), a unit vector
 G_x in the d(d+3)/2-dimensional space of degree-2 spherical harmonics with
-<G_x, G_y> = g_{2,d}((x,y)).  Everything here operates on inner products.
-The kernel is even, so G_(-x) = G_x and the embedded set G_X' union -G_X'
-is the same for every half-set X' of an antipodal X: its spectrum follows
-from the pair spectrum of X alone.  Its Gram matrix (which does need a
-half-set) can be realized exactly.  embed returns that spectrum as a plain
-PairSpectrum on S^(D-1), D = d(d+3)/2, so its 3-design property is the
-antipodal moment criterion of designs.venkov_3design, as for any code.
-Float coordinates are export-only.
+<G_x, G_y> = g_{2,d}((x,y)) (the addition theorem; Delsarte, Goethals and
+Seidel, *Spherical codes and designs*, 1977).  The kernel is even, so
+G_(-x) = G_x and the embedded set G_X' union -G_X' is the same for every
+half-set X' of an antipodal X: its spectrum follows from the pair spectrum
+of X alone.  embed returns that spectrum as a plain PairSpectrum on
+S^(D-1), D = d(d+3)/2, so its 3-design property is the antipodal moment
+criterion of designs.venkov_3design, as for any code.
+
+The rank certificate (harmonic_rank) works in Harm_2 itself: each vector
+of a half-set gets integer coordinates in the (n(n+1)/2)-dimensional space
+of symmetric matrices (harmonic_frame), so the rank of the embedded Gram
+matrix is that of an (n(n+1)/2)-square integer matrix, whatever N is.  The
+N/2 x N/2 Gram block itself (embedded_gram) is built only for the float
+coordinates of export-coords (realize_coordinates).
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from math import comb, gcd, lcm, sqrt
 
 import numpy as np
 
-from .enumeration import NotAntipodalError, VectorSet, exact_matmul
+from .enumeration import I64_SAFE, NotAntipodalError, VectorSet, exact_matmul
 from .gegenbauer import gegenbauer
-from .linalg import ldlt, psd_rank
+from .linalg import invert, ldlt, psd_rank
 from .spectrum import PairSpectrum
 
 
@@ -64,17 +70,91 @@ def embed(spec: PairSpectrum) -> PairSpectrum:
                         antipodal=True, entries=tuple(out.items()))
 
 
+def harmonic_frame(half: VectorSet) -> tuple[np.ndarray, list[list[int]]]:
+    """Integer Harm_2 coordinates Psi of the rows of half, and the Gram
+    matrix W of the coordinate basis.
+
+    With c*G = half.gram.entries, m = half.m, n = half.rank and
+    G^-1 = E / s (linalg.invert), row x maps to the symmetric integer
+    matrix Psi_x = s c n x x^T - m E, the image of x x^T - (m/cn) G^-1
+    scaled by s c n.  Psi holds its upper triangle, one row per vector and
+    n(n+1)/2 columns, ordered as numpy.triu_indices(n); (cG) E = c s I is
+    checked exactly (EmbeddingError otherwise).  W[p][q] = tr(cG S_p cG S_q)
+    for the symmetric basis matrices S_p (E_ii, or E_ij + E_ji for i < j),
+    so that Psi_x^T W Psi_y = tr(cG Psi_x cG Psi_y).  Because
+    x^T (cG) x = m for every row,
+        Psi W Psi^T = s^2 c^2 n (n - 1) m^2 g(P / m),
+    with P = V (cG) V^T the integer products and g the normalized
+    degree-2 Gegenbauer polynomial: a positive multiple of the embedded
+    Gram block A (embedded_gram), entrywise.  Every Psi_x has
+    tr(cG Psi_x) = 0, so rank Psi <= n(n+1)/2 - 1 = dim Harm_2.
+
+    Psi is int64 when s c n max|x|^2 + m max|E| < 2**62 proves every
+    entry and every intermediate in range, else Python ints (object
+    dtype).
+    """
+    g = half.gram
+    n, c, m = half.rank, g.scale, half.m
+    inv = invert(g)
+    s, e = inv.scale, inv.entries
+    ge = exact_matmul(g.entries, e).tolist()
+    if any(x != (c * s if i == j else 0)
+           for i, row in enumerate(ge) for j, x in enumerate(row)):
+        raise EmbeddingError("(cG) E != c s I: the inverse Gram is wrong")
+    iu, ju = np.triu_indices(n)
+    me = [m * e[i][j] for i, j in zip(iu.tolist(), ju.tolist())]
+    x = half.coords
+    big = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    scn = s * c * n
+    dtype = (np.int64 if scn * big * big + max(map(abs, me)) < I64_SAFE
+             else object)
+    x = x.astype(dtype)
+    psi = scn * x[:, iu] * x[:, ju] - np.array(me, dtype=dtype)
+    # W[p][q] = u_p u_q (G_ik G_jl + G_il G_jk) / 2 for p = (i, j),
+    # q = (k, l), with u = 1 on the diagonal and 2 off it
+    ga = np.array(g.entries, dtype=object)
+    u = np.where(iu == ju, 1, 2).astype(object)
+    w = ((ga[np.ix_(iu, iu)] * ga[np.ix_(ju, ju)]
+          + ga[np.ix_(iu, ju)] * ga[np.ix_(ju, iu)])
+         * np.multiply.outer(u, u) // 2)
+    return psi, w.tolist()
+
+
+def harmonic_rank(half: VectorSet) -> tuple[bool, int]:
+    """(is_psd, rank) of the embedded Gram block A of half, equal to those
+    of the Gram matrix of G_X' union -G_X' (see EmbeddedGram), proving the
+    code lies on S^(target_D - 1).
+
+    A is a positive multiple of Psi W Psi^T (harmonic_frame).  When W is
+    positive definite, which is the is_psd verdict, A is PSD and
+    rank A = rank Psi = rank Psi^T Psi: the one elimination (psd_rank) is
+    of the n(n+1)/2-square Psi^T Psi, divided by the gcd of its entries,
+    not of the N/2-square A.  A rank above dim Harm_2 contradicts the
+    trace identity and raises EmbeddingError.
+    """
+    psi, w = harmonic_frame(half)
+    w_psd, w_rank = psd_rank(w)
+    ptp = exact_matmul(psi.T, psi).tolist()
+    k = gcd(*(x for row in ptp for x in row)) or 1
+    _, rank = psd_rank([[x // k for x in row] for row in ptp])
+    target = dim_harm(2, half.sphere_dim)
+    if rank > target:
+        raise EmbeddingError(
+            f"embedded Gram rank {rank} exceeds dim Harm = {target}")
+    return w_psd and w_rank == len(w), rank
+
+
 @dataclass(frozen=True)
 class EmbeddedGram:
     """Exact Gram matrix A = entries / scale of the half-set image G_X'
     (diagonal 1, symmetric), held as integers with no common factor, so
-    the Bareiss minors of its elimination stay small.
+    the Bareiss minors of its LDL^T stay small.
 
     The embedded set G_X' union -G_X' has Gram matrix
     [[A, -A], [-A, A]] = [[1, -1], [-1, 1]] (x) A, and the 2 x 2 factor
     has eigenvalues 2 and 0, so that matrix is PSD exactly when A is and
-    has the same rank: A alone carries the certificate, and the positive
-    scale changes neither.
+    has the same rank.  harmonic_rank certifies both without building A;
+    the float coordinate export (realize_coordinates) factors A itself.
     """
 
     source_d: int
@@ -89,15 +169,6 @@ class EmbeddedGram:
     @property
     def target_D(self) -> int:
         return dim_harm(2, self.source_d)
-
-    def rank_certificate(self) -> tuple[bool, int]:
-        """(is_psd, rank) of A, equal to those of the full embedded Gram
-        matrix, proving the code lies on S^(target_D - 1)."""
-        is_psd, rank = psd_rank(self.entries)
-        if rank > self.target_D:
-            raise EmbeddingError(
-                f"embedded Gram rank {rank} exceeds dim Harm = {self.target_D}")
-        return is_psd, rank
 
 
 MATRIX_CAP = 512

@@ -376,10 +376,3 @@ def _unpaired(coords: np.ndarray) -> tuple[int, ...]:
     return next((v for v in rows if tuple(-x for x in v) not in present),
                 rows[len(rows) // 2])
 
-
-def union_with_negation(vs: VectorSet) -> VectorSet:
-    """X union -X as a single antipodal set (inputs must be antipodal-free)."""
-    coords = np.concatenate([vs.coords, -vs.coords])
-    if len(np.unique(coords, axis=0)) != coords.shape[0]:
-        raise NotAntipodalError("set already contains an antipodal pair")
-    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords, antipodal=True)

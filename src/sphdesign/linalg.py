@@ -87,15 +87,6 @@ class GramMatrix:
         i, j = ij
         return Fraction(self.entries[i][j], self.scale)
 
-    def quadratic_form(self, v: Sequence[int]) -> Fraction:
-        """v^T * self * v, exact."""
-        rows = self.entries
-        total = 0
-        for i, vi in enumerate(v):
-            if vi:
-                total += vi * sum(rows[i][j] * vj for j, vj in enumerate(v) if vj)
-        return Fraction(total, self.scale)
-
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion: every leading principal minor of c*self,
         i.e. every pivot of its integer LDL^T, is positive."""
@@ -150,8 +141,11 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
     After a PivotError, a is not PSD and its rank is that of a^T a, which
     is PSD with the same rank over Q, so ldlt never raises on it.  A
     caller keeps the Bareiss minors small by dividing a by the gcd of its
-    entries first, which changes neither answer; embedding.embedded_gram
-    builds its block reduced.
+    entries first, which changes neither answer.  The embedded rank
+    certificate (embedding.harmonic_rank) calls it twice, on matrices of
+    side n(n+1)/2 for a rank-n lattice: the Gram matrix of its Harm_2
+    coordinate basis, for the PSD verdict, and the gcd-reduced Psi^T Psi
+    of the coordinates, for the rank.
     """
     n = len(a)
     if any(len(row) != n for row in a):

@@ -22,7 +22,7 @@ from .designs import (
     venkov_3design,
     venkov_5design,
 )
-from .embedding import MATRIX_CAP, embed, embedded_gram
+from .embedding import MATRIX_CAP, embed, harmonic_rank
 from .enumeration import (
     NotAntipodalError,
     VectorSet,
@@ -79,7 +79,7 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        # rank_certificate() raises when the rank exceeds dim Harm
+        # harmonic_rank raises when the rank exceeds dim Harm
         return (self.kissing_ok is not False and self.min_norm_ok
                 and self.venkov5[0] and self.theorem[0]
                 and (self.rank is None or self.rank[0]))
@@ -104,7 +104,7 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
     emb = embed(src)
     rank = None
     if half.count <= matrix_cap:    # venkov_5design made sure half is set
-        rank = embedded_gram(half, cap=matrix_cap).rank_certificate()
+        rank = harmonic_rank(half)
     return Certificate(
         min_norm=vs.min_norm,
         kissing_ok=(None if spec.expected_kissing is None

@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from sphdesign.catalog import catalog
-from sphdesign.enumeration import VectorSet, minimal_vector_set
+from sphdesign.enumeration import (
+    NotAntipodalError,
+    VectorSet,
+    minimal_vector_set,
+)
 from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import pair_spectrum
 
@@ -34,6 +38,23 @@ def matmul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def quadratic_form(g: GramMatrix, v) -> Fraction:
+    """v^T g v, exact."""
+    rows = g.entries
+    total = sum(vi * rows[i][j] * vj
+                for i, vi in enumerate(v) for j, vj in enumerate(v))
+    return Fraction(total, g.scale)
+
+
+def union_with_negation(vs: VectorSet) -> VectorSet:
+    """X union -X as a single antipodal set (inputs must be antipodal-free)."""
+    coords = np.concatenate([vs.coords, -vs.coords])
+    if len(np.unique(coords, axis=0)) != coords.shape[0]:
+        raise NotAntipodalError("set already contains an antipodal pair")
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords,
+                     antipodal=True)
 
 
 @pytest.fixture(scope="session")

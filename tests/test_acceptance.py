@@ -24,7 +24,7 @@ from sphdesign.designs import (
     venkov_3design,
     venkov_5design,
 )
-from sphdesign.embedding import dim_harm, embed, embedded_gram
+from sphdesign.embedding import dim_harm, embed, harmonic_rank
 from sphdesign.enumeration import halve_antipodal
 from sphdesign.report import code_params, reproduce_table, verify_lattice
 from sphdesign.reference_tables import REFERENCE_ROWS
@@ -161,9 +161,9 @@ def test_criterion_07_hexagon_matches_a2_row(hexagon):
 def test_criterion_08_rank_certificates():
     ok = True
     for name, rank in (("E8", 35), ("D4", 9)):
-        eg = embedded_gram(halve_antipodal(lattice_vectors(name)))
-        is_psd, r = eg.rank_certificate()
-        ok = ok and is_psd and r == rank == dim_harm(2, eg.source_d)
+        half = halve_antipodal(lattice_vectors(name))
+        is_psd, r = harmonic_rank(half)
+        ok = ok and is_psd and r == rank == dim_harm(2, half.sphere_dim)
     _line(8, ok, "embedded Gram PSD with rank 35 (E8) and 9 (D4), exact")
 
 

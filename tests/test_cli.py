@@ -197,6 +197,37 @@ def test_decimal_str_exact():
     assert _decimal_str(F(2, 3), 0) == "0"
 
 
+@pytest.mark.parametrize("places", [4000, 5000])
+def test_decimal_long_expansion(capsys, places):
+    # past Python's 4300-digit int-to-str limit the expansion is still
+    # exact: D4's embedded products are +-1/3 and +-1
+    code, out, err = run(capsys, "embed", "--lattice", "D4",
+                         "--decimal", str(places))
+    assert code == 0 and err == ""
+    lines = out.splitlines()[2:]
+    thirds = "3" * places
+    assert lines == [f"1.{'0' * places} 24", f"0.{thirds} 72",
+                     f"0.{'0' * places} 384", f"-0.{thirds} 72",
+                     f"-1.{'0' * places} 24"]
+    code, out, err = run(capsys, "spectrum", "--lattice", "A2",
+                         "--decimal", str(places))
+    assert code == 0 and err == ""
+    assert f"-0.5{'0' * (places - 1)} 12" in out.splitlines()
+    assert _decimal_str(F(-2, 7), places) == \
+        "-0." + ("285714" * places)[:places]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "embed", "export-coords"])
+@pytest.mark.parametrize("places", ["10001", "9" * 40])
+def test_decimal_over_bound_usage_error(capsys, command, places):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "A2", "--decimal", places])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --decimal: at most 10000 places" in err
+    assert "Traceback" not in err
+
+
 def test_threads_env_default(monkeypatch):
     monkeypatch.setenv("SPHDESIGN_THREADS", "3")
     args = build_parser().parse_args(["spectrum", "--lattice", "A2"])

@@ -1,9 +1,11 @@
 """Degree-2 harmonic embedding: spectrum transport, the quadratic moment
-identity, exact rank certification, and float coordinate realization."""
+identity, exact rank certification in Harm_2 coordinates, and float
+coordinate realization."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb, gcd, lcm, sqrt
 
 import numpy as np
@@ -11,17 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphdesign import embedding
 from sphdesign.designs import moment_target, venkov_3design
 from sphdesign.embedding import (
     EmbeddingError,
     dim_harm,
     embed,
     embedded_gram,
+    harmonic_frame,
+    harmonic_rank,
     realize_coordinates,
 )
-from sphdesign.enumeration import NotAntipodalError, VectorSet, halve_antipodal
+from sphdesign.enumeration import (
+    NotAntipodalError,
+    VectorSet,
+    exact_matmul,
+    halve_antipodal,
+)
 from sphdesign.gegenbauer import gegenbauer
-from sphdesign.linalg import GramMatrix, ldlt, psd_rank
+from sphdesign.linalg import GramMatrix, invert, ldlt, psd_rank
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 from conftest import lattice_vectors
@@ -116,9 +126,94 @@ def test_embedded_size_doubles(e8_vectors):
                                        ("E7dual", 27)])
 def test_rank_certificates_small(name, rank):
     half = halve_antipodal(lattice_vectors(name))
-    eg = embedded_gram(half)
-    is_psd, r = eg.rank_certificate()
+    is_psd, r = harmonic_rank(half)
     assert is_psd and r == rank
+
+
+FRAME_LATTICES = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12"]
+
+
+@lru_cache(maxsize=None)
+def _half(name, seed):
+    return halve_antipodal(lattice_vectors(name), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", FRAME_LATTICES)
+def test_harmonic_frame_reproduces_embedded_gram(name, seed):
+    # Psi W Psi^T = s^2 c^2 n (n-1) m^2 A exactly, A = entries / scale
+    half = _half(name, seed)
+    psi, w = harmonic_frame(half)
+    n, c, m = half.rank, half.gram.scale, half.m
+    assert psi.shape == (half.count, n * (n + 1) // 2)
+    kappa = invert(half.gram).scale ** 2 * c * c * n * (n - 1) * m * m
+    eg = embedded_gram(half)
+    got = exact_matmul(psi, w, psi.T).astype(object) * eg.scale
+    assert got.tolist() == [[kappa * x for x in row] for row in eg.entries]
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", FRAME_LATTICES)
+def test_harmonic_rank_equals_block_rank(name, seed):
+    half = _half(name, seed)
+    assert harmonic_rank(half) == psd_rank(embedded_gram(half).entries)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8", "CT12"])
+def test_frame_without_inverse_correction_raises(monkeypatch, name):
+    # s c n x x^T alone is not traceless: the minimal vectors of a perfect
+    # lattice span every symmetric matrix, one more than dim Harm_2
+    half = _half(name, None)
+    _, w = harmonic_frame(half)
+    n = half.rank
+    scn = invert(half.gram).scale * half.gram.scale * n
+    iu, ju = np.triu_indices(n)
+    x = half.coords.astype(object)
+    bare = scn * x[:, iu] * x[:, ju]
+    target = dim_harm(2, half.sphere_dim)
+    assert psd_rank(exact_matmul(bare.T, bare).tolist())[1] == target + 1
+    monkeypatch.setattr(embedding, "harmonic_frame", lambda h: (bare, w))
+    with pytest.raises(EmbeddingError, match="exceeds dim Harm"):
+        harmonic_rank(half)
+
+
+def test_frame_rejects_wrong_inverse(monkeypatch):
+    half = _half("D4", None)
+    monkeypatch.setattr(embedding, "invert",
+                        lambda g: GramMatrix.identity(g.n))
+    with pytest.raises(EmbeddingError, match="inverse"):
+        harmonic_rank(half)
+
+
+def test_harmonic_rank_indefinite_form():
+    # x^2 - 2 y^2 = 1 on three vectors: W is indefinite, so there is no
+    # PSD certificate, and A (products 3, 3 and 17) is not PSD either
+    half = VectorSet(gram=GramMatrix.from_rows([[1, 0], [0, -2]]),
+                     min_norm=1, coords=np.array([[1, 0], [3, 2], [3, -2]]),
+                     antipodal=False)
+    half.validate()
+    assert harmonic_rank(half)[0] is False
+    assert psd_rank(embedded_gram(half).entries)[0] is False
+
+
+@pytest.mark.parametrize("k", [2 ** 30, 2 ** 30 + 1])
+def test_harmonic_frame_both_sides_of_bound(k):
+    # Psi is int64 while s c n max|x|^2 + m max|E| = 2 k^2 + m
+    # = 4 k^2 - 2 k + 1 < 2^62, which holds up to k = 2^30
+    j = k - 1
+    m = k * k + j * j
+    half = VectorSet(gram=GramMatrix.identity(2), min_norm=m,
+                     coords=np.array([[k, j], [j, k], [j, -k]]),
+                     antipodal=False)
+    half.validate()
+    psi, _ = harmonic_frame(half)
+    assert psi.dtype == (np.int64 if k <= 2 ** 30 else object)
+    # s = c = 1, E = I: Psi_x = 2 x x^T - m I, upper triangle
+    want = [[2 * a * a - m, 2 * a * b, 2 * b * b - m]
+            for a, b in half.as_tuples()]
+    assert psi.tolist() == want
+    assert harmonic_rank(half) == psd_rank(embedded_gram(half).entries) \
+        == (True, 2)
 
 
 @pytest.mark.parametrize("k", [2 ** 30 - 1, 2 ** 30])
@@ -152,10 +247,10 @@ def test_embedded_gram_reduced(name, factor):
 
 
 def test_rank_certificate_ct12():
-    eg = embedded_gram(halve_antipodal(lattice_vectors("CT12")))
-    assert len(eg.entries) == 378
-    assert eg.rank_certificate() == (True, 77)
-    assert dim_harm(2, eg.source_d) == 77
+    half = _half("CT12", None)
+    assert half.count == 378
+    assert harmonic_rank(half) == (True, 77)
+    assert dim_harm(2, half.sphere_dim) == 77
 
 
 def _mirrored(a):

@@ -24,18 +24,17 @@ from sphdesign.enumeration import (
     minimal_vector_set,
     shortest_norm_and_vectors,
     size_reduce,
-    union_with_negation,
 )
 from sphdesign.linalg import GramMatrix, LinalgError
 
-from conftest import matmul
+from conftest import matmul, quadratic_form, union_with_negation
 
 
 def box_scan(g: GramMatrix, bound, radius: int) -> set[tuple[int, ...]]:
     """All nonzero vectors with |coeff| <= radius and norm <= bound."""
     out = set()
     for v in itertools.product(range(-radius, radius + 1), repeat=g.n):
-        if any(v) and g.quadratic_form(v) <= bound:
+        if any(v) and quadratic_form(g, v) <= bound:
             out.add(v)
     return out
 
@@ -276,7 +275,7 @@ def test_exact_norms_both_sides_of_bound(k):
     coords = np.array([[k, k - 1], [k - 1, -k], [-k, 1]], dtype=np.int64)
     norms = exact_norms(g, coords)
     assert norms.dtype == (np.int64 if k < 2 ** 30 else object)
-    assert [int(x) for x in norms] == [g.quadratic_form(v)
+    assert [int(x) for x in norms] == [quadratic_form(g, v)
                                        for v in coords.tolist()]
 
 
@@ -342,7 +341,7 @@ def test_enumeration_properties_random_forms(g, bound):
     # sign symmetry
     assert all(tuple(-x for x in t) in tups for t in tups)
     # exactness of every reported norm
-    assert all(g.quadratic_form(t) <= bound for t in tups)
+    assert all(quadratic_form(g, t) <= bound for t in tups)
     # superset at a larger bound
     more = {tuple(int(x) for x in v)
             for v in enumerate_short_vectors(g, F(bound + 2))}

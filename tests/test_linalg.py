@@ -15,7 +15,7 @@ from sphdesign.linalg import (
     psd_rank,
 )
 
-from conftest import matmul
+from conftest import matmul, quadratic_form
 
 
 def test_from_rows_symmetrizes_nothing_but_validates():
@@ -58,9 +58,9 @@ def test_identity_and_indexing():
 
 def test_quadratic_form_exact():
     g = GramMatrix.from_rows([[2, -1], [-1, 2]])
-    assert g.quadratic_form([1, 0]) == F(2)
-    assert g.quadratic_form([1, 1]) == F(2)
-    assert g.quadratic_form([2, 1]) == F(6)
+    assert quadratic_form(g, [1, 0]) == F(2)
+    assert quadratic_form(g, [1, 1]) == F(2)
+    assert quadratic_form(g, [2, 1]) == F(6)
 
 
 def test_integer_entries_scale():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sphdesign import report, spectrum
+from sphdesign import embedding, report, spectrum
 from sphdesign.catalog import catalog
 from sphdesign.embedding import embed
 from sphdesign.enumeration import NotAntipodalError, halve_antipodal
@@ -54,6 +54,19 @@ def test_verify_lattice_pass():
     assert rep["embedded"]["code"] == [9, 24, "1/3"]
     assert rep["embedded"]["rank_certificate"] == {"is_psd": True, "rank": 9}
     assert rep["venkov5"]["moment2"] == "1/4"
+
+
+def test_certify_never_builds_the_half_set_block(monkeypatch):
+    # the rank certificate runs in Harm_2 coordinates; the N/2 x N/2
+    # embedded Gram block stays off the certify path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("embedded_gram called by certify")
+
+    monkeypatch.setattr(embedding, "embedded_gram", forbidden)
+    monkeypatch.setattr(report, "embedded_gram", forbidden, raising=False)
+    cert = report.certify(catalog("CT12"))
+    assert cert.rank == (True, 77)
+    assert cert.passed
 
 
 def test_verify_skips_rank_over_cap():
