@@ -80,6 +80,17 @@ def _places(text: str) -> int:
     return int(text)
 
 
+def _threads(text: str) -> int:
+    """Type of --threads N: a worker count, N >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+    return n
+
+
 def _decimal_str(x: Fraction, places: int) -> str:
     """Fixed-point decimal expansion of x truncated to places digits,
     exact integer long division, _DIGIT_CHUNK digits at a time."""
@@ -306,7 +317,7 @@ def _add_input_flags(p: argparse.ArgumentParser, with_vectors: bool = True) -> N
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument("--threads", type=int, default=_default_threads(),
+    p.add_argument("--threads", type=_threads, default=_default_threads(),
                    metavar="N", help=f"worker threads (env {_THREADS_ENV})")
     p.add_argument("--decimal", type=_places, metavar="K", default=None,
                    help="render decimals with K places instead of rationals")

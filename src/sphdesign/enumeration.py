@@ -87,7 +87,9 @@ class VectorSet:
         norms = exact_norms(self.gram, self.coords)
         if not np.all(norms == self.m):
             raise ValueError("vector with norm != min_norm present")
-        if len(np.unique(self.coords, axis=0)) != self.count:
+        # coords are sorted lexicographically, so duplicates are adjacent
+        c = self.coords
+        if np.any(np.all(c[1:] == c[:-1], axis=1)):
             raise ValueError("duplicate vectors present")
 
 

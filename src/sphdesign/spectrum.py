@@ -3,9 +3,12 @@
 The design tests downstream are functions of the pair spectrum alone, so
 this module does the only O(N^2) work in the pipeline: counting ordered
 pairs by exact normalized inner product.  Products are computed on
-unnormalized integer vectors, in machine words where a proven bound
-certifies them exact and in Python integers otherwise, histogrammed per
-block, and converted to rationals once per distinct value at the end.
+unnormalized integer vectors in three tiers: float32 or float64 BLAS where
+a proven bound makes every partial sum an exactly represented integer,
+else exact integer products (int64 under a proven bound, else Python
+integers).  The pass streams cache-sized blocks of products into one
+histogram per worker thread, and the counts are converted to rationals
+once per distinct value at the end.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import numpy as np
 
 from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 
-_BLOCK = 2048
-# any partial sum of a dot product below this is an exactly represented
-# float64 integer, so BLAS matmul is bit-exact
+# rows per product block: a float32 block, its int64 bin indices and the
+# row and column stripes it multiplies stay inside a core's L2 cache
+_BLOCK = 256
+# any partial sum of a dot product below these is an exactly represented
+# float32 / float64 integer, so BLAS matmul is bit-exact
+_F32_SAFE = 2**24
 _F64_SAFE = 2**53
 
 
@@ -99,44 +105,85 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
     """Histogram of all pairwise products a[i] . v[j] (a = V G precomputed)
     as (products, counts), products ascending and counts positive.
 
-    Counts ordered pairs one way only; caller owns any doubling.  Uses
-    float64 BLAS when k max|a| max|v| < 2^53 certifies it exact, else
-    exact_matmul on each block.  Every product p has |p| <= off, so a block
-    casts to int64 when off fits in it.  A block bincounts the 2 off + 1
-    possible values when they are no more than its products, and else
-    sorts the products it has, so memory never grows with off.
+    Counts ordered pairs one way only; caller owns any doubling.  The rows
+    are cut into stripes of _BLOCK rows, and one product block pairs a row
+    stripe with a column stripe at or right of it, so it stays cache-sized
+    and is reused for every block a worker computes.  Each of the
+    min(threads, stripes) workers owns every workers-th row stripe (the
+    triangle of blocks then splits about evenly) and counts into its own
+    histogram, with off-diagonal blocks counted twice; the worker
+    histograms are summed once at the end.
+
+    Products come from float32 BLAS when k max|a| max|v| < 2^24, from
+    float64 BLAS when it is below 2^53 (either bound makes every partial
+    sum an exactly represented integer, so the product is bit-exact), and
+    else from exact_matmul on each block.  Every product p has |p| <= off.
+    When the 2 off + 1 possible values are no more than a block's
+    products, a worker bincounts p + off into a dense int64 histogram;
+    otherwise it sorts the values each block realizes, as Python ints once
+    off is past int64, so memory never grows with off.
     """
     n, k = a.shape
     amax = int(np.abs(a).max(initial=0))
     vmax = int(np.abs(v).max(initial=0))
-    use_f64 = k * amax * vmax < _F64_SAFE
-    af = a.astype(np.float64) if use_f64 else a
-    vf = v.astype(np.float64).T if use_f64 else v.T
-    product = np.matmul if use_f64 else exact_matmul
-
-    starts = range(0, n, _BLOCK)
-    tasks = [(i, j) for i in starts for j in range(i, n, _BLOCK)]
-
-    def run(task) -> tuple[np.ndarray, np.ndarray]:
-        i, j = task
-        p = product(af[i:i + _BLOCK], vf[:, j:j + _BLOCK])
-        p = p.astype(np.int64 if off <= I64_MAX else object, copy=False).ravel()
-        if 2 * off < p.size:
-            h = np.bincount(p + off, minlength=2 * off + 1)
-            vals = np.flatnonzero(h)
-            vals, cnt = vals - off, h[vals]
-        else:
-            vals, cnt = np.unique(p, return_counts=True)
-        if i != j:
-            # mirror block: products are symmetric, count (w, v) too
-            cnt *= 2
-        return vals, cnt
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, tasks))
+    bound = k * amax * vmax
+    ftype = (np.float32 if bound < _F32_SAFE
+             else np.float64 if bound < _F64_SAFE else None)
+    if ftype is not None:
+        a = a.astype(ftype)
+        vt = np.ascontiguousarray(v.T, dtype=ftype)
     else:
-        parts = [run(t) for t in tasks]
+        vt = v.T
+    side = min(_BLOCK, n)
+    bins = 2 * off + 1
+    dense = bins <= side * side
+    stripes = range(0, n, _BLOCK)
+    workers = min(threads, len(stripes))
+
+    def run(first: int) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
+        if ftype is not None:
+            buf = np.empty(side * side, dtype=ftype)
+        if dense:
+            index = np.empty(side * side, dtype=np.int64)
+            hist = np.zeros(bins, dtype=np.int64)
+        else:
+            parts = []
+        for i in stripes[first::workers]:
+            rows = a[i:i + _BLOCK]
+            for j in range(i, n, _BLOCK):
+                cols = vt[:, j:j + _BLOCK]
+                size = rows.shape[0] * cols.shape[1]
+                if ftype is not None:
+                    p = np.matmul(rows, cols, out=buf[:size].reshape(
+                        rows.shape[0], cols.shape[1])).ravel()
+                else:
+                    p = exact_matmul(rows, cols).ravel()
+                if dense:
+                    h = np.bincount(np.add(p, off, out=index[:size],
+                                           dtype=np.int64, casting="unsafe"),
+                                    minlength=bins)
+                    hist += h
+                    if i != j:
+                        # mirror block: products are symmetric
+                        hist += h
+                else:
+                    vals, cnt = np.unique(
+                        p.astype(np.int64 if off <= I64_MAX else object,
+                                 copy=False),
+                        return_counts=True)
+                    parts.append((vals, cnt if i == j else 2 * cnt))
+        return hist if dense else parts
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(workers)))
+    else:
+        results = [run(0)]
+    if dense:
+        hist = sum(results)
+        vals = np.flatnonzero(hist)
+        return vals - off, hist[vals]
+    parts = [part for worker in results for part in worker]
     vals, where = np.unique(np.concatenate([p for p, _ in parts]),
                             return_inverse=True)
     total = np.zeros(len(vals), dtype=np.int64)

@@ -190,6 +190,17 @@ def test_bad_decimal_usage_error(capsys, command, places):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "x"])
+def test_bad_threads_usage_error(capsys, threads):
+    # a worker count below 1 is a usage error, not a silent serial run
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--lattice", "A2", "--threads", threads])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --threads: expected an int >= 1, got '{threads}'" in err
+    assert "Traceback" not in err
+
+
 def test_decimal_str_exact():
     assert _decimal_str(F(1, 3), 6) == "0.333333"
     assert _decimal_str(F(-5, 4), 3) == "-1.250"
@@ -283,6 +294,16 @@ def test_bad_vector_header_exit_two(tmp_path, capsys, header, command):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["verify", "spectrum", "embed", "export-coords"])
+def test_duplicate_vectors_exit_two(tmp_path, capsys, command):
+    vecs = tmp_path / "dup.vecs"
+    vecs.write_text("2 5 1\n1 0\n0 1\n-1 0\n0 -1\n1 0\n")
+    code, out, err = run(capsys, command, "--vectors", str(vecs))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate vectors present\n"
 
 
 def test_unexpected_exception_exit_three(monkeypatch, capsys):

@@ -6,11 +6,15 @@ two-loop Fraction computation on small sets.
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphdesign import spectrum
 from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
@@ -159,6 +163,158 @@ def test_hist_blocks_counting_independent_of_offset():
         sparse = _hist_blocks(a[:n], v[:n], off=big, threads=2)
         assert [x.tolist() for x in dense] == [x.tolist() for x in sparse]
         assert dense[1].sum() == n ** 2
+
+
+def test_pool_never_outnumbers_stripes(monkeypatch):
+    # each worker owns whole row stripes of _BLOCK rows, so a pool larger
+    # than the stripe count would only idle; no thread is started here
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", SerialPool)
+    # (_BLOCK, threads, pool size or None for no pool); A2 halves to 3
+    # rows, E8 to 120
+    cases = {"A2": [(1, 7, 3), (1, 2, 2), (1, 1, None), (256, 4, None)],
+             "E8": [(16, 20, 8), (16, 3, 3), (256, 4, None)]}
+    for name, runs in cases.items():
+        vs = lattice_vectors(name)
+        base = pair_spectrum(vs).entries
+        for block, threads, workers in runs:
+            monkeypatch.setattr(spectrum, "_BLOCK", block)
+            sizes.clear()
+            assert pair_spectrum(vs, threads=threads).entries == base
+            assert sizes == ([] if workers is None else [workers])
+
+
+def _three_sparse_signs(n: int) -> VectorSet:
+    """All vectors of Z^n with three entries +-1 and the rest 0, taken as
+    a plain set (not halved): 8 C(n, 3) rows, products in [-3, 3]."""
+    rows = []
+    for support in itertools.combinations(range(n), 3):
+        for signs in itertools.product((1, -1), repeat=3):
+            row = [0] * n
+            for i, sign in zip(support, signs):
+                row[i] = sign
+            rows.append(row)
+    return VectorSet(gram=GramMatrix.identity(n), min_norm=F(3),
+                     coords=np.array(rows), antipodal=False)
+
+
+def test_pair_spectrum_memory_stays_cache_sized():
+    # 2288 rows: a kernel holding a whole 2048 x 2048 float64 product block
+    # and its int64 copy would peak near 67 MB
+    vs = _three_sparse_signs(13)
+    assert vs.count == 2288
+    tracemalloc.start()
+    try:
+        sp = pair_spectrum(vs, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # direct count over the full N x N product matrix
+    vals, counts = np.unique(vs.coords @ vs.coords.T, return_counts=True)
+    assert sp.counts() == {F(int(p), 3): int(c) for p, c in zip(vals, counts)}
+
+
+# lattice points on the circles s^2 + t^2 = r, r with one to three
+# classes of representation
+_CIRCLES = {r: [(s, t) for s in range(-8, 9) for t in range(-8, 9)
+                if s * s + t * t == r]
+            for r in (1, 2, 5, 25, 65)}
+
+
+def _skewed_circle(points, r: int, k: int) -> VectorSet:
+    """Circle points of Z^2 under the basis (e1, k e1 + e2): coordinates
+    (s - k t, t), Gram [[1, k], [k, k^2 + 1]], the same products at any
+    k.  The spectrum pass sees a = (s, k s + t)."""
+    g = GramMatrix.from_rows([[1, k], [k, k * k + 1]])
+    coords = np.array([[s - k * t, t] for s, t in points], dtype=np.int64)
+    return VectorSet(gram=g, min_norm=F(r), coords=coords, antipodal=False)
+
+
+def _pass_bound(points, k: int) -> int:
+    """k max|a| max|v| of the spectrum pass over _skewed_circle."""
+    amax = max(max(abs(s), abs(k * s + t)) for s, t in points)
+    vmax = max(max(abs(s - k * t), abs(t)) for s, t in points)
+    return 2 * amax * vmax
+
+
+def _largest_below(bound, tier: int) -> int:
+    """Largest k >= 10 with bound(k) < tier, for bound increasing in k."""
+    lo, hi = 10, 16
+    while bound(hi) < tier:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < tier else (lo, mid)
+    return lo
+
+
+def _assert_blocks_match_brute_force(vs: VectorSet) -> None:
+    vs.validate()
+    expect = brute_spectrum(vs)
+    assert pair_spectrum(vs).counts() == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_BLOCK", 1)
+        assert pair_spectrum(vs, threads=2).counts() == expect
+
+
+@st.composite
+def _circle_subsets(draw):
+    r = draw(st.sampled_from(sorted(_CIRCLES)))
+    chosen = draw(st.lists(st.sampled_from(_CIRCLES[r]), min_size=1,
+                           unique=True))
+    return r, chosen
+
+
+# the parameter sits just below the tier bound for step <= 0 and at or
+# past it for step > 0
+_TIERS = pytest.mark.parametrize("tier", [2 ** 24, 2 ** 53])
+_STEPS = st.integers(min_value=-2, max_value=3)
+
+
+@_TIERS
+@given(_circle_subsets(), _STEPS)
+@settings(max_examples=40, deadline=None)
+def test_tier_boundaries_skewed_circle(tier, circle, step):
+    # huge Gram entries and coordinates, small products; the bound grows
+    # with k once k > max|s|, max|t|
+    r, points = circle
+    k = _largest_below(lambda k: _pass_bound(points, k), tier) + step
+    assert (_pass_bound(points, k) < tier) == (step <= 0)
+    _assert_blocks_match_brute_force(_skewed_circle(points, r, k))
+
+
+@_TIERS
+@given(st.integers(min_value=1, max_value=4).flatmap(
+           lambda n: st.lists(st.lists(st.sampled_from((1, -1)), min_size=n,
+                                       max_size=n),
+                              min_size=1, max_size=6, unique_by=tuple)),
+       _STEPS)
+@settings(max_examples=40, deadline=None)
+def test_tier_boundaries_tight_bound(tier, signs, step):
+    # x times sign vectors of Z^n: k max|a| max|v| = n x^2 = m, so the
+    # self products reach the bound; past it an odd m is no float32 /
+    # float64 integer, and a tier taken past its bound rounds it
+    n = len(signs[0])
+    x = _largest_below(lambda x: n * x * x, tier) + step
+    assert (n * x * x < tier) == (step <= 0)
+    _assert_blocks_match_brute_force(VectorSet(
+        gram=GramMatrix.identity(n), min_norm=F(n * x * x),
+        coords=x * np.array(signs, dtype=np.int64), antipodal=False))
 
 
 def test_entries_sorted_descending(e8_spectrum):
