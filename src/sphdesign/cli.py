@@ -17,8 +17,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 # eager on purpose: perfbench/traced_cli.py wraps every module after importing cli
 from .catalog import (
     _CATALOG,
@@ -34,7 +32,6 @@ from .embedding import MATRIX_CAP, embed, realize_coordinates
 from .enumeration import (
     VectorSet,
     halve_antipodal,
-    is_sign_symmetric,
     minimal_vector_set,
 )
 from .gramfile import format_rational, read_vector_set, write_vector_set
@@ -123,14 +120,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 # input resolution
 
 def _load_vector_file(path: str, gram=None) -> VectorSet:
-    rank, _, min_norm, vecs = read_vector_set(path)
+    rank, _, min_norm, coords = read_vector_set(path)
     if gram is None:
         from .linalg import GramMatrix
         gram = GramMatrix.identity(rank)
-    coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), rank)
-    antipodal = is_sign_symmetric(coords[np.lexsort(coords.T[::-1])])
-    vs = VectorSet(gram=gram, min_norm=min_norm, coords=coords,
-                   antipodal=antipodal)
+    vs = VectorSet(gram=gram, min_norm=min_norm, coords=coords)
     vs.validate()
     return vs
 
@@ -201,7 +195,7 @@ def _cmd_lattices(args) -> int:
 def _cmd_minvec(args) -> int:
     spec, vs = _vector_set(args)
     if args.out:
-        write_vector_set(args.out, vs.rank, vs.min_norm, vs.as_tuples())
+        write_vector_set(args.out, vs.rank, vs.min_norm, vs.coords)
     if args.format == "json":
         payload = {
             "lattice": spec.name,

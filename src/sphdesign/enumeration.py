@@ -3,23 +3,26 @@
 Enumeration first LLL-reduces the Gram matrix exactly (size_reduce, an
 integral LLL that keeps the unimodular transform), runs Fincke-Pohst in the
 reduced basis, where far fewer search nodes die, and maps the vectors back
-through the transform.  The Fincke-Pohst search keeps every pruning
-decision in exact arithmetic: the per-level tables are the integer pivots
-and multipliers of the fraction-free LDL^T (linalg.ldlt), interval
-endpoints come from integer square roots, and no floating point is
-consulted anywhere.  A rounding error in pruning would
-silently drop vectors and corrupt every downstream certificate, so none is
-allowed.
+through the transform.  The Fincke-Pohst search runs breadth-first over
+numpy arrays in one of two tiers.  Where an a priori bound eps on every
+float error is certified small (_float_levels), it prunes in float64
+against the bound plus eps, with intervals widened outward by the
+matching center error: a certified filter in the sense of Shewchuk
+(*Adaptive precision floating-point arithmetic*, DCG 18, 1997), which
+keeps every vector of norm <= the bound and maybe a few more.  Otherwise
+every pruning decision is exact: integer pivots and multipliers of the
+fraction-free LDL^T (linalg.ldlt) and integer square roots.  Either way
+the result is decided by exact integer norms (exact_norms), so a rounding
+error can add work but never drop or add a vector.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm, prod
+from math import inf, isqrt, lcm, nextafter, prod
 
 import numpy as np
 
@@ -42,21 +45,25 @@ class VectorSet:
     order; every row v satisfies v^T gram v == min_norm exactly.  m is the
     scaled min norm c * min_norm (c = gram.scale), a positive int: every
     row has v^T (c gram) v == m, and every scaled product lies in [-m, m].
+    antipodal defaults to whether the rows are closed under negation.
     """
 
     gram: GramMatrix
     min_norm: Fraction
     coords: np.ndarray
-    antipodal: bool
+    antipodal: bool | None = None
     m: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.int64)
+        c = np.array(self.coords, dtype=np.int64)     # own copy, read-only
         if c.ndim != 2:
             raise ValueError("coords must be a 2-d integer array")
-        c = c[np.lexsort(c.T[::-1])]
+        if not _lex_sorted(c):
+            c = c[np.lexsort(c.T[::-1])]
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
+        if self.antipodal is None:
+            object.__setattr__(self, "antipodal", is_sign_symmetric(c))
         min_norm = Fraction(self.min_norm)
         m = min_norm * self.gram.scale
         if m.denominator != 1 or m <= 0:
@@ -79,9 +86,6 @@ class VectorSet:
         """Dimension d of the sphere S^d the normalized set lives on."""
         return self.rank - 1
 
-    def as_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in self.coords]
-
     def validate(self) -> None:
         """Check the constant-norm and uniqueness invariants exactly."""
         norms = exact_norms(self.gram, self.coords)
@@ -102,15 +106,16 @@ def exact_matmul(*factors) -> np.ndarray:
     """Exact integer chain product factors[0] @ factors[1] @ ...
 
     Runs in int64 when k_1 * ... * k_r * max|F_0| * ... * max|F_r| < 2**62
-    (k_i the inner dimensions) proves no partial sum can overflow; otherwise
-    in Python integers (object dtype), the only fallback.  Factors are
-    integer arrays or nested lists of Python ints.
+    (k_i the inner dimensions) proves no partial sum can overflow and every
+    factor fits in int64 (a zero factor makes the product bound 0);
+    otherwise in Python integers (object dtype), the only fallback.
+    Factors are integer arrays or nested lists of Python ints.
     """
     arrs = [f if isinstance(f, np.ndarray) else np.array(f, dtype=object)
             for f in factors]
-    bound = (prod(f.shape[-1] for f in arrs[:-1])
-             * prod(int(np.abs(f).max(initial=0)) for f in arrs))
-    dtype = np.int64 if bound < I64_SAFE else object
+    big = [int(np.abs(f).max(initial=0)) for f in arrs]
+    bound = prod(f.shape[-1] for f in arrs[:-1]) * prod(big)
+    dtype = np.int64 if bound < I64_SAFE and max(big) < I64_SAFE else object
     return reduce(np.matmul, (f.astype(dtype, copy=False) for f in arrs))
 
 
@@ -206,78 +211,238 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
     return GramMatrix(g.scale, a), t
 
 
-def _level_data(g: GramMatrix):
-    """Scaled-integer Fincke-Pohst tables from the integer LDL^T of c*g.
+# frontier rows expanded at once: a piece of parents with more than
+# 2 _CHUNK children is split where the count passes multiples of _CHUNK.
+# On Leech, minimal_vector_set took 1.2-1.3 s and 159-166 MB peak RSS at
+# 2^14, against 1.3 s and 177 MB at 2^12 and 2.1 s and 160 MB at 2^16
+_CHUNK = 2**14
 
-    With p the pivots and lam the multipliers of c*g (c = g.scale),
-    D_i = p[i] / (c p[i-1]) and L[j][i] = lam[j][i] / p[i], so
-    Q(x) = sum_i (p[i] x_i + sum_{j>i} lam[j][i] x_j)^2 / w[i] with
-    w[i] = c p[i-1] p[i].  mscale[i] clears the denominators of levels
-    i.., so the partial sums T_i are kept as integers T_i * mscale[i].
+_U = Fraction(1, 2**53)     # unit roundoff of float64
+
+
+def _gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1 - k * _U)
+
+
+def _sqrt_up(q: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(q), q >= 0, within 2^-64."""
+    return Fraction(isqrt(-(-q.numerator * 4**64 // q.denominator)) + 1,
+                    2**64)
+
+
+def _float_up(q: Fraction) -> float:
+    """The least float64 >= q."""
+    f = float(q)
+    return f if Fraction(f) >= q else nextafter(f, inf)
+
+
+def _coordinate_bounds(c: int, p: list[int], lam,
+                       bound: Fraction) -> list[int]:
+    """X_j = isqrt(floor(bound (G^-1)_jj)): |x_j| <= X_j whenever
+    x^T G x <= bound, from the integer LDL^T (p, lam) of c * G.
+
+    With y_i = x_i + sum_{j>i} mu_ji x_j (mu_ji = lam[j][i] / p[i]) and
+    x = V y, (G^-1)_jj = sum_k V[j][k]^2 / D_k, D_k = p[k] / (c p[k-1]).
+    Column k of V holds the coefficients of the Gram-Schmidt vector b*_k
+    in b_0..b_k, a solution of the leading k x k system of c * G, so by
+    Cramer's rule w[i][k] = p[k-1] V[i][k] is an integer (p[-1] = 1).
     """
-    n, c = g.n, g.scale
-    p, lam = ldlt(g.entries)
+    n = len(p)
+    pp = [1] + p
+    w = [[0] * n for _ in range(n)]
+    for k in range(n):
+        w[k][k] = pp[k]
+        for i in range(k - 1, -1, -1):
+            w[i][k] = -sum(lam[j][i] * w[j][k]
+                           for j in range(i + 1, k + 1)) // p[i]
+    den = lcm(*(pp[k] * p[k] for k in range(n)))
+    num = bound.numerator * c
+    return [isqrt(num * sum(w[j][k] ** 2 * (den // (pp[k] * p[k]))
+                            for k in range(j, n))
+                  // (bound.denominator * den)) for j in range(n)]
+
+
+def _float_certificate(c: int, p: list[int], lam, bound: Fraction):
+    """(X, eta, eps) certifying the float64 sweep step, or None.
+
+    The step finds, per live row, the x_i with T_{i+1} + D_i (x_i + c_i)^2
+    <= B (B the bound, c_i = sum_{j>i} mu_ji x_j, T_i the partial sum of
+    the levels >= i), in float64 with unit roundoff u = 2^-53.  A node is
+    *valid* when its exact T_i <= B.  On a valid node |x_j| <= X_j
+    (_coordinate_bounds: a real vector extending the node has norm T_i),
+    |y_i| = |x_i + c_i| <= Y_i >= sqrt(B / D_i) and |c_i| <= M_i =
+    sum_{j>i} |mu_ji| X_j.  With Higham's gamma_k (*Accuracy and Stability
+    of Numerical Algorithms*, 2002, section 3.1; the dot-product bound
+    holds in any summation order, so for any BLAS), on a valid node:
+
+    - the center, a dot product of n-1-i rounded mu with exact x, errs
+      by at most delta_i = gamma_{n-i} M_i;
+    - y = fl(x + center) by e_i = delta_i + u (Y_i + delta_i);
+    - the term fl(D fl(y y)) by tau_i = D_i (e_i (2 Y_i + e_i)
+      + gamma_3 (Y_i + e_i)^2);
+    - the partial sum fl(T_{i+1} + term) by E_i = E_{i+1} + tau_i
+      + u (B + E_{i+1} + tau_i), E_n = 0; eps = E_0 bounds every E_i.
+
+    The radius r = sqrt(fl(fl(B+ - T_{i+1}) / D_i)) (B+ the least float
+    >= B) is at most 2 Y_i and short of the exact one by at most
+    gamma_4 r + sqrt(E_{i+1} / D_i) (sqrt is subadditive), and the two
+    endpoint additions err by gamma_3 (2 Y_i + M_i + delta_i + 1).  So
+    widening both endpoints outward by eta_i = delta_i + 2 gamma_4 Y_i
+    + sqrt(E_{i+1} / D_i) + gamma_3 (2 Y_i + M_i + delta_i + 1) keeps
+    every valid child, and so does the filter T_i <= fl_up(B + eps).
+    Clipping to [-X_i, X_i] drops no valid child and bounds every node.
+    The sweep thus returns every vector of norm <= B and maybe a few more.
+
+    Certified (else None) when:
+    - B, every D_i and every nonzero |mu_ji| lie in [2^-64, 2^64] and
+      every X_j < 2^31.  Then every value on a valid node is 0 or a
+      normal float (between 2^-412 and 2^400 in magnitude), so every
+      operation has relative error at most u, and coordinates are exact;
+    - every eta_i <= 1, which the endpoint bound assumes;
+    - eps <= 2^-20 B.  Not needed for completeness: past it the slack
+      lets through more nodes above the bound, and the exact tier is used.
+    """
+    n = len(p)
+    d = [Fraction(p[i], c * (p[i - 1] if i else 1)) for i in range(n)]
+    lo, hi = Fraction(1, 2**64), Fraction(2**64)
+    if not all(lo <= x <= hi for x in [bound, *d]) or not all(
+            p[i] <= abs(lam[j][i]) << 64 and abs(lam[j][i]) <= p[i] << 64
+            for j in range(n) for i in range(j) if lam[j][i]):
+        return None
+    xmax = _coordinate_bounds(c, p, lam, bound)
+    if max(xmax) >= 2**31:
+        return None
+    u, g3, g4 = _U, _gamma(3), _gamma(4)
+    big_e, eta = Fraction(0), [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        m_i = Fraction(sum(abs(lam[j][i]) * xmax[j] for j in range(i + 1, n)),
+                       p[i])
+        y_i = _sqrt_up(bound / d[i])
+        delta = _gamma(n - i) * m_i
+        e = delta + u * (y_i + delta)
+        tau = d[i] * (e * (2 * y_i + e) + g3 * (y_i + e) ** 2)
+        eta[i] = (delta + 2 * g4 * y_i + _sqrt_up(big_e / d[i])
+                  + g3 * (2 * y_i + m_i + delta + 1))
+        big_e += tau + u * (bound + big_e + tau)
+    if max(eta) > 1 or big_e > bound / 2**20:
+        return None
+    return xmax, eta, big_e
+
+
+def _float_levels(c, p, lam, bound: Fraction):
+    """The float64 sweep step where _float_certificate certifies it."""
+    cert = _float_certificate(c, p, lam, bound)
+    if cert is None:
+        return None
+    xmax, eta, eps = cert
+    n = len(p)
+    mu = np.array([[lam[j][i] / p[i] if j > i else 0.0 for i in range(n)]
+                   for j in range(n)])
+    d = [p[i] / (c * (p[i - 1] if i else 1)) for i in range(n)]
+    eta = [_float_up(x) for x in eta]
+    b_up, b_eps = _float_up(bound), _float_up(bound + eps)
+
+    def step(i, x, t):
+        cen = x @ mu[i + 1:, i]
+        r = np.sqrt(np.maximum((b_up - t) / d[i], 0.0))
+        lo = np.ceil(np.maximum(-cen - r - eta[i], -xmax[i]))
+        hi = np.floor(np.minimum(-cen + r + eta[i], xmax[i]))
+
+        def child(idx, xi):
+            y = xi + cen[idx]
+            t_child = t[idx] + d[i] * (y * y)
+            return t_child, t_child <= b_eps
+        return lo.astype(np.int64), hi.astype(np.int64), child
+
+    return step, np.float64, np.zeros(1)
+
+
+def _exact_levels(c, p, lam, bound: Fraction):
+    """The exact sweep step: every pruning decision in integers.
+
+    With w[i] = c p[i-1] p[i], Q(x) = sum_i (p[i] x_i + C_i)^2 / w[i]
+    with C_i = sum_{j>i} lam[j][i] x_j.  mscale[i] clears the
+    denominators of levels i.., so a row carries T_{i+1} mscale[i+1] as
+    an integer, and the interval endpoints come from integer square roots.
+    """
+    n = len(p)
     w = [c * x * y for x, y in zip([1] + p, p)]
-    urow = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     mscale = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
         mscale[i] = lcm(mscale[i + 1], w[i])
-    fup = [mscale[i] // mscale[i + 1] for i in range(n)]
-    gup = [mscale[i] // w[i] for i in range(n)]
-    return p, w, urow, mscale, fup, gup
+    bn, bd = bound.numerator, bound.denominator
+    isqrt_ = np.frompyfunc(isqrt, 1, 1)
+
+    def step(i, x, ts):
+        # (q x_i + C)^2 / w_i <= bound - T_{i+1}, q = p_i; every live row
+        # has T_{i+1} <= bound, so the radicand is never negative
+        cen = exact_matmul(x, ucol[i]).astype(object)
+        den = bd * mscale[i + 1]
+        s = isqrt_(w[i] * den * (bn * mscale[i + 1] - bd * ts))
+        a, q = -cen * den, p[i] * den
+        hi = (a + s) // q
+        lo = -((s - a) // q)
+        f_i, g_i = mscale[i] // mscale[i + 1], mscale[i] // w[i]
+
+        def child(idx, xi):
+            t = xi.astype(object) * p[i] + cen[idx]
+            return ts[idx] * f_i + g_i * t * t, None
+        return lo.astype(np.int64), hi.astype(np.int64), child
+
+    return step, np.int64, np.zeros(1, dtype=object)
 
 
 def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
-    """One vector of each +-pair with v^T reduced v <= bound, as unsorted
-    int64 rows in the basis of ``reduced`` (the LLL-reduced Gram)."""
+    """One vector of each +-pair with v^T reduced v <= bound, and possibly
+    a few of larger norm, as unsorted int64 rows in the basis of
+    ``reduced`` (the LLL-reduced Gram); callers filter by exact norm.
+
+    Breadth-first: each level fixes x_i for every live row of a piece at
+    once, in the float64 tier where _float_levels certifies it, else in
+    the exact tier.  Pieces wait on a stack, so the sweep is depth-first
+    over pieces and holds only the pieces not yet expanded.  The sign rule
+    keeps x_i >= 0 while every coordinate above is zero, and x_0 >= 1 at
+    level 0.
+    """
     n = reduced.n
-    p, w, urow, mscale, fup, gup = _level_data(reduced)
-    bn, bd = bound.numerator, bound.denominator
-
-    coords = [0] * n
-    out = array("q")
-    out_extend = out.extend
-    isqrt_ = isqrt
-
-    def descend(i: int, ts_next: int, nonzero_above: bool) -> None:
-        # interval for x_i: (q x_i + C)^2 / w_i <= bound - T_{i+1}, q = p_i
-        rn = bn * mscale[i + 1] - bd * ts_next
-        if rn < 0:
-            return
-        q = p[i]
-        c = 0
-        row = urow[i]
-        if row:
-            xs = coords[i + 1:]
-            c = sum(u * x for u, x in zip(row, xs) if x)
-        den = bd * mscale[i + 1]
-        s = isqrt_(w[i] * rn * den)
-        a = -c * den
-        qq = q * den
-        hi = (a + s) // qq
-        lo = -((-a + s) // qq)
-        if i == 0:
-            if not nonzero_above:
-                lo = max(lo, 1)
-            for x in range(lo, hi + 1):
-                coords[0] = x
-                out_extend(coords)
-            coords[0] = 0
-            return
-        if not nonzero_above:
-            lo = max(lo, 0)
-        f_i, g_i = fup[i], gup[i]
-        base = ts_next * f_i
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            t = x * q + c
-            descend(i - 1, base + g_i * t * t, nonzero_above or x != 0)
-        coords[i] = 0
-
-    descend(n - 1, 0, False)
+    p, lam = ldlt(reduced.entries)
+    args = (reduced.scale, p, lam, bound)
+    step, dtype, root = _float_levels(*args) or _exact_levels(*args)
+    out = []
+    stack = [(n - 1, np.zeros((1, 0), dtype), root, np.zeros(1, bool))]
+    while stack:
+        i, x, state, nonzero = stack.pop()
+        lo, hi, child = step(i, x, state)
+        lo = np.where(nonzero, lo, np.maximum(lo, int(i == 0)))
+        counts = np.maximum(hi - lo + 1, 0)
+        ends = np.cumsum(counts)
+        if len(x) > 1 and ends[-1] > 2 * _CHUNK:
+            # split the parents where the children count passes a multiple
+            # of _CHUNK (else in half), into at least two pieces that are
+            # expanded when popped, the first one first
+            cuts = np.flatnonzero(np.diff((ends - counts) // _CHUNK)) + 1
+            cuts = [0, *(cuts.tolist() or [len(x) // 2]), len(x)]
+            stack += [(i, x[a:b], state[a:b], nonzero[a:b])
+                      for a, b in zip(cuts[-2::-1], cuts[:0:-1])]
+            continue
+        idx = np.repeat(np.arange(len(x)), counts)
+        xi = lo[idx] + (np.arange(idx.size) - (ends - counts)[idx])
+        state, keep = child(idx, xi)
+        xc = np.empty((idx.size, n - i), dtype)
+        xc[:, 0] = xi
+        xc[:, 1:] = x[idx]
+        nz = nonzero[idx] | (xi != 0)
+        if keep is not None:
+            xc, state, nz = xc[keep], state[keep], nz[keep]
+        if not i:
+            out.append(xc.astype(np.int64, copy=False))
+        elif len(xc):
+            stack.append((i - 1, xc, state, nz))
     if not out:
         return np.zeros((0, n), np.int64)
-    return np.frombuffer(out.tobytes(), dtype=np.int64).reshape(-1, n)
+    return np.concatenate(out)
 
 
 def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
@@ -309,7 +474,10 @@ def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
     if bound <= 0:
         raise EnumerationError("bound must be positive")
     reduced, trans = size_reduce(gram)
-    return _both_signs(_fincke_pohst(reduced, bound), trans)
+    half = _fincke_pohst(reduced, bound)
+    # norms are integers, so <= bound * c exactly when <= its floor
+    keep = exact_norms(reduced, half) <= int(bound * reduced.scale)
+    return _both_signs(half[keep], trans)
 
 
 def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
@@ -361,6 +529,15 @@ def halve_antipodal(vs: VectorSet, seed: int | None = None) -> VectorSet:
                   for i in range(n // 2)]]
     return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=keep,
                      antipodal=False)
+
+
+def _lex_sorted(c: np.ndarray) -> bool:
+    """Whether the rows are in non-decreasing lexicographic order: each
+    adjacent pair is equal or first differs upward."""
+    up, down = c[1:] > c[:-1], c[1:] < c[:-1]
+    first = np.argmax(up | down, axis=1)
+    rows = np.arange(len(first))
+    return not np.any(down[rows, first])
 
 
 def is_sign_symmetric(coords: np.ndarray) -> bool:

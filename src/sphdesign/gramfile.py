@@ -10,14 +10,21 @@ Vector-set file: header line "rank N min_norm"; then N lines of rank integers.
 from __future__ import annotations
 
 import re
+from array import array
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 from .linalg import GramMatrix
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# a data line of ASCII integers of at most 18 digits (|x| < 10^18 < 2^63),
+# which numpy's text parser reads exactly; such lines are parsed _BATCH
+# at a time
+_ROW_RE = re.compile(r"(?:[+-]?[0-9]{1,18}[ \t]+)*[+-]?[0-9]{1,18}")
+_BATCH = 1024
 
 
 class FormatError(ValueError):
@@ -82,12 +89,38 @@ def write_gram(path: str | Path, g: GramMatrix, header: str | None = None) -> No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_vector_set(text: str) -> tuple[int, int, Fraction, list[tuple[int, ...]]]:
-    """Returns (rank, count, min_norm, vectors)."""
-    lines = _data_lines(text)
-    if not lines:
+def _vector_row(line: str, rank: int) -> list[int]:
+    """The rank integers of one stripped data line, with the file's checks."""
+    tokens = line.split()
+    if len(tokens) != rank:
+        raise FormatError(f"expected {rank} coordinates per vector")
+    if not all(_INT_RE.match(t) for t in tokens):
+        raise FormatError(f"vector coordinates must be integers: {line!r}")
+    vec = [int(t) for t in tokens]
+    # vector sets are stored as int64, with |x| representable too
+    if max(map(abs, vec), default=0) >= 2**63:
+        raise FormatError(
+            f"vector coordinate out of range (|x| < 2^63): {line!r}")
+    return vec
+
+
+def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
+    """Returns (rank, count, min_norm, vectors), vectors a (count x rank)
+    int64 array.
+
+    Data lines are checked one at a time and their integers go into one
+    int64 buffer; nothing is sized from the header.  A line matching
+    _ROW_RE with rank integers is parsed by numpy with its batch; any other
+    line gets the token-by-token checks, whose first failure is raised
+    unless the vector count disagrees with the header, which is reported
+    first.
+    """
+    lines = (line for line in (raw.split("#", 1)[0].strip()
+                               for raw in text.splitlines()) if line)
+    first = next(lines, None)
+    if first is None:
         raise FormatError("empty vector-set file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 3:
         raise FormatError('header must be "rank N min_norm"')
     rank, count = int(header[0]), int(header[1])
@@ -95,21 +128,37 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, list[tuple[int, ...
         raise FormatError(
             f"rank and vector count must be positive, got {rank} and {count}")
     min_norm = parse_rational(header[2])
-    if len(lines) != count + 1:
-        raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")
-    vectors = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != rank:
-            raise FormatError(f"expected {rank} coordinates per vector")
-        if not all(_INT_RE.match(t) for t in tokens):
-            raise FormatError(f"vector coordinates must be integers: {line!r}")
-        vec = tuple(int(t) for t in tokens)
-        # vector sets are stored as int64, with |x| representable too
-        if max(map(abs, vec), default=0) >= 2**63:
-            raise FormatError(
-                f"vector coordinate out of range (|x| < 2^63): {line!r}")
-        vectors.append(vec)
+    buf, batch = array("q"), []
+
+    def flush():
+        if batch:
+            ints = np.fromstring(" ".join(batch), dtype=np.int64, sep=" ")
+            buf.frombytes(ints.tobytes())
+            batch.clear()
+
+    found, error = 0, None
+    for line in lines:
+        found += 1
+        if error is not None:
+            continue
+        if _ROW_RE.fullmatch(line) and len(line.split()) == rank:
+            batch.append(line)
+            if len(batch) == _BATCH:
+                flush()
+            continue
+        try:
+            row = _vector_row(line, rank)
+        except FormatError as exc:
+            error = exc
+            continue
+        flush()
+        buf.extend(row)
+    if found != count:
+        raise FormatError(f"expected {count} vectors, found {found}")
+    if error is not None:
+        raise error
+    flush()
+    vectors = np.frombuffer(buf, np.int64).reshape(count, rank)
     return rank, count, min_norm, vectors
 
 
@@ -118,8 +167,10 @@ def read_vector_set(path: str | Path):
 
 
 def write_vector_set(path: str | Path, rank: int, min_norm: Fraction,
-                     vectors: Iterable[Iterable[int]]) -> None:
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    lines = [f"{rank} {len(vecs)} {format_rational(min_norm)}"]
-    lines.extend(" ".join(str(x) for x in v) for v in vecs)
+                     vectors) -> None:
+    """vectors: an integer array, or rows of ints, of width rank."""
+    rows = np.asarray(vectors, dtype=np.int64).reshape(-1, rank).tolist()
+    lines = [f"{rank} {len(rows)} {format_rational(min_norm)}"]
+    fmt = " ".join(["%d"] * rank)
+    lines.extend(fmt % tuple(v) for v in rows)
     Path(path).write_text("\n".join(lines) + "\n")

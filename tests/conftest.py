@@ -32,6 +32,11 @@ def lattice_vectors(name: str) -> VectorSet:
     return vs
 
 
+def as_tuples(vs: VectorSet) -> list[tuple[int, ...]]:
+    """The rows of vs as tuples of Python ints, in canonical order."""
+    return [tuple(row) for row in vs.coords.tolist()]
+
+
 def matmul(a, b):
     """Exact matrix product of nested sequences, as nested tuples."""
     bt = list(zip(*b))

@@ -296,6 +296,15 @@ def test_bad_vector_header_exit_two(tmp_path, capsys, header, command):
     assert "must be positive" in err
 
 
+def test_huge_vector_count_exit_two(tmp_path, capsys):
+    # the header's count is checked against the rows read, not allocated
+    vecs = tmp_path / "count.vecs"
+    vecs.write_text("2 1000000000000 1\n1 0\n")
+    code, out, err = run(capsys, "verify", "--vectors", str(vecs))
+    assert (code, out) == (2, "")
+    assert err == "error: expected 1000000000000 vectors, found 1\n"
+
+
 @pytest.mark.parametrize("command",
                          ["verify", "spectrum", "embed", "export-coords"])
 def test_duplicate_vectors_exit_two(tmp_path, capsys, command):

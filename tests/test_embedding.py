@@ -34,7 +34,7 @@ from sphdesign.gegenbauer import gegenbauer
 from sphdesign.linalg import GramMatrix, invert, ldlt, psd_rank
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
-from conftest import lattice_vectors
+from conftest import as_tuples, lattice_vectors
 
 
 def harm_dim_reference(k: int, d: int) -> int:
@@ -210,7 +210,7 @@ def test_harmonic_frame_both_sides_of_bound(k):
     assert psi.dtype == (np.int64 if k <= 2 ** 30 else object)
     # s = c = 1, E = I: Psi_x = 2 x x^T - m I, upper triangle
     want = [[2 * a * a - m, 2 * a * b, 2 * b * b - m]
-            for a, b in half.as_tuples()]
+            for a, b in as_tuples(half)]
     assert psi.tolist() == want
     assert harmonic_rank(half) == psd_rank(embedded_gram(half).entries) \
         == (True, 2)
@@ -225,7 +225,7 @@ def test_embedded_gram_both_sides_of_bound(k):
                      antipodal=False)
     half.validate()
     g = gegenbauer(2, 1)
-    rows = half.as_tuples()
+    rows = as_tuples(half)
     want = [[g(F(v[0] * w[0] + v[1] * w[1], k * k + j * j)) for w in rows]
             for v in rows]
     eg = embedded_gram(half)

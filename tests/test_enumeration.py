@@ -6,10 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sphdesign import enumeration
@@ -25,9 +26,9 @@ from sphdesign.enumeration import (
     shortest_norm_and_vectors,
     size_reduce,
 )
-from sphdesign.linalg import GramMatrix, LinalgError
+from sphdesign.linalg import GramMatrix, LinalgError, invert, ldlt
 
-from conftest import matmul, quadratic_form, union_with_negation
+from conftest import as_tuples, matmul, quadratic_form, union_with_negation
 
 
 def box_scan(g: GramMatrix, bound, radius: int) -> set[tuple[int, ...]]:
@@ -279,6 +280,14 @@ def test_exact_norms_both_sides_of_bound(k):
                                        for v in coords.tolist()]
 
 
+def test_exact_matmul_zero_factor_with_huge_entries():
+    # a zero factor makes the product bound 0; the other factor still
+    # does not fit in int64, so the product runs on Python ints
+    zeros = np.zeros((2, 1), dtype=np.int64)
+    out = enumeration.exact_matmul(zeros, [[2 ** 70, 1]])
+    assert out.tolist() == [[0, 0], [0, 0]]
+
+
 def test_halving_canonical_rule():
     vs = minimal_vector_set(A2)
     half = halve_antipodal(vs)
@@ -293,14 +302,14 @@ def test_halving_seeded_deterministic():
     vs = minimal_vector_set(A2)
     a = halve_antipodal(vs, seed=99)
     b = halve_antipodal(vs, seed=99)
-    assert a.as_tuples() == b.as_tuples()
+    assert as_tuples(a) == as_tuples(b)
 
 
 def test_halving_union_roundtrip():
     vs = minimal_vector_set(GramMatrix.from_rows(D4_ROWS))
     for seed in (None, 0, 1, 2):
         back = union_with_negation(halve_antipodal(vs, seed=seed))
-        assert back.as_tuples() == vs.as_tuples()
+        assert as_tuples(back) == as_tuples(vs)
         assert back.antipodal
 
 
@@ -356,4 +365,178 @@ def test_enumeration_properties_random_forms(g, bound):
 def test_halve_union_random_forms(g):
     vs = minimal_vector_set(g)
     back = union_with_negation(halve_antipodal(vs))
-    assert back.as_tuples() == vs.as_tuples()
+    assert as_tuples(back) == as_tuples(vs)
+
+
+# --- the breadth-first sweep: float tier, exact tier and a box oracle ----
+
+def _certified(g: GramMatrix, bound) -> bool:
+    p, lam = ldlt(g.entries)
+    cert = enumeration._float_certificate(g.scale, p, lam, F(bound))
+    return cert is not None
+
+
+def _box_radii(g: GramMatrix, bound) -> list[int]:
+    """|v_j| <= sqrt(bound (g^-1)_jj) when v^T g v <= bound, with g^-1
+    from linalg.invert."""
+    ginv = invert(g)
+    return [isqrt(int(bound * ginv[j, j])) for j in range(g.n)]
+
+
+def _box_oracle(g: GramMatrix, bound) -> set[tuple[int, ...]]:
+    """Every nonzero v with v^T g v <= bound, by an exact box scan."""
+    axes = [np.arange(-r, r + 1) for r in _box_radii(g, bound)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, g.n)
+    keep = (exact_norms(g, pts) <= int(bound * g.scale)) & pts.any(axis=1)
+    return {tuple(v) for v in pts[keep].tolist()}
+
+
+def _sweep_set(g: GramMatrix, bound) -> set[tuple[int, ...]]:
+    """_fincke_pohst on g itself (no reduction), kept by exact norm, with
+    the negations of its one-per-pair rows."""
+    half = enumeration._fincke_pohst(g, F(bound))
+    half = half[exact_norms(g, half) <= int(bound * g.scale)]
+    rows = {tuple(v) for v in half.tolist()}
+    negated = {tuple(-x for x in v) for v in rows}
+    assert len(rows) == len(half) and not rows & negated
+    return rows | negated
+
+
+def _scaled(g: GramMatrix, k: int) -> GramMatrix:
+    return GramMatrix.from_rows([[g[i, j] * k for j in range(g.n)]
+                                 for i in range(g.n)])
+
+
+@st.composite
+def _skewed_cases(draw):
+    """A skewed positive definite Gram (n <= 4, scale 1, 3, 7 or 12) that
+    is not LLL-reduced, and a bound equal to one of its basis norms, so
+    that vectors lie on the boundary of the search."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    rows = [[sum(a[k][i] * a[k][j] for k in range(n)) + (1 if i == j else 0)
+             for j in range(n)] for i in range(n)]
+    g = GramMatrix.from_rows(rows)
+    if n > 1:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        g = _congruent(_random_unimodular(n, rng, draw(st.integers(0, 6))), g)
+    den = draw(st.sampled_from([1, 3, 7, 12]))
+    g = GramMatrix.from_rows([[F(x, den) for x in row] for row in g.entries])
+    bound = g[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))]
+    bound = abs(bound) if bound else g[0, 0]
+    return g, bound
+
+
+@pytest.mark.parametrize("chunk", [1, enumeration._CHUNK])
+@given(case=_skewed_cases())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
+    # the same lattice scaled by 2^70 has every D_i above 2^64, past the
+    # float certificate, so it runs the exact tier on the same problem
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    g, bound = case
+    assume(np.prod([2 * r + 1 for r in _box_radii(g, bound)]) <= 20000)
+    big = _scaled(g, 2**70)
+    assert _certified(g, bound) and not _certified(big, bound * 2**70)
+    want = _box_oracle(g, bound)
+    assert _sweep_set(g, bound) == want
+    assert _sweep_set(big, bound * 2**70) == want
+
+
+@pytest.mark.parametrize("name, chunks", [
+    ("E6dual", (1, None)), ("E7dual", (1, None)), ("E8", (1, None)),
+    ("CT12", (None,)), ("BW16", (None,))])
+def test_float_tier_matches_exact_tier(monkeypatch, name, chunks):
+    spec = catalog(name)
+    red, _ = size_reduce(spec.gram)
+    bound = min(red[i, i] for i in range(red.n))
+    assert _certified(red, bound)
+    sets = []
+    for exact in (False, True):
+        if exact:
+            monkeypatch.setattr(enumeration, "_float_levels", lambda *a: None)
+        for chunk in chunks:
+            monkeypatch.setattr(enumeration, "_CHUNK",
+                                chunk or enumeration._CHUNK)
+            sets.append(_sweep_set(red, bound))
+    assert all(s == sets[0] for s in sets)
+    assert len(sets[0]) == spec.expected_kissing
+
+
+def test_float_superset_is_cut_by_exact_norms():
+    # the norm-2 vectors of A2 pass the float filter at a bound just below
+    # 2; only the exact norms remove them
+    bound = 2 - F(1, 10**18)
+    assert _certified(A2, bound)
+    assert len(enumeration._fincke_pohst(A2, bound)) == 3
+    assert enumerate_short_vectors(A2, bound).shape == (0, 2)
+    assert box_scan(A2, bound, 3) == set()
+
+
+def _oracle_certificate(g: GramMatrix, bound: F):
+    """(X, eta, eps) by the formulas of _float_certificate's docstring,
+    from the Fraction Gram-Schmidt oracle _gso and linalg.invert."""
+    mu, bstar = _gso(g)
+    n, u = g.n, F(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    xs = _box_radii(g, bound)
+    e_next, eta = F(0), [F(0)] * n
+    for i in reversed(range(n)):
+        m = sum(abs(mu[j][i]) * xs[j] for j in range(i + 1, n))
+        y = enumeration._sqrt_up(bound / bstar[i])
+        delta = gamma(n - i) * m
+        e = delta + u * (y + delta)
+        tau = bstar[i] * (e * (2 * y + e) + gamma(3) * (y + e) ** 2)
+        eta[i] = (delta + 2 * gamma(4) * y
+                  + enumeration._sqrt_up(e_next / bstar[i])
+                  + gamma(3) * (2 * y + m + delta + 1))
+        e_next = e_next + tau + u * (bound + e_next + tau)
+    return xs, eta, e_next
+
+
+@pytest.mark.parametrize("name", ["A2", "E6dual", "E7dual", "E8", "CT12"])
+def test_float_certificate_matches_its_formula(name):
+    red, _ = size_reduce(catalog(name).gram)
+    bound = min(red[i, i] for i in range(red.n))
+    p, lam = ldlt(red.entries)
+    got = enumeration._float_certificate(red.scale, p, lam, bound)
+    assert got == _oracle_certificate(red, bound)
+    assert got[2] > 0
+
+
+@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
+@settings(max_examples=100)
+def test_sqrt_up_is_a_tight_upper_bound(q):
+    s = enumeration._sqrt_up(q)
+    assert s * s >= q and (s - F(1, 2**64)) ** 2 <= q or s <= F(1, 2**64)
+
+
+@given(_skewed_cases())
+@settings(max_examples=60, deadline=None)
+def test_coordinate_bounds_match_inverse(case):
+    g, bound = case
+    p, lam = ldlt(g.entries)
+    assert enumeration._coordinate_bounds(g.scale, p, lam, bound) \
+        == _box_radii(g, bound)
+
+
+def test_vector_set_sorts_rows_and_derives_antipodal():
+    rows = [[0, 1], [1, 0], [0, -1], [-1, 0]]
+    vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1),
+                   coords=np.array(rows))
+    assert vs.coords.tolist() == sorted(rows) and vs.antipodal
+    half = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1),
+                     coords=np.array(rows[:2]))
+    assert half.coords.tolist() == [[0, 1], [1, 0]] and not half.antipodal
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                max_size=12))
+@settings(max_examples=100)
+def test_lex_sorted_matches_sorted(rows):
+    c = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    assert enumeration._lex_sorted(c) == (rows == sorted(rows))

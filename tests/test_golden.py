@@ -121,6 +121,16 @@ GOLDEN = {
 }
 
 
+# sha256 of the file `minvec --lattice NAME --out F` writes, taken from the
+# program before vector files were written from int64 rows
+VECTOR_FILES = {
+    "BW16":
+        "9716316f78d18f1b9f81b6df711d48145c65f75ca2fc5d68ed6e2d7834c8d44c",
+    "E7dual":
+        "ab3c8ce1eaa36a45bb24d5b0628470295a34fa52a23f84c0ad0f4c9c4873ef07",
+}
+
+
 def transcript_digest(command: str) -> str:
     """sha256 of the exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -134,6 +144,14 @@ def transcript_digest(command: str) -> str:
 def test_golden_transcript(command):
     assert transcript_digest(command) == GOLDEN[command], \
         f"output of `sphdesign {command}` changed"
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FILES))
+def test_golden_vector_file(name, tmp_path):
+    out = tmp_path / f"{name}.vecs"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["minvec", "--lattice", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VECTOR_FILES[name]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -62,7 +63,7 @@ def test_vector_set_roundtrip(tmp_path):
     write_vector_set(p, 2, F(1), vecs)
     rank, count, min_norm, out = read_vector_set(p)
     assert (rank, count, min_norm) == (2, 4, F(1))
-    assert sorted(out) == sorted(vecs)
+    assert sorted(out.tolist()) == sorted(map(list, vecs))
 
 
 def test_vector_set_header_mismatch():
@@ -90,12 +91,57 @@ def test_vector_roundtrip_property(tmp_path_factory, vecs):
     write_vector_set(p, 3, F(7, 2), uniq)
     rank, count, min_norm, out = read_vector_set(p)
     assert rank == 3 and count == len(uniq) and min_norm == F(7, 2)
-    assert sorted(out) == uniq
+    assert sorted(out.tolist()) == [list(v) for v in uniq]
 
 
 def test_vector_coordinates_must_fit_int64():
     rank, _, _, vecs = parse_vector_set(f"1 2 1\n{2 ** 63 - 1}\n{1 - 2 ** 63}\n")
-    assert vecs == [(2 ** 63 - 1,), (1 - 2 ** 63,)]
+    assert vecs.tolist() == [[2 ** 63 - 1], [1 - 2 ** 63]]
     for x in (2 ** 63, -2 ** 63):
         with pytest.raises(FormatError, match="out of range"):
             parse_vector_set(f"1 1 1\n{x}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 1 1\n1.0\n", "vector coordinates must be integers: '1.0'"),
+    ("1 1 1\n0x1\n", "vector coordinates must be integers: '0x1'"),
+    ("1 1 1\n1_0\n", "vector coordinates must be integers: '1_0'"),
+    ("1 1 1\n--1\n", "vector coordinates must be integers: '--1'"),
+    ("1 1 1\n-\n", "vector coordinates must be integers: '-'"),
+    ("2 1 1\n1\n", "expected 2 coordinates per vector"),
+    ("2 1 1\n1 0 0\n", "expected 2 coordinates per vector"),
+    (f"1 1 1\n{2 ** 63}\n",
+     f"vector coordinate out of range (|x| < 2^63): '{2 ** 63}'"),
+    (f"1 1 1\n{-2 ** 63}\n",
+     f"vector coordinate out of range (|x| < 2^63): '{-2 ** 63}'"),
+    # a bad row after good ones; a count mismatch is reported first
+    ("2 2 1\n1 0\n0 x\n", "vector coordinates must be integers: '0 x'"),
+    ("2 3 1\n1 0\n0 x\n", "expected 3 vectors, found 2"),
+])
+def test_vector_set_hostile_rows(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_vector_set(text)
+    assert str(exc.value) == message
+
+
+def test_vector_set_long_and_padded_integers():
+    # leading zeros past 18 digits, signs, tabs and comments parse exactly,
+    # in file order around the rows the fast path takes
+    text = ("2 3 5 # header\n+1 -2\n" + "0" * 20 + "3\t-4 # c\n\n"
+            f"{2 ** 63 - 1}   {1 - 2 ** 63}\n")
+    _, _, _, vecs = parse_vector_set(text)
+    assert vecs.dtype == "int64"
+    assert vecs.tolist() == [[1, -2], [3, -4], [2 ** 63 - 1, 1 - 2 ** 63]]
+
+
+def test_vector_set_header_count_allocates_nothing():
+    # a header claiming 10^12 vectors fails on the count, with no
+    # allocation sized from it
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="expected 10+ vectors"):
+            parse_vector_set("2 1000000000000 1\n1 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -21,11 +21,11 @@ from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
 
-from conftest import lattice_vectors
+from conftest import as_tuples, lattice_vectors
 
 
 def brute_spectrum(vs: VectorSet) -> dict[F, int]:
-    rows = vs.as_tuples()
+    rows = as_tuples(vs)
     g = vs.gram
     counts: Counter[F] = Counter()
     for v in rows:
