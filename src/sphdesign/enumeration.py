@@ -26,7 +26,7 @@ from math import inf, isqrt, lcm, nextafter, prod
 
 import numpy as np
 
-from .linalg import GramMatrix, LinalgError, ldlt
+from .linalg import GramMatrix, LinalgError, ldlt, ldlt_row
 
 
 class EnumerationError(ValueError):
@@ -150,16 +150,10 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
     lam = [[0] * n for _ in range(n)]
 
     def gram_schmidt(k: int) -> None:
-        for j in range(k + 1):
-            u = a[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            elif u <= 0:
-                raise LinalgError("gram matrix is not positive definite")
-            else:
-                d[k + 1] = u
+        u = ldlt_row(a[k][:k + 1], lam, d)
+        if u[k] <= 0:
+            raise LinalgError("gram matrix is not positive definite")
+        lam[k][:k], d[k + 1] = u[:k], u[k]
 
     def reduce_pair(k: int, l: int) -> None:
         # b_k <- b_k - q b_l with q the integer nearest mu_kl
@@ -450,6 +444,9 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
 
     The map back to input coordinates is an exact_matmul; a coordinate
     that does not fit in int64 (with its negation) raises EnumerationError.
+    Each row takes the sign that makes its first nonzero coordinate
+    positive, and only that half is sorted: negation reverses the order
+    and puts every such row last, so the set is -half[::-1], then half.
     """
     half = exact_matmul(half, trans)
     if half.dtype == object:
@@ -458,8 +455,10 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
             raise EnumerationError(
                 f"vector coordinate of magnitude {big} does not fit in int64")
         half = half.astype(np.int64)
-    full = np.concatenate([half, -half])
-    return full[np.lexsort(full.T[::-1])]
+    first = half[np.arange(len(half)), np.argmax(half != 0, axis=1)]
+    np.negative(half, out=half, where=(first < 0)[:, None])
+    half = half[np.lexsort(half.T[::-1])]
+    return np.concatenate([-half[::-1], half])
 
 
 def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:

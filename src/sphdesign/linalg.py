@@ -3,11 +3,10 @@
 A GramMatrix G is held once as integers, (c, c*G) with c the smallest
 scale clearing its denominators; Fraction appears only where rationals
 come in (from_rows, invert) or a single entry is read out.  There is one
-symmetric elimination, ldlt: a fraction-free (Bareiss) LDL^T of an integer
-matrix, whose pivots and multipliers the PSD rank certificate, the
-positive-definiteness check, the Fincke-Pohst level data and the float
-coordinate export all read.  No rounding anywhere; floating point never
-enters this module.
+symmetric elimination, the fraction-free (Bareiss) LDL^T, one row at a
+time (ldlt_row): ldlt, for the PSD rank, positive-definiteness and
+Fincke-Pohst level data, the integral LLL and the float coordinate
+export all run it.  No rounding; floating point never enters this module.
 """
 
 from __future__ import annotations
@@ -91,44 +90,69 @@ class GramMatrix:
         """Sylvester's criterion: every leading principal minor of c*self,
         i.e. every pivot of its integer LDL^T, is positive."""
         try:
-            pivots, _ = ldlt(self.entries)
+            return all(p > 0 for p in ldlt(self.entries)[0])
         except PivotError:
             return False
-        return all(p > 0 for p in pivots)
+
+
+def ldlt_row(a, lam, d) -> list:
+    """One up-looking step of the fraction-free (Bareiss) LDL^T.
+
+    a[j] is the row's entry in the column of the j-th row kept so far,
+    lam[j] that row's multipliers and d[j + 1] its pivot (d[0] = 1); the
+    last entry of a is the row's diagonal.  Returns the row's multipliers
+    and, last, its pivot, zero when the row depends on the kept rows of a
+    PSD matrix.  Entries may be object arrays, one per row of a batch.
+    """
+    u = []
+    for x, v in zip(a, [*lam[:len(a) - 1], u]):
+        u.append(_eliminate(x, u, v, d))
+    return u
+
+
+def _eliminate(x, u, v, d):
+    """x after one Bareiss step per kept row, for rows with multipliers u
+    and v against those rows; every division is exact."""
+    for i, ui in enumerate(u):
+        x = (d[i + 1] * x - ui * v[i]) // d[i]
+    return x
 
 
 def ldlt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Unpivoted fraction-free (Bareiss) LDL^T of a symmetric integer matrix.
 
-    Only the lower triangle of a is read.  Returns (p, lam): p[k] is the
-    k-th integer pivot, the leading principal minor of the rows and
-    columns kept so far, and lam[i][k] (k < i) the scaled multiplier, so
-    that L[i][k] = lam[i][k] / p[k] and D[k] = p[k] / p_prev with p_prev
-    the last nonzero pivot before k (1 if none).  A zero pivot whose
-    column is zero below it is skipped (D[k] = 0, column k of L zero) and
-    the previous pivot is kept; every division is exact.
+    Only the lower triangle of a is read, one row at a time (ldlt_row).
+    Returns (p, lam): p[k] is the k-th integer pivot, the leading
+    principal minor of the rows and columns kept so far, and lam[i][k]
+    (k < i) the scaled multiplier, so that L[i][k] = lam[i][k] / p[k] and
+    D[k] = p[k] / p_prev with p_prev the last nonzero pivot before k (1 if
+    none).  A zero pivot whose column is zero below it is skipped (D[k] =
+    0, column k of L zero) and the previous pivot is kept; every division
+    is exact.
 
     Raises PivotError on a zero pivot with a nonzero column below it.
     """
-    n = len(a)
-    low = [[index(x) for x in row[:i + 1]] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        pivot = low[k][k]
-        col = [low[i][k] for i in range(k + 1, n)]
-        if pivot == 0:
-            if any(col):
-                raise PivotError(
-                    f"zero pivot at step {k} with nonzero remainder; "
-                    f"the matrix is not positive semidefinite")
-            continue
-        for i, ct in enumerate(col, start=k + 1):
-            row = low[i]
-            row[k + 1:] = [(pivot * x - ct * cu) // prev
-                           for x, cu in zip(row[k + 1:], col)]
-        prev = pivot
-    pivots = [row.pop() for row in low]     # the diagonal; low keeps lam
-    return pivots, low
+    kept, skipped = {}, {}      # row -> its multipliers against kept rows
+    d, pivots, lam = [1], [], []
+    for i, row in enumerate(a):
+        row = [index(x) for x in row[:i + 1]]
+        *u, pivot = ldlt_row([row[k] for k in kept] + [row[i]],
+                             list(kept.values()), d)
+        bad = [k for k, v in skipped.items()
+               if _eliminate(row[k], u[:len(v)], v, d)]
+        if bad:
+            raise PivotError(
+                f"zero pivot at step {bad[0]} with nonzero remainder; "
+                f"the matrix is not positive semidefinite")
+        full = dict(zip(kept, u))
+        lam.append([full.get(k, 0) for k in range(i)])
+        pivots.append(pivot)
+        if pivot:
+            kept[i] = u
+            d.append(pivot)
+        else:
+            skipped[i] = u
+    return pivots, lam
 
 
 def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
@@ -142,10 +166,9 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
     is PSD with the same rank over Q, so ldlt never raises on it.  A
     caller keeps the Bareiss minors small by dividing a by the gcd of its
     entries first, which changes neither answer.  The embedded rank
-    certificate (embedding.harmonic_rank) calls it twice, on matrices of
-    side n(n+1)/2 for a rank-n lattice: the Gram matrix of its Harm_2
-    coordinate basis, for the PSD verdict, and the gcd-reduced Psi^T Psi
-    of the coordinates, for the rank.
+    certificate (embedding.harmonic_rank) calls it once, on the
+    gcd-reduced Psi^T Psi of the Harm_2 coordinates of a rank-n lattice,
+    of side n(n+1)/2.
     """
     n = len(a)
     if any(len(row) != n for row in a):

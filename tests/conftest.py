@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sphdesign.catalog import catalog
+from sphdesign.embedding import embedded_gram
 from sphdesign.enumeration import (
     NotAntipodalError,
     VectorSet,
@@ -51,6 +52,32 @@ def quadratic_form(g: GramMatrix, v) -> Fraction:
     total = sum(vi * rows[i][j] * vj
                 for i, vi in enumerate(v) for j, vj in enumerate(v))
     return Fraction(total, g.scale)
+
+
+def harmonic_gram(g: GramMatrix) -> list[list[int]]:
+    """W, the Gram matrix of the coordinate basis of embedding.harmonic_frame
+    under <S, T> = tr(cG S cG T), cG = g.entries.
+
+    W[p][q] = tr(cG S_p cG S_q) for the symmetric basis matrices S_p (E_ii,
+    or E_ij + E_ji for i < j, ordered as numpy.triu_indices), so that
+    Psi_x^T W Psi_y = <Psi_x, Psi_y>; W[p][q] = u_p u_q (G_ik G_jl
+    + G_il G_jk) / 2 for p = (i, j), q = (k, l), with u = 1 on the
+    diagonal and 2 off it.
+    """
+    iu, ju = np.triu_indices(g.n)
+    ga = np.array(g.entries, dtype=object)
+    u = np.where(iu == ju, 1, 2).astype(object)
+    w = ((ga[np.ix_(iu, iu)] * ga[np.ix_(ju, ju)]
+          + ga[np.ix_(iu, ju)] * ga[np.ix_(ju, iu)])
+         * np.multiply.outer(u, u) // 2)
+    return w.tolist()
+
+
+def embedded_block(half: VectorSet) -> list[list[int]]:
+    """The whole N/2 x N/2 integer block embedding.embedded_gram gives for
+    the rows of half; its diagonal entries are the scale."""
+    every = np.arange(half.count)
+    return embedded_gram(half, every, every).tolist()
 
 
 def union_with_negation(vs: VectorSet) -> VectorSet:

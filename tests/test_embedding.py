@@ -34,7 +34,7 @@ from sphdesign.gegenbauer import gegenbauer
 from sphdesign.linalg import GramMatrix, invert, ldlt, psd_rank
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
-from conftest import as_tuples, lattice_vectors
+from conftest import as_tuples, embedded_block, harmonic_gram, lattice_vectors
 
 
 def harm_dim_reference(k: int, d: int) -> int:
@@ -141,22 +141,24 @@ def _half(name, seed):
 @pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("name", FRAME_LATTICES)
 def test_harmonic_frame_reproduces_embedded_gram(name, seed):
-    # Psi W Psi^T = s^2 c^2 n (n-1) m^2 A exactly, A = entries / scale
+    # Psi W Psi^T = s^2 c^2 n (n-1) m^2 A exactly, A = block / scale
     half = _half(name, seed)
-    psi, w = harmonic_frame(half)
+    psi = harmonic_frame(half)
+    w = harmonic_gram(half.gram)
     n, c, m = half.rank, half.gram.scale, half.m
     assert psi.shape == (half.count, n * (n + 1) // 2)
     kappa = invert(half.gram).scale ** 2 * c * c * n * (n - 1) * m * m
-    eg = embedded_gram(half)
-    got = exact_matmul(psi, w, psi.T).astype(object) * eg.scale
-    assert got.tolist() == [[kappa * x for x in row] for row in eg.entries]
+    block = embedded_block(half)
+    scale = block[0][0]
+    got = exact_matmul(psi, w, psi.T).astype(object) * scale
+    assert got.tolist() == [[kappa * x for x in row] for row in block]
 
 
 @pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("name", FRAME_LATTICES)
 def test_harmonic_rank_equals_block_rank(name, seed):
     half = _half(name, seed)
-    assert harmonic_rank(half) == psd_rank(embedded_gram(half).entries)
+    assert harmonic_rank(half) == psd_rank(embedded_block(half))
 
 
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8", "CT12"])
@@ -164,7 +166,6 @@ def test_frame_without_inverse_correction_raises(monkeypatch, name):
     # s c n x x^T alone is not traceless: the minimal vectors of a perfect
     # lattice span every symmetric matrix, one more than dim Harm_2
     half = _half(name, None)
-    _, w = harmonic_frame(half)
     n = half.rank
     scn = invert(half.gram).scale * half.gram.scale * n
     iu, ju = np.triu_indices(n)
@@ -172,7 +173,7 @@ def test_frame_without_inverse_correction_raises(monkeypatch, name):
     bare = scn * x[:, iu] * x[:, ju]
     target = dim_harm(2, half.sphere_dim)
     assert psd_rank(exact_matmul(bare.T, bare).tolist())[1] == target + 1
-    monkeypatch.setattr(embedding, "harmonic_frame", lambda h: (bare, w))
+    monkeypatch.setattr(embedding, "harmonic_frame", lambda h: bare)
     with pytest.raises(EmbeddingError, match="exceeds dim Harm"):
         harmonic_rank(half)
 
@@ -185,15 +186,67 @@ def test_frame_rejects_wrong_inverse(monkeypatch):
         harmonic_rank(half)
 
 
-def test_harmonic_rank_indefinite_form():
-    # x^2 - 2 y^2 = 1 on three vectors: W is indefinite, so there is no
-    # PSD certificate, and A (products 3, 3 and 17) is not PSD either
+def _indefinite_half():
+    """x^2 - 2 y^2 = 1 on three vectors, products 3, 3 and 17."""
     half = VectorSet(gram=GramMatrix.from_rows([[1, 0], [0, -2]]),
                      min_norm=1, coords=np.array([[1, 0], [3, 2], [3, -2]]),
                      antipodal=False)
     half.validate()
+    return half
+
+
+def test_harmonic_rank_indefinite_form():
+    # W is indefinite, so there is no PSD certificate, and A is not PSD
+    # either
+    half = _indefinite_half()
     assert harmonic_rank(half)[0] is False
-    assert psd_rank(embedded_gram(half).entries)[0] is False
+    assert psd_rank(embedded_block(half))[0] is False
+
+
+_small = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def _forms(draw):
+    """Symmetric integer forms of side 1 to 4: arbitrary ones, mostly
+    indefinite, and B^T B, singular when B has fewer rows than columns
+    and positive definite when the identity is added."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["any", "singular", "definite"]))
+    if kind == "any":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(_small)
+    else:
+        r = n - 1 if kind == "singular" else n
+        b = [[draw(_small) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(b[k][i] * b[k][j] for k in range(r))
+                 + (kind == "definite" and i == j) for j in range(n)]
+                for i in range(n)]
+    return GramMatrix.from_rows(rows)
+
+
+@given(_forms())
+@settings(max_examples=150, deadline=None)
+def test_harmonic_gram_definite_exactly_when_form_is(g):
+    # <S, S> = tr(cG S cG S) is |R S R^T|_F^2 for cG = R^T R, and also for
+    # cG = -R^T R: W is positive definite exactly when cG is definite.  A
+    # vector of norm m > 0 rules out the negative definite forms, so for a
+    # vector set W is positive definite exactly when cG is
+    # (harmonic_rank's verdict)
+    w = harmonic_gram(g)
+    is_psd, rank = psd_rank(w)
+    neg = GramMatrix(g.scale, tuple(tuple(-x for x in row)
+                                    for row in g.entries))
+    assert (is_psd and rank == len(w)) == \
+        (g.is_positive_definite() or neg.is_positive_definite())
+
+
+def test_harmonic_gram_negative_definite_form():
+    g = GramMatrix.from_rows([[-2, 1], [1, -2]])
+    assert psd_rank(harmonic_gram(g)) == (True, 3)
+    assert not g.is_positive_definite()
 
 
 @pytest.mark.parametrize("k", [2 ** 30, 2 ** 30 + 1])
@@ -206,13 +259,13 @@ def test_harmonic_frame_both_sides_of_bound(k):
                      coords=np.array([[k, j], [j, k], [j, -k]]),
                      antipodal=False)
     half.validate()
-    psi, _ = harmonic_frame(half)
+    psi = harmonic_frame(half)
     assert psi.dtype == (np.int64 if k <= 2 ** 30 else object)
     # s = c = 1, E = I: Psi_x = 2 x x^T - m I, upper triangle
     want = [[2 * a * a - m, 2 * a * b, 2 * b * b - m]
             for a, b in as_tuples(half)]
     assert psi.tolist() == want
-    assert harmonic_rank(half) == psd_rank(embedded_gram(half).entries) \
+    assert harmonic_rank(half) == psd_rank(embedded_block(half)) \
         == (True, 2)
 
 
@@ -228,22 +281,46 @@ def test_embedded_gram_both_sides_of_bound(k):
     rows = as_tuples(half)
     want = [[g(F(v[0] * w[0] + v[1] * w[1], k * k + j * j)) for w in rows]
             for v in rows]
-    eg = embedded_gram(half)
-    assert [[F(x, eg.scale) for x in row] for row in eg.entries] == want
+    block = embedded_block(half)
+    assert [[F(x, block[0][0]) for x in row] for row in block] == want
+
+
+@pytest.mark.parametrize("m, k, j", [(1239850258, 28867, 20163),
+                                     (1239850273, 35208, 497)])
+def test_embedded_gram_int64_both_sides_of_bound(m, k, j):
+    # on S^1, g(t) = 2 t^2 - 1: the block is int64 while
+    # 2 max|P|^2 + m^2 = 3 m^2 < 2^62, up to m = 1239850262
+    half = VectorSet(gram=GramMatrix.identity(2), min_norm=m,
+                     coords=np.array([[k, j], [j, k], [j, -k]]),
+                     antipodal=False)
+    half.validate()
+    every = np.arange(3)
+    block = embedded_gram(half, every, every)
+    assert block.dtype == (np.int64 if 3 * m * m < 2 ** 62 else object)
+    g = gegenbauer(2, 1)
+    rows = as_tuples(half)
+    assert [[F(int(x), int(block[0, 0])) for x in row] for row in block] == \
+        [[g(F(v[0] * w[0] + v[1] * w[1], m)) for w in rows] for v in rows]
 
 
 @pytest.mark.parametrize("name, factor", [
     ("A2", 2), ("D4", 4), ("E6", 2), ("E6dual", 2), ("E7", 1),
     ("E7dual", 2), ("E8", 4), ("CT12", 4)])
 def test_embedded_gram_reduced(name, factor):
-    # entries and scale share no factor: the common factor of the block
-    # at scale l m^2 is divided out
+    # factor is the common factor of the whole block at scale l m^2; the
+    # block is divided by k = gcd(c2, c0 m^2), the factor every value of
+    # c2 p^2 + c0 m^2 shares whatever the products p.  That is all of it
+    # but on E7dual, whose products are all odd, as is m = 3: there
+    # 7 p^2 - 9 is even, but 7 and 9 share nothing
     half = halve_antipodal(lattice_vectors(name))
-    eg = embedded_gram(half)
-    assert gcd(*(x for row in eg.entries for x in row)) == 1
+    block = embedded_block(half)
     coeffs = gegenbauer(2, half.sphere_dim).coefficients
     lden = lcm(*(c.denominator for c in coeffs))
-    assert eg.scale * factor == lden * half.m ** 2
+    c0, _, c2 = (int(c * lden) for c in coeffs)
+    k = gcd(c2, c0 * half.m ** 2)
+    assert block[0][0] * k == lden * half.m ** 2
+    assert gcd(*(x for row in block for x in row)) * k == factor
+    assert (k == factor) == (name != "E7dual")
 
 
 def test_rank_certificate_ct12():
@@ -266,21 +343,20 @@ def test_half_block_certificate_equals_mirrored(name):
     # [[1, -1], [-1, 1]] (x) A has the PSD verdict and the rank of A
     vs = lattice_vectors(name)
     for seed in (None, 0, 7):
-        eg = embedded_gram(halve_antipodal(vs, seed=seed))
-        assert 2 * len(eg.entries) == vs.count
-        assert psd_rank(eg.entries) == psd_rank(_mirrored(eg.entries)), \
-            (name, seed)
+        block = embedded_block(halve_antipodal(vs, seed=seed))
+        assert 2 * len(block) == vs.count
+        assert psd_rank(block) == psd_rank(_mirrored(block)), (name, seed)
 
 
-def test_embedded_gram_rejects_antipodal(hexagon):
+def test_realize_coordinates_rejects_antipodal(hexagon):
     with pytest.raises(NotAntipodalError):
-        embedded_gram(lattice_vectors("A2"))
+        realize_coordinates(lattice_vectors("A2"))
 
 
-def test_embedded_gram_cap(e8_vectors):
+def test_realize_coordinates_cap(e8_vectors):
     half = halve_antipodal(e8_vectors)
     with pytest.raises(EmbeddingError, match="spectrum-only"):
-        embedded_gram(half, cap=100)
+        realize_coordinates(half, cap=100)
 
 
 def test_halving_invariance_ten_seeds(d4_vectors):
@@ -306,25 +382,56 @@ def test_realize_coordinates_equal_mirrored_ldlt(name):
     # rows of LDL^T of [[A, -A], [-A, A]], scaled by sqrt(D): the bottom
     # half is the negated top half and the pivots after A's are zero
     half = halve_antipodal(lattice_vectors(name))
-    eg = embedded_gram(half)
-    pivots, lam = ldlt(_mirrored(eg.entries))
-    # D[j] = p[j] / (p_prev * scale) for A = entries / scale; L unit lower
+    block = embedded_block(half)
+    pivots, lam = ldlt(_mirrored(block))
+    # D[j] = p[j] / (p_prev * scale) for A = block / scale; L unit lower
     # triangular with L[i][j] = lam[i][j] / p[j]
     roots, prev = {}, 1
     for j, p in enumerate(pivots):
         if p:
-            roots[j] = sqrt(F(p, prev * eg.scale))
+            roots[j] = sqrt(F(p, prev * block[0][0]))
             prev = p
 
     def lmat(i, j):
         return F(int(i == j)) if j >= i else F(lam[i][j], pivots[j])
 
     want = [tuple([float(lmat(i, j)) * r for j, r in roots.items()]
-                  + [0.0] * (eg.target_D - len(roots)))
+                  + [0.0] * (dim_harm(2, half.sphere_dim) - len(roots)))
             for i in range(len(pivots))]
     got = realize_coordinates(half)
     assert [[x.hex() for x in row] for row in got] == \
         [[x.hex() for x in row] for row in want]
+
+
+def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
+    # A is formed and factored only against the kept rows, at most
+    # D = dim Harm_2 of them: no block the export builds (embedded_gram)
+    # or factors (ldlt_row, whose last entry is the diagonal) is wider
+    half = _half("CT12", None)
+    dim = dim_harm(2, half.sphere_dim)
+    want = realize_coordinates(half)
+    widths = []
+    real_gram, real_row = embedding.embedded_gram, embedding.ldlt_row
+
+    def gram(h, rows, cols):
+        block = real_gram(h, rows, cols)
+        widths.append(block.shape[1])
+        return block
+
+    def row(a, lam, d):
+        widths.append(len(a) - 1)
+        return real_row(a, lam, d)
+
+    monkeypatch.setattr(embedding, "embedded_gram", gram)
+    monkeypatch.setattr(embedding, "ldlt_row", row)
+    assert realize_coordinates(half) == want
+    assert max(widths) == dim == 77
+
+
+def test_realize_coordinates_indefinite_form_raises():
+    # cG is checked first: no PivotError and no square root of a negative
+    with pytest.raises(EmbeddingError, match="not positive definite"):
+        realize_coordinates(_indefinite_half())
 
 
 def test_realize_coordinates_default_precision_e8(e8_vectors):

@@ -5,7 +5,9 @@ The verify, reproduce, export-coords and CT12 digests were taken from the
 program before the integer Gram forms (GramMatrix as (scale, entries),
 VectorSet.m, the gcd-reduced embedded block) replaced the Fraction ones;
 the E8 and D4 embed and E8 spectrum digests before the embedded code
-became a plain PairSpectrum.  A refactor that changes any byte of output
+became a plain PairSpectrum; the E6dual, E7 --seed 3, CT12 --seed 7 and
+CT12 --decimal 6 export-coords digests before export-coords stopped
+building the N/2 x N/2 embedded Gram block.  A refactor that changes any byte of output
 fails here, naming the command.  Regenerate the table only for an
 intended output change:
 
@@ -46,6 +48,10 @@ COMMANDS = (
         "export-coords --lattice CT12",
         "export-coords --lattice E8 --decimal 9",
         "export-coords --lattice E8 --seed 7",
+        "export-coords --lattice E6dual",
+        "export-coords --lattice E7 --seed 3",
+        "export-coords --lattice CT12 --seed 7",
+        "export-coords --lattice CT12 --decimal 6",
     ]
 )
 
@@ -118,6 +124,14 @@ GOLDEN = {
         '4e27b648cff1a87cadd4ceb1eb202f3eda680036b46bde7fb9dad8c3bbf33681',
     'export-coords --lattice E8 --seed 7':
         '335875a3f9569fc23b12aa82fd9282c236961b4ed3f0050a941800ce4295930a',
+    'export-coords --lattice E6dual':
+        'd38d3ba946867910c646640e1d70ad940908ef42d7a3f47178888098fbc4f408',
+    'export-coords --lattice E7 --seed 3':
+        'bde1a95c1489ede7df671a0fbf785a47d4e3bd18ca0034489af7a53b0093b1b2',
+    'export-coords --lattice CT12 --seed 7':
+        '54ad886c90439477466196d44685cb7ad378c19cd740e8f54fb737e14774132e',
+    'export-coords --lattice CT12 --decimal 6':
+        '83f445dbc8a213dd4cfaaad08e7268f235642a9bd2d23401ba46d3b0f6781617',
 }
 
 
