@@ -1,0 +1,14 @@
+"""numpy, imported on the first attribute a command reads, so commands that
+compute nothing start without it.  A proxy, not importlib's LazyLoader: the
+import statement's module lock keeps a first use from two threads safe."""
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    class _Numpy:
+        def __getattr__(self, name):
+            import numpy    # cached per name: later reads skip this call
+            return vars(self).setdefault(name, getattr(numpy, name))
+    np = _Numpy()

@@ -25,8 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm, sqrt
 
-import numpy as np
-
+from ._numpy import np
 from .enumeration import I64_SAFE, NotAntipodalError, VectorSet, exact_matmul
 from .gegenbauer import gegenbauer
 from .linalg import invert, ldlt_row, psd_rank

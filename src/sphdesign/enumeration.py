@@ -24,8 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from math import inf, isqrt, lcm, nextafter, prod
 
-import numpy as np
-
+from ._numpy import np
 from .linalg import GramMatrix, LinalgError, ldlt, ldlt_row
 
 
@@ -55,7 +54,9 @@ class VectorSet:
     m: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coords, dtype=np.int64)     # own copy, read-only
+        # own copy, read-only: the order and sign checks run in chunks,
+        # so the copy is the only full-size array the constructor keeps
+        c = np.array(self.coords, dtype=np.int64)
         if c.ndim != 2:
             raise ValueError("coords must be a 2-d integer array")
         if not _lex_sorted(c):
@@ -446,7 +447,8 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
     that does not fit in int64 (with its negation) raises EnumerationError.
     Each row takes the sign that makes its first nonzero coordinate
     positive, and only that half is sorted: negation reverses the order
-    and puts every such row last, so the set is -half[::-1], then half.
+    and puts every such row last, so the set is -half[::-1], then half,
+    both written straight into the output.
     """
     half = exact_matmul(half, trans)
     if half.dtype == object:
@@ -457,8 +459,12 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
         half = half.astype(np.int64)
     first = half[np.arange(len(half)), np.argmax(half != 0, axis=1)]
     np.negative(half, out=half, where=(first < 0)[:, None])
-    half = half[np.lexsort(half.T[::-1])]
-    return np.concatenate([-half[::-1], half])
+    n = len(half)
+    out = np.empty((2 * n, half.shape[1]), np.int64)
+    # the default mode="raise" would buffer a full-size copy of out
+    np.take(half, np.lexsort(half.T[::-1]), axis=0, out=out[n:], mode="clip")
+    np.negative(out[n:][::-1], out=out[:n])
+    return out
 
 
 def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
@@ -494,7 +500,8 @@ def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
         raise EnumerationError("no nonzero vectors at the basis-diagonal bound")
     norms = exact_norms(reduced, half)
     m = norms.min()
-    return Fraction(int(m), reduced.scale), _both_signs(half[norms == m], trans)
+    half = half[norms == m]     # drops the larger array before the map back
+    return Fraction(int(m), reduced.scale), _both_signs(half, trans)
 
 
 def minimal_vector_set(gram: GramMatrix) -> VectorSet:
@@ -530,20 +537,36 @@ def halve_antipodal(vs: VectorSet, seed: int | None = None) -> VectorSet:
                      antipodal=False)
 
 
+# rows per chunk of the order and sign checks, so their temporaries stay
+# small next to the set itself
+_CHECK_ROWS = 2**12
+
+
 def _lex_sorted(c: np.ndarray) -> bool:
     """Whether the rows are in non-decreasing lexicographic order: each
-    adjacent pair is equal or first differs upward."""
-    up, down = c[1:] > c[:-1], c[1:] < c[:-1]
-    first = np.argmax(up | down, axis=1)
-    rows = np.arange(len(first))
-    return not np.any(down[rows, first])
+    adjacent pair is equal or first differs upward.  Checked _CHECK_ROWS
+    pairs at a time."""
+    for s in range(0, len(c) - 1, _CHECK_ROWS):
+        hi = c[s + 1:s + 1 + _CHECK_ROWS]
+        lo = c[s:s + len(hi)]
+        rows = np.arange(len(hi))
+        first = np.argmax(hi != lo, axis=1)
+        if np.any(hi[rows, first] < lo[rows, first]):
+            return False
+    return True
 
 
 def is_sign_symmetric(coords: np.ndarray) -> bool:
     """Whether lexicographically sorted, duplicate-free rows are closed
     under negation: negation reverses lexicographic order, so exactly
-    when coords[::-1] == -coords."""
-    return np.array_equal(coords[::-1], -coords)
+    when coords[::-1] == -coords.  Row i is compared with row N-1-i for
+    the first half of the rows, _CHECK_ROWS at a time."""
+    n = len(coords)
+    for s in range(0, (n + 1) // 2, _CHECK_ROWS):
+        e = min(s + _CHECK_ROWS, (n + 1) // 2)
+        if not np.array_equal(coords[s:e], -coords[n - e:n - s][::-1]):
+            return False
+    return True
 
 
 def _unpaired(coords: np.ndarray) -> tuple[int, ...]:

@@ -14,8 +14,7 @@ from array import array
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .linalg import GramMatrix
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")

@@ -2,11 +2,13 @@
 
 A GramMatrix G is held once as integers, (c, c*G) with c the smallest
 scale clearing its denominators; Fraction appears only where rationals
-come in (from_rows, invert) or a single entry is read out.  There is one
+come in (from_rows) or a single entry is read out.  There is one
 symmetric elimination, the fraction-free (Bareiss) LDL^T, one row at a
 time (ldlt_row): ldlt, for the PSD rank, positive-definiteness and
 Fincke-Pohst level data, the integral LLL and the float coordinate
-export all run it.  No rounding; floating point never enters this module.
+export all run it.  invert runs the fraction-free Gauss-Jordan, which
+also pivots past zeros.  No rounding; floating point never enters this
+module.
 """
 
 from __future__ import annotations
@@ -189,20 +191,30 @@ def psd_rank(a: Sequence[Sequence[int]]) -> tuple[bool, int]:
 def invert(g: GramMatrix) -> GramMatrix:
     """Exact inverse; g * invert(g) == identity entrywise.
 
-    Gauss-Jordan on the integer rows of c*g, whose inverse times c is the
-    inverse of g."""
-    n = g.n
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    Fraction-free (Bareiss) Gauss-Jordan on [c*g | I], a row swap past
+    each zero pivot: every entry stays an integer minor, every division
+    is exact, and it ends at [d I | R] with d = +-det(c*g) and
+    R = d (c*g)^-1.  So g^-1 = c (c*g)^-1 = c R / d, scaled here to its
+    minimal integer form.  Raises LinalgError if g is singular."""
+    n, c = g.n, g.scale
+    a = [[*row, *(int(i == j) for j in range(n))]
          for i, row in enumerate(g.entries)]
-    for col in range(n):
-        p = next((i for i in range(col, n) if a[i][col] != 0), None)
+    d = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
         if p is None:
             raise LinalgError("matrix is singular")
-        a[col], a[p] = a[p], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return GramMatrix.from_rows([[g.scale * x for x in row[n:]] for row in a])
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                # columns left of k are never read again
+                a[i][k:] = [(pivot[k] * x - f * y) // d
+                            for x, y in zip(row[k:], pivot[k:])]
+        d = pivot[k]
+    sign = 1 if d > 0 else -1
+    h = gcd(d, c * gcd(*(x for row in a for x in row[n:])))
+    return GramMatrix(abs(d) // h,
+                      tuple(tuple(sign * c * x // h for x in row[n:])
+                            for row in a))

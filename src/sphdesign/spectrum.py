@@ -7,19 +7,20 @@ unnormalized integer vectors in three tiers: float32 or float64 BLAS where
 a proven bound makes every partial sum an exactly represented integer,
 else exact integer products (int64 under a proven bound, else Python
 integers).  The pass streams cache-sized blocks of products into one
-histogram per worker thread, and the counts are converted to rationals
-once per distinct value at the end.
+histogram per worker, the calling thread being worker 0 and each other
+worker a plain thread, and the counts are converted to rationals once per
+distinct value at the end.  numpy is imported on the first array
+operation (see _numpy), not when this module is.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
-
+from ._numpy import np
 from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 
 # rows per product block: a float32 block, its int64 bin indices and the
@@ -112,7 +113,10 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
     min(threads, stripes) workers owns every workers-th row stripe (the
     triangle of blocks then splits about evenly) and counts into its own
     histogram, with off-diagonal blocks counted twice; the worker
-    histograms are summed once at the end.
+    histograms are summed once at the end.  The calling thread runs worker
+    0 and one plain threading.Thread runs each other worker; once every
+    worker is joined, the exception of the lowest-numbered failing worker,
+    if any, is re-raised.
 
     Products come from float32 BLAS when k max|a| max|v| < 2^24, from
     float64 BLAS when it is below 2^53 (either bound makes every partial
@@ -174,11 +178,28 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
                     parts.append((vals, cnt if i == j else 2 * cnt))
         return hist if dense else parts
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(workers)))
-    else:
-        results = [run(0)]
+    results: list = [None] * workers
+    errors: list = [None] * workers
+
+    def work(first: int) -> None:
+        try:
+            results[first] = run(first)
+        except BaseException as exc:
+            errors[first] = exc
+
+    pool = [threading.Thread(target=work, args=(first,))
+            for first in range(1, workers)]
+    try:
+        for thread in pool:
+            thread.start()
+        work(0)
+    finally:
+        for thread in pool:
+            if thread.ident is not None:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     if dense:
         hist = sum(results)
         vals = np.flatnonzero(hist)
@@ -197,6 +218,8 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     For antipodal sets only one representative per pair enters the O(N^2)
     pass; the full spectrum is that of the halved set, mirrored (see
     PairSpectrum.mirrored), an exact identity that quarters the work.
+    The pass runs on at most threads workers (_hist_blocks): the calling
+    thread and up to threads - 1 plain threads.
     """
     if x.count == 0:
         raise SpectrumError("empty vector set")

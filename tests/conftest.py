@@ -19,7 +19,7 @@ from sphdesign.enumeration import (
     VectorSet,
     minimal_vector_set,
 )
-from sphdesign.linalg import GramMatrix
+from sphdesign.linalg import GramMatrix, LinalgError
 from sphdesign.spectrum import pair_spectrum
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -52,6 +52,26 @@ def quadratic_form(g: GramMatrix, v) -> Fraction:
     total = sum(vi * rows[i][j] * vj
                 for i, vi in enumerate(v) for j, vj in enumerate(v))
     return Fraction(total, g.scale)
+
+
+def gauss_jordan_inverse(g: GramMatrix) -> GramMatrix:
+    """Exact inverse by Fraction Gauss-Jordan on the rows of c*g, whose
+    inverse times c is that of g: an oracle for linalg.invert."""
+    n = g.n
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(g.entries)]
+    for col in range(n):
+        p = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if p is None:
+            raise LinalgError("matrix is singular")
+        a[col], a[p] = a[p], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return GramMatrix.from_rows([[g.scale * x for x in row[n:]] for row in a])
 
 
 def harmonic_gram(g: GramMatrix) -> list[list[int]]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -534,9 +536,45 @@ def test_vector_set_sorts_rows_and_derives_antipodal():
     assert half.coords.tolist() == [[0, 1], [1, 0]] and not half.antipodal
 
 
+_check_rows = st.sampled_from([1, 2, 3, 5, 2**12])
+
+
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
-                max_size=12))
-@settings(max_examples=100)
-def test_lex_sorted_matches_sorted(rows):
+                max_size=12), _check_rows)
+@settings(max_examples=150)
+def test_lex_sorted_matches_sorted(rows, chunk):
+    # every chunk size, down to one pair per chunk, gives the same answer
     c = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    assert enumeration._lex_sorted(c) == (rows == sorted(rows))
+    with mock.patch.object(enumeration, "_CHECK_ROWS", chunk):
+        assert enumeration._lex_sorted(c) == (rows == sorted(rows))
+
+
+@given(st.sets(st.tuples(*[st.integers(-2, 2)] * 3), max_size=12),
+       st.booleans(), _check_rows)
+@settings(max_examples=150)
+def test_sign_symmetry_matches_negated_set(rows, close, chunk):
+    if close:
+        rows |= {tuple(-x for x in v) for v in rows}
+    c = np.array(sorted(rows), dtype=np.int64).reshape(-1, 3)
+    want = rows == {tuple(-x for x in v) for v in rows}
+    with mock.patch.object(enumeration, "_CHECK_ROWS", chunk):
+        assert enumeration.is_sign_symmetric(c) == want
+
+
+def test_vector_set_keeps_only_its_own_copy():
+    # 2 x 60 000 sorted, sign-symmetric rows: a constructor checking order
+    # and symmetry on whole-set temporaries (N x rank booleans, -coords)
+    # would more than double its own copy's size
+    rng = np.random.default_rng(5)
+    half = np.unique(rng.integers(1, 2**20, size=(60_000, 8)), axis=0)
+    coords = np.concatenate([-half[::-1], half])
+    assert len(coords) >= 100_000
+    gram = GramMatrix.identity(8)
+    tracemalloc.start()
+    try:
+        vs = VectorSet(gram=gram, min_norm=F(1), coords=coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vs.antipodal and vs.coords.tolist() == coords.tolist()
+    assert peak < coords.nbytes + 2**20

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphdesign.catalog import catalog
 from sphdesign.linalg import (
     GramMatrix,
     LinalgError,
@@ -15,7 +16,7 @@ from sphdesign.linalg import (
     psd_rank,
 )
 
-from conftest import matmul, quadratic_form
+from conftest import gauss_jordan_inverse, matmul, quadratic_form
 
 
 def test_from_rows_symmetrizes_nothing_but_validates():
@@ -178,7 +179,7 @@ def test_invert_roundtrip():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(LinalgError):
+    with pytest.raises(LinalgError, match="^matrix is singular$"):
         invert(GramMatrix.from_rows([[1, 1], [1, 1]]))
 
 
@@ -281,3 +282,26 @@ def test_ldlt_exact_and_equals_fraction_reference(g):
     got = rational_factors(*ldlt(a))
     assert got == want
     assert rebuild(*got) == a
+
+
+@given(st.one_of(_psd_grams(nmax=6), _psd_grams(nmax=5, deficient=True),
+                 _symmetric(nmax=6), _symmetric(zero_diagonal=True)))
+@settings(max_examples=200, deadline=None)
+def test_invert_equals_gauss_jordan_oracle(g):
+    # PD, singular PSD, indefinite and zero-diagonal inputs (the last need
+    # row swaps): the same minimal GramMatrix, or the same error
+    try:
+        want = gauss_jordan_inverse(g)
+    except LinalgError as err:
+        assert str(err) == "matrix is singular"
+        with pytest.raises(LinalgError, match="^matrix is singular$"):
+            invert(g)
+        return
+    assert invert(g) == want
+
+
+@pytest.mark.parametrize("name", ["E8", "CT12", "Leech"])
+def test_invert_catalog_grams(name):
+    g = catalog(name).gram
+    assert invert(g) == gauss_jordan_inverse(g)
+    assert invert(invert(g)) == g

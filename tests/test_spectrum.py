@@ -7,9 +7,11 @@ two-loop Fraction computation on small sets.
 from __future__ import annotations
 
 import itertools
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,37 +167,72 @@ def test_hist_blocks_counting_independent_of_offset():
         assert dense[1].sum() == n ** 2
 
 
+def _count_started_threads(monkeypatch) -> list:
+    """Route spectrum's threads through a subclass that records each start."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(spectrum, "threading",
+                        SimpleNamespace(Thread=Counted))
+    return started
+
+
 def test_pool_never_outnumbers_stripes(monkeypatch):
-    # each worker owns whole row stripes of _BLOCK rows, so a pool larger
-    # than the stripe count would only idle; no thread is started here
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", SerialPool)
-    # (_BLOCK, threads, pool size or None for no pool); A2 halves to 3
-    # rows, E8 to 120
-    cases = {"A2": [(1, 7, 3), (1, 2, 2), (1, 1, None), (256, 4, None)],
-             "E8": [(16, 20, 8), (16, 3, 3), (256, 4, None)]}
+    # each worker owns whole row stripes of _BLOCK rows, so more workers
+    # than stripes would only idle; the calling thread is worker 0, so
+    # workers - 1 threads are started
+    started = _count_started_threads(monkeypatch)
+    # (_BLOCK, threads, workers); A2 halves to 3 rows, E8 to 120
+    cases = {"A2": [(1, 7, 3), (1, 2, 2), (1, 1, 1), (256, 4, 1)],
+             "E8": [(16, 20, 8), (16, 3, 3), (256, 4, 1)]}
     for name, runs in cases.items():
         vs = lattice_vectors(name)
         base = pair_spectrum(vs).entries
         for block, threads, workers in runs:
             monkeypatch.setattr(spectrum, "_BLOCK", block)
-            sizes.clear()
+            started.clear()
             assert pair_spectrum(vs, threads=threads).entries == base
-            assert sizes == ([] if workers is None else [workers])
+            assert len(started) == workers - 1
+            assert not any(t.is_alive() for t in started)
+
+
+def test_failing_worker_reraises_after_join(monkeypatch):
+    # two one-row stripes of a set whose blocks run in exact_matmul: after
+    # the product a = v G, worker 1 (a thread) or every worker raises
+    vs = _skewed_unimodular(2 ** 52)
+    monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    started = _count_started_threads(monkeypatch)
+    real = spectrum.exact_matmul
+    before = threading.active_count()
+    boom = RuntimeError("worker failed")
+
+    def in_thread(*factors):
+        if threading.current_thread() is not threading.main_thread():
+            raise boom
+        return real(*factors)
+
+    monkeypatch.setattr(spectrum, "exact_matmul", in_thread)
+    with pytest.raises(RuntimeError) as err:
+        pair_spectrum(vs, threads=2)
+    assert err.value is boom
+    assert len(started) == 1 and threading.active_count() == before
+
+    calls = []
+
+    def everywhere(*factors):
+        calls.append(None)
+        if len(calls) > 1:
+            raise ValueError(threading.current_thread().name)
+        return real(*factors)
+
+    monkeypatch.setattr(spectrum, "exact_matmul", everywhere)
+    with pytest.raises(ValueError, match="^MainThread$"):
+        pair_spectrum(vs, threads=2)
+    assert threading.active_count() == before
 
 
 def _three_sparse_signs(n: int) -> VectorSet:
