@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .gramfile import read_gram, parse_gram
-from .linalg import GramMatrix, invert
+from .linalg import GramMatrix
 
 
 class CatalogError(KeyError):
@@ -87,14 +87,3 @@ def from_gram_file(path: str | Path) -> LatticeSpec:
     p = Path(path)
     return LatticeSpec(name=p.stem, gram=read_gram(p))
 
-
-def dual(spec: LatticeSpec) -> LatticeSpec:
-    """The dual lattice: Gram matrix replaced by its exact inverse."""
-    name = spec.name[:-4] if spec.name.endswith("dual") else spec.name + "dual"
-    expected = _CATALOG.get(name)
-    if expected is not None:
-        _, kissing, min_norm = expected
-    else:
-        kissing = min_norm = None
-    return LatticeSpec(name=name, gram=invert(spec.gram),
-                       expected_kissing=kissing, expected_min_norm=min_norm)

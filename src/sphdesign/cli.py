@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed the set and test the 3-design")
     _add_input_flags(p)
     _add_common_flags(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="unused: the embedded code is the same for any half-set")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("reproduce", help="recompute a published example table")

@@ -1,7 +1,9 @@
 """Degree-2 harmonic embedding of point sets, certified at Gram level.
 
-A point x on S^d maps to the function y -> g_{2,d}((x,y)), a unit vector
-G_x in the d(d+3)/2-dimensional space of degree-2 spherical harmonics with
+A point x on S^d maps to the function y -> g_{2,d}((x,y)), with
+g_{2,d}(s) = ((d+1) s^2 - 1) / d the degree-2 Gegenbauer polynomial
+normalized to g(1) = 1 (g2_coefficients): a unit vector G_x in the
+d(d+3)/2-dimensional space of degree-2 spherical harmonics with
 <G_x, G_y> = g_{2,d}((x,y)) (the addition theorem; Delsarte, Goethals and
 Seidel, *Spherical codes and designs*, 1977).  The kernel is even, so
 G_(-x) = G_x and the embedded set G_X' union -G_X' is the same for every
@@ -23,11 +25,10 @@ D rows kept as pivots, never as the N/2 x N/2 block.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm, sqrt
+from math import comb, gcd, sqrt
 
 from ._numpy import np
 from .enumeration import I64_SAFE, NotAntipodalError, VectorSet, exact_matmul
-from .gegenbauer import gegenbauer
 from .linalg import invert, ldlt_row, psd_rank
 from .spectrum import PairSpectrum
 
@@ -45,25 +46,33 @@ def dim_harm(k: int, d: int) -> int:
     return comb(d + k, k) - (comb(d + k - 2, k - 2) if k >= 2 else 0)
 
 
+def g2_coefficients(d: int) -> tuple[int, int, int]:
+    """(c0, c2, l) with g_{2,d}(s) = (c0 + c2 s^2) / l = ((d+1) s^2 - 1) / d,
+    the degree-2 Gegenbauer polynomial on S^d normalized to g(1) = 1."""
+    if d < 1:
+        raise ValueError("sphere dimension must be at least 1")
+    return -1, d + 1, d
+
+
 def embed(spec: PairSpectrum) -> PairSpectrum:
     """Spectrum of G_X' union -G_X' on S^(D-1), folded from the pair
     spectrum of X.
 
     Each source product s contributes C(s)/2 at +g(s) and C(s)/2 at -g(s),
-    where g is the normalized degree-2 Gegenbauer polynomial and C the
-    spectrum of the antipodal set X; an odd C(s) raises EmbeddingError.
+    where g = g_{2,d} (g2_coefficients) and C the spectrum of the
+    antipodal set X; an odd C(s) raises EmbeddingError.
     embed(emb) embeds an embedded code again.  A spectrum not flagged
     antipodal is read as that of a half-set X' and mirrored first.
     """
     full = spec if spec.antipodal else spec.mirrored()
     d = full.d
-    g = gegenbauer(2, d)
+    c0, c2, l = g2_coefficients(d)
     out: dict[Fraction, int] = {}
     for s, c in full.entries:
         if c % 2:
             raise EmbeddingError(
                 f"odd count {c} at s = {s}: not an antipodal spectrum")
-        val = g(s)
+        val = (c0 + c2 * s * s) / l
         out[val] = out.get(val, 0) + c // 2
         out[-val] = out.get(-val, 0) + c // 2
     return PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
@@ -143,14 +152,12 @@ def embedded_gram(x_halved: VectorSet, rows, cols) -> np.ndarray:
     index x_halved.coords.
 
     With P = V (cG) V^T the integer products, m = x_halved.m and
-    g(t) = (c0 + c2 t^2) / l, entry (i, j) is (c2 P_ij^2 + c0 m^2) / k and
-    scale = l m^2 / k, the diagonal entry: k = gcd(c2, c0 m^2) divides
-    every entry, whatever the products.  int64 when |c2| max|P|^2
+    g(t) = (c0 + c2 t^2) / l (g2_coefficients), entry (i, j) is
+    (c2 P_ij^2 + c0 m^2) / k and scale = l m^2 / k, the diagonal entry:
+    k = gcd(c2, c0 m^2) divides every entry, whatever the products.  int64 when |c2| max|P|^2
     + |c0| m^2 < 2**62, else Python ints (object dtype).
     """
-    coeffs = gegenbauer(2, x_halved.sphere_dim).coefficients
-    lden = lcm(*(c.denominator for c in coeffs))
-    c0, _, c2 = (int(c * lden) for c in coeffs)
+    c0, c2, _ = g2_coefficients(x_halved.sphere_dim)
     m2 = x_halved.m ** 2
     k = gcd(c2, c0 * m2)
     v = x_halved.coords

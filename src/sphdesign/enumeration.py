@@ -88,14 +88,18 @@ class VectorSet:
         return self.rank - 1
 
     def validate(self) -> None:
-        """Check the constant-norm and uniqueness invariants exactly."""
-        norms = exact_norms(self.gram, self.coords)
-        if not np.all(norms == self.m):
-            raise ValueError("vector with norm != min_norm present")
-        # coords are sorted lexicographically, so duplicates are adjacent
+        """Check the constant-norm and uniqueness invariants exactly,
+        _CHECK_ROWS rows at a time."""
         c = self.coords
-        if np.any(np.all(c[1:] == c[:-1], axis=1)):
-            raise ValueError("duplicate vectors present")
+        for s in range(0, len(c), _CHECK_ROWS):
+            norms = exact_norms(self.gram, c[s:s + _CHECK_ROWS])
+            if not np.all(norms == self.m):
+                raise ValueError("vector with norm != min_norm present")
+        # coords are sorted lexicographically, so duplicates are adjacent
+        for s in range(0, len(c) - 1, _CHECK_ROWS):
+            hi = c[s + 1:s + 1 + _CHECK_ROWS]
+            if np.any(np.all(hi == c[s:s + len(hi)], axis=1)):
+                raise ValueError("duplicate vectors present")
 
 
 # every partial sum of an int64 product certified below this stays in range
@@ -465,24 +469,6 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
     np.take(half, np.lexsort(half.T[::-1]), axis=0, out=out[n:], mode="clip")
     np.negative(out[n:][::-1], out=out[:n])
     return out
-
-
-def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
-    """All nonzero integer vectors v with v^T gram v <= bound, both signs.
-
-    Fincke-Pohst runs in the LLL-reduced basis and the vectors are mapped
-    back through its transform.  Output rows are sorted lexicographically;
-    the set is sign-symmetric and duplicate-free.  Raises LinalgError on a
-    gram matrix that is not positive definite.
-    """
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise EnumerationError("bound must be positive")
-    reduced, trans = size_reduce(gram)
-    half = _fincke_pohst(reduced, bound)
-    # norms are integers, so <= bound * c exactly when <= its floor
-    keep = exact_norms(reduced, half) <= int(bound * reduced.scale)
-    return _both_signs(half[keep], trans)
 
 
 def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:

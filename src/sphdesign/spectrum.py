@@ -18,7 +18,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from ._numpy import np
 from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
@@ -91,14 +90,6 @@ class PairSpectrum:
     def to_triples(self) -> list[list[int]]:
         """[s_numerator, s_denominator, count] rows, s descending."""
         return [[s.numerator, s.denominator, c] for s, c in self.entries]
-
-    @classmethod
-    def from_counts(cls, d: int, counts: dict, antipodal: bool = False,
-                    size: int | None = None) -> "PairSpectrum":
-        total = sum(counts.values())
-        n = size if size is not None else isqrt(total)
-        return cls(d=d, size=n, antipodal=antipodal,
-                   entries=tuple((Fraction(s), int(c)) for s, c in counts.items()))
 
 
 def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,

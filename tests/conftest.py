@@ -1,26 +1,38 @@
-"""Shared fixtures.
+"""Shared fixtures and test-only helpers.
 
 The big point sets (E8, BW16, Leech) are session-scoped so enumeration and
-the quadratic pair pass run once for the whole suite.
+the quadratic pair pass run once for the whole suite.  The Gegenbauer
+recurrence lives here only: it is the oracle for the even-moment design
+criterion of sphdesign.designs and for the closed-form degree-2
+polynomial of sphdesign.embedding.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from sphdesign.catalog import catalog
+from sphdesign.catalog import _CATALOG, LatticeSpec, catalog
 from sphdesign.embedding import embedded_gram
 from sphdesign.enumeration import (
+    EnumerationError,
     NotAntipodalError,
     VectorSet,
+    _both_signs,
+    _fincke_pohst,
+    exact_norms,
     minimal_vector_set,
+    size_reduce,
 )
-from sphdesign.linalg import GramMatrix, LinalgError
-from sphdesign.spectrum import pair_spectrum
+from sphdesign.linalg import GramMatrix, LinalgError, invert
+from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -107,6 +119,111 @@ def union_with_negation(vs: VectorSet) -> VectorSet:
         raise NotAntipodalError("set already contains an antipodal pair")
     return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords,
                      antipodal=True)
+
+
+def dual(spec: LatticeSpec) -> LatticeSpec:
+    """The dual lattice: Gram matrix replaced by its exact inverse."""
+    name = spec.name[:-4] if spec.name.endswith("dual") else spec.name + "dual"
+    _, kissing, min_norm = _CATALOG.get(name, (None, None, None))
+    return LatticeSpec(name=name, gram=invert(spec.gram),
+                       expected_kissing=kissing, expected_min_norm=min_norm)
+
+
+def spectrum_from_counts(d: int, counts: dict,
+                         antipodal: bool = False) -> PairSpectrum:
+    """A PairSpectrum from {s: count}, of size sqrt(sum of counts)."""
+    return PairSpectrum(d=d, size=isqrt(sum(counts.values())),
+                        antipodal=antipodal, entries=tuple(counts.items()))
+
+
+def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
+    """All nonzero integer vectors v with v^T gram v <= bound, both signs,
+    sorted lexicographically: the enumeration pipeline of
+    minimal_vector_set at a given bound."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise EnumerationError("bound must be positive")
+    reduced, trans = size_reduce(gram)
+    half = _fincke_pohst(reduced, bound)
+    # norms are integers, so <= bound * c exactly when <= its floor
+    keep = exact_norms(reduced, half) <= int(bound * reduced.scale)
+    return _both_signs(half[keep], trans)
+
+
+# ---------------------------------------------------------------------------
+# Gegenbauer polynomials for S^d, normalized to 1 at x = 1, with exact
+# rational coefficients from the three-term recurrence
+#     Q_0 = 1,  Q_1 = x,
+#     Q_{k+1}(x) = ((2k + d - 1) x Q_k(x) - k Q_{k-1}(x)) / (k + d - 1).
+# For d = 1 it degenerates to the Chebyshev family (cos k theta), the
+# harmonic family on the circle.
+
+@dataclass(frozen=True)
+class GegenbauerPoly:
+    """Degree-k sphere polynomial; coefficients[i] multiplies x^i."""
+
+    k: int
+    d: int
+    coefficients: tuple[Fraction, ...]
+
+    def __call__(self, x) -> Fraction:
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def at_one(self) -> Fraction:
+        return sum(self.coefficients, Fraction(0))
+
+
+def _shift_up(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    return (Fraction(0),) + coeffs
+
+
+@lru_cache(maxsize=None)
+def gegenbauer(k: int, d: int) -> GegenbauerPoly:
+    """Normalized Gegenbauer polynomial g_{k,d} with g_{k,d}(1) = 1."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    if d < 1:
+        raise ValueError("sphere dimension must be at least 1")
+    if k == 0:
+        return GegenbauerPoly(0, d, (Fraction(1),))
+    if k == 1:
+        return GegenbauerPoly(1, d, (Fraction(0), Fraction(1)))
+    prev2 = gegenbauer(k - 2, d).coefficients
+    lifted = _shift_up(gegenbauer(k - 1, d).coefficients)
+    m = k - 1
+    num_x = Fraction(2 * m + d - 1, m + d - 1)
+    num_c = Fraction(m, m + d - 1)
+    coeffs = [num_x * lifted[i] - num_c * (prev2[i] if i < len(prev2) else 0)
+              for i in range(k + 1)]
+    poly = GegenbauerPoly(k, d, tuple(coeffs))
+    if poly.at_one() != 1:
+        raise ArithmeticError(
+            f"g_{{{k},{d}}}(1) = {poly.at_one()}, not 1: the recurrence "
+            f"lost its normalization")
+    return poly
+
+
+def gegenbauer_sum(spec: PairSpectrum, k: int) -> Fraction:
+    """Exact sum_s count(s) * g_{k,d}(s); zero iff the degree-k harmonic
+    moments of the set vanish.  Warns on a spectrum not flagged antipodal."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not spec.antipodal:
+        warnings.warn("Gegenbauer test on a spectrum not flagged antipodal",
+                      stacklevel=2)
+    g = gegenbauer(k, spec.d)
+    return sum((c * g(s) for s, c in spec.entries), Fraction(0))
+
+
+def gegenbauer_strength(spec: PairSpectrum, t_max: int) -> int:
+    """Largest t <= t_max with vanishing Gegenbauer sums for k = 1..t: the
+    oracle for designs.design_strength."""
+    return next((k - 1 for k in range(1, t_max + 1)
+                 if gegenbauer_sum(spec, k) != 0), t_max)
 
 
 @pytest.fixture(scope="session")

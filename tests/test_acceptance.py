@@ -18,8 +18,7 @@ import pytest
 from sphdesign.catalog import available_names, catalog
 from sphdesign.designs import (
     design_strength,
-    gegenbauer_sum,
-    moment,
+    even_moments,
     moment_target,
     venkov_3design,
     venkov_5design,
@@ -30,7 +29,7 @@ from sphdesign.report import code_params, reproduce_table, verify_lattice
 from sphdesign.reference_tables import REFERENCE_ROWS
 from sphdesign.spectrum import pair_spectrum
 
-from conftest import THREADS, lattice_vectors
+from conftest import THREADS, gegenbauer_sum, lattice_vectors
 
 MANDATORY_EXAMPLE_1 = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8"]
 
@@ -180,9 +179,8 @@ def test_criterion_09_design_criteria_cross_oracle(octahedron, hexagon,
     ok = True
     for sp in spectra.values():
         for cap in range(1, 6):
-            by_moments = all(
-                moment(sp, 2 * j) == moment_target(sp.d, 2 * j)
-                for j in range(1, cap + 1))
+            by_moments = all(lhs == rhs
+                             for lhs, rhs in even_moments(sp, cap))
             by_sums = all(gegenbauer_sum(sp, k) == 0
                           for k in range(1, 2 * cap + 2))
             ok = ok and by_moments == by_sums

@@ -13,10 +13,11 @@ from sphdesign.catalog import (
     available_names,
     catalog,
     catalog_names,
-    dual,
     from_gram_file,
 )
 from sphdesign.linalg import GramMatrix, ldlt
+
+from conftest import dual
 
 
 NAMES = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8",

@@ -138,10 +138,24 @@ def test_threads_do_not_change_output(capsys):
 
 
 def test_seeded_halving_stable_output(capsys):
-    _, base, _ = run(capsys, "embed", "--lattice", "D4")
+    _, base, _ = run(capsys, "verify", "--lattice", "D4")
     for seed in ("0", "1", "17"):
-        _, out, _ = run(capsys, "embed", "--lattice", "D4", "--seed", seed)
+        _, out, _ = run(capsys, "verify", "--lattice", "D4", "--seed", seed)
         assert out == base
+
+
+def test_embed_rejects_seed(capsys):
+    # embed reads no half-set, so it takes no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--lattice", "D4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_t_max_below_one_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "--lattice", "E8", "--t-max", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: t_max must be >= 1"
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -20,6 +20,7 @@ from sphdesign.embedding import (
     dim_harm,
     embed,
     embedded_gram,
+    g2_coefficients,
     harmonic_frame,
     harmonic_rank,
     realize_coordinates,
@@ -30,11 +31,17 @@ from sphdesign.enumeration import (
     exact_matmul,
     halve_antipodal,
 )
-from sphdesign.gegenbauer import gegenbauer
 from sphdesign.linalg import GramMatrix, invert, ldlt, psd_rank
-from sphdesign.spectrum import PairSpectrum, pair_spectrum
+from sphdesign.spectrum import pair_spectrum
 
-from conftest import as_tuples, embedded_block, harmonic_gram, lattice_vectors
+from conftest import (
+    as_tuples,
+    embedded_block,
+    gegenbauer,
+    harmonic_gram,
+    lattice_vectors,
+    spectrum_from_counts,
+)
 
 
 def harm_dim_reference(k: int, d: int) -> int:
@@ -54,6 +61,22 @@ def test_dim_harm_quadratic_values():
         [2, 9, 20, 27, 35, 54, 77, 135, 299]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 9, 11, 15, 23])
+def test_g2_coefficients_match_recurrence(d):
+    # the closed form is the recurrence's g_{2,d} over the lcm of its
+    # coefficient denominators, so embedded_gram's integers are unchanged
+    coeffs = gegenbauer(2, d).coefficients
+    lden = lcm(*(c.denominator for c in coeffs))
+    c0, c1, c2 = (c * lden for c in coeffs)
+    assert c1 == 0
+    assert g2_coefficients(d) == (c0, c2, lden)
+
+
+def test_g2_coefficients_reject_zero_sphere():
+    with pytest.raises(ValueError, match="sphere dimension"):
+        g2_coefficients(0)
+
+
 def test_embed_full_spectrum_equals_halved():
     # the kernel is even: folding the antipodal spectrum gives the same
     # embedded code as embedding any half-set
@@ -67,8 +90,8 @@ def test_embed_full_spectrum_equals_halved():
 
 def test_embed_rejects_odd_antipodal_count():
     # a valid antipodal spectrum of 5 points, which no antipodal set has
-    odd = PairSpectrum.from_counts(2, {F(1): 5, F(0): 15, F(-1): 5},
-                                   antipodal=True)
+    odd = spectrum_from_counts(2, {F(1): 5, F(0): 15, F(-1): 5},
+                               antipodal=True)
     with pytest.raises(EmbeddingError, match="odd count"):
         embed(odd)
 

@@ -21,7 +21,6 @@ from sphdesign.enumeration import (
     EnumerationError,
     NotAntipodalError,
     VectorSet,
-    enumerate_short_vectors,
     exact_norms,
     halve_antipodal,
     minimal_vector_set,
@@ -30,7 +29,13 @@ from sphdesign.enumeration import (
 )
 from sphdesign.linalg import GramMatrix, LinalgError, invert, ldlt
 
-from conftest import as_tuples, matmul, quadratic_form, union_with_negation
+from conftest import (
+    as_tuples,
+    enumerate_short_vectors,
+    matmul,
+    quadratic_form,
+    union_with_negation,
+)
 
 
 def box_scan(g: GramMatrix, bound, radius: int) -> set[tuple[int, ...]]:
@@ -578,3 +583,39 @@ def test_vector_set_keeps_only_its_own_copy():
         tracemalloc.stop()
     assert vs.antipodal and vs.coords.tolist() == coords.tolist()
     assert peak < coords.nbytes + 2**20
+
+
+def test_validate_checks_in_chunks():
+    # 120 000 distinct signed permutations of 1..24, all of norm 4900: a
+    # validate forming whole-set norm products or N x rank boolean arrays
+    # peaks near the set's own 22 MiB
+    rng = np.random.default_rng(5)
+    base = np.arange(1, 25)
+    rows = rng.permuted(np.tile(base, (120_000, 1)), axis=1)
+    rows *= rng.choice([-1, 1], size=rows.shape)
+    vs = VectorSet(gram=GramMatrix.identity(24), min_norm=F(4900),
+                   coords=np.unique(rows, axis=0))
+    assert vs.count == 120_000
+    tracemalloc.start()
+    try:
+        vs.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_validate_chunks_keep_messages(chunk):
+    ok = VectorSet(gram=GramMatrix.identity(2), min_norm=F(25),
+                   coords=np.array([[0, 5], [3, 4], [4, 3], [5, 0]]))
+    bad_norm = VectorSet(gram=ok.gram, min_norm=F(25),
+                         coords=np.array([[0, 5], [3, 4], [4, 4], [5, 0]]))
+    dup = VectorSet(gram=ok.gram, min_norm=F(25),
+                    coords=np.array([[0, 5], [3, 4], [3, 4], [5, 0]]))
+    with mock.patch.object(enumeration, "_CHECK_ROWS", chunk):
+        ok.validate()
+        with pytest.raises(ValueError, match="norm != min_norm"):
+            bad_norm.validate()
+        with pytest.raises(ValueError, match="duplicate vectors"):
+            dup.validate()

@@ -1,15 +1,19 @@
-"""Gegenbauer polynomial family, checked against closed forms and sympy."""
+"""The Gegenbauer oracle of conftest, checked against closed forms and
+sympy: the polynomial family and the sums that test the design criteria."""
 
 from __future__ import annotations
 
-import importlib
+import warnings
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign.gegenbauer import gegenbauer
+import conftest
+from conftest import gegenbauer, gegenbauer_sum
+from sphdesign.enumeration import halve_antipodal
+from sphdesign.spectrum import pair_spectrum
 
 
 DIMS = [1, 2, 3, 5, 6, 7, 9, 11, 15, 23]
@@ -79,13 +83,20 @@ def test_rejects_bad_arguments():
 
 def test_lost_normalization_raises(monkeypatch):
     # a broken recurrence must fail loudly, also under python -O
-    geg = importlib.import_module("sphdesign.gegenbauer")
-
-    monkeypatch.setattr(geg, "_shift_up",
+    monkeypatch.setattr(conftest, "_shift_up",
                         lambda c: (F(0),) + tuple(2 * x for x in c))
-    geg.gegenbauer.cache_clear()
+    gegenbauer.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="normalization"):
-            geg.gegenbauer(2, 5)
+            gegenbauer(2, 5)
     finally:
-        geg.gegenbauer.cache_clear()
+        gegenbauer.cache_clear()
+
+
+def test_gegenbauer_sum_warns_on_non_antipodal(hexagon):
+    half = pair_spectrum(halve_antipodal(hexagon))
+    with pytest.warns(UserWarning, match="antipodal"):
+        gegenbauer_sum(half, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gegenbauer_sum(pair_spectrum(hexagon), 2)  # no warning

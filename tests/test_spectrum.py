@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from sphdesign import spectrum
 from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
-from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
+from sphdesign.spectrum import SpectrumError, pair_spectrum
 
-from conftest import as_tuples, lattice_vectors
+from conftest import as_tuples, lattice_vectors, spectrum_from_counts
 
 
 def brute_spectrum(vs: VectorSet) -> dict[F, int]:
@@ -361,23 +361,23 @@ def test_entries_sorted_descending(e8_spectrum):
 
 
 def test_from_counts_validation():
-    ok = PairSpectrum.from_counts(2, {F(1): 6, F(0): 24, F(-1): 6},
-                                  antipodal=True)
+    ok = spectrum_from_counts(2, {F(1): 6, F(0): 24, F(-1): 6},
+                              antipodal=True)
     assert ok.size == 6
     with pytest.raises(SpectrumError):   # total not a perfect square count
-        PairSpectrum.from_counts(2, {F(1): 6, F(0): 23, F(-1): 6},
-                                 antipodal=True)
+        spectrum_from_counts(2, {F(1): 6, F(0): 23, F(-1): 6},
+                             antipodal=True)
     with pytest.raises(SpectrumError):   # count(1) < N
-        PairSpectrum.from_counts(2, {F(1): 2, F(0): 30, F(-1): 4},
-                                 antipodal=True)
+        spectrum_from_counts(2, {F(1): 2, F(0): 30, F(-1): 4},
+                             antipodal=True)
     with pytest.raises(SpectrumError):   # |s| > 1
-        PairSpectrum.from_counts(2, {F(1): 4, F(2): 8, F(-2): 8,
-                                     F(-1): 4}, antipodal=True)
+        spectrum_from_counts(2, {F(1): 4, F(2): 8, F(-2): 8,
+                                 F(-1): 4}, antipodal=True)
     with pytest.raises(SpectrumError):   # antipodal asymmetry
-        PairSpectrum.from_counts(2, {F(1): 6, F(1, 2): 12, F(0): 12,
-                                     F(-1): 6}, antipodal=True)
+        spectrum_from_counts(2, {F(1): 6, F(1, 2): 12, F(0): 12,
+                                 F(-1): 6}, antipodal=True)
     with pytest.raises(SpectrumError):   # nonpositive count
-        PairSpectrum.from_counts(2, {F(1): 6, F(0): -2}, antipodal=True)
+        spectrum_from_counts(2, {F(1): 6, F(0): -2}, antipodal=True)
 
 
 def test_count_accessor(octahedron):
