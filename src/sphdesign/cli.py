@@ -4,8 +4,8 @@ Subcommands: lattices, minvec, spectrum, verify, embed, reproduce,
 export-coords.  Exit codes: 0 success or PASS, 1 verification FAIL,
 2 usage or data error, 3 unexpected internal error (one line, no
 traceback).  All numeric output is exact rational notation
-unless --decimal is given.  Output is deterministic: the same flags and
-seed produce byte-identical output, and --threads never changes results.
+unless --decimal is given.  Output is deterministic: the same flags
+produce byte-identical output, and --threads never changes results.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ from .catalog import (
 )
 from .designs import moment_target, venkov_3design
 from .embedding import MATRIX_CAP, embed, realize_coordinates
-from .enumeration import (
-    VectorSet,
-    halve_antipodal,
-    minimal_vector_set,
-)
+from .enumeration import VectorSet, minimal_vector_set
 from .gramfile import format_rational, read_vector_set, write_vector_set
 from .report import (
     code_params,
@@ -239,8 +235,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     spec, vs = _resolve_input(args)
     report = verify_lattice(spec, t_max=args.t_max, threads=args.threads,
-                            matrix_cap=args.matrix_cap, vectors=vs,
-                            seed=args.seed)
+                            matrix_cap=args.matrix_cap, vectors=vs)
     if args.format == "json":
         _write_or_print(json.dumps(report, indent=2), args.out)
     else:
@@ -279,9 +274,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_export_coords(args) -> int:
     spec, vs = _vector_set(args)
-    halved = halve_antipodal(vs, seed=args.seed) if vs.antipodal else vs
-    precision = args.decimal if args.decimal is not None else 12
-    coords = realize_coordinates(halved, precision=precision,
+    precision = args.decimal
+    coords = realize_coordinates(vs, precision=precision,
                                  cap=args.matrix_cap)
     dim = len(coords[0]) if coords else 0
     lines = [f"{dim} {len(coords)}"]
@@ -298,26 +292,39 @@ def _cmd_export_coords(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_input_flags(p: argparse.ArgumentParser, with_vectors: bool = True) -> None:
-    p.add_argument("--lattice", metavar="NAME",
-                   help="catalog lattice name (see: sphdesign lattices)")
-    p.add_argument("--gram-file", metavar="PATH",
-                   help="Gram matrix file (rational entries)")
-    if with_vectors:
-        p.add_argument("--vectors", metavar="PATH",
-                       help="vector-set file; alone it implies the identity form")
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named shared flags to subparser p."""
+    defs = {
+        "--lattice": dict(metavar="NAME",
+                          help="catalog lattice name (see: sphdesign lattices)"),
+        "--gram-file": dict(metavar="PATH",
+                            help="Gram matrix file (rational entries)"),
+        "--vectors": dict(metavar="PATH", help="vector-set file; alone it "
+                                               "implies the identity form"),
+        "--format": dict(choices=("text", "json"), default="text"),
+        "--out": dict(metavar="PATH", help="write output to a file"),
+        "--threads": dict(type=_threads, default=_default_threads(),
+                          metavar="N",
+                          help=f"worker threads (env {_THREADS_ENV})"),
+        "--decimal": dict(type=_places, metavar="K", default=None,
+                          help="render decimals with K places instead of "
+                               "rationals"),
+        "--matrix-cap": dict(type=int, default=MATRIX_CAP, metavar="M",
+                             help="max half-set size for exact Gram-level "
+                                  f"work (default {MATRIX_CAP})"),
+    }
+    for flag in flags:
+        p.add_argument(flag, **defs[flag])
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", metavar="PATH", help="write output to a file")
-    p.add_argument("--threads", type=_threads, default=_default_threads(),
-                   metavar="N", help=f"worker threads (env {_THREADS_ENV})")
-    p.add_argument("--decimal", type=_places, metavar="K", default=None,
-                   help="render decimals with K places instead of rationals")
+_INPUT = ("--lattice", "--gram-file", "--vectors")
+_REPORT = ("--format", "--out", "--threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subparser takes only the flags its handler reads
+    (tests/test_cli_options.py), save minvec --threads: perfbench passes
+    it on its minvec command lines, so it is accepted and unused."""
     parser = argparse.ArgumentParser(
         prog="sphdesign",
         description="Exact certification of spherical designs from lattice "
@@ -325,49 +332,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattices", help="list the built-in lattice catalog")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", metavar="PATH")
+    _add_flags(p, "--format", "--out")
     p.set_defaults(func=_cmd_lattices)
 
     p = sub.add_parser("minvec", help="enumerate minimal vectors")
-    _add_input_flags(p, with_vectors=False)
-    _add_common_flags(p)
+    _add_flags(p, "--lattice", "--gram-file", *_REPORT)
     p.set_defaults(func=_cmd_minvec)
 
     p = sub.add_parser("spectrum", help="exact pairwise inner-product spectrum")
-    _add_input_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, *_INPUT, *_REPORT, "--decimal")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="full design certification report")
-    _add_input_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, *_INPUT, *_REPORT, "--matrix-cap")
     p.add_argument("--t-max", type=int, default=11, metavar="T",
                    help="largest design strength to test (default 11)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="randomize the half-set of the rank certificate")
-    p.add_argument("--matrix-cap", type=int, default=MATRIX_CAP, metavar="M",
-                   help="max point count for the exact rank certificate")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("embed", help="embed the set and test the 3-design")
-    _add_input_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, *_INPUT, *_REPORT, "--decimal")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("reproduce", help="recompute a published example table")
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
-    _add_common_flags(p)
+    _add_flags(p, *_REPORT)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("export-coords",
                        help="write verified unit-vector coordinates for the "
                             "embedded code")
-    _add_input_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="randomize the antipodal halving")
-    p.add_argument("--matrix-cap", type=int, default=MATRIX_CAP, metavar="M")
+    _add_flags(p, *_INPUT, "--out", "--matrix-cap")
+    p.add_argument("--decimal", type=_places, metavar="K", default=12,
+                   help="places per coordinate, and the realization "
+                        "tolerance 10^-K (default 12)")
     p.set_defaults(func=_cmd_export_coords)
 
     return parser

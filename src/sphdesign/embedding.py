@@ -13,13 +13,13 @@ S^(D-1), D = d(d+3)/2, so its 3-design property is the antipodal moment
 criterion of designs.venkov_3design, as for any code.
 
 The rank certificate (harmonic_rank) works in Harm_2 itself: each vector
-of a half-set gets integer coordinates in the (n(n+1)/2)-dimensional space
-of symmetric matrices (harmonic_frame), so the rank of the embedded Gram
-matrix A is that of an (n(n+1)/2)-square integer matrix, whatever N is,
-and its PSD verdict is that of the n x n Gram matrix.  The float
-coordinates of export-coords (realize_coordinates) factor A one row at a
-time, forming its exact entries (embedded_gram) only against the at most
-D rows kept as pivots, never as the N/2 x N/2 block.
+gets integer coordinates in the (n(n+1)/2)-dimensional space of symmetric
+matrices (harmonic_frame), so the rank of the embedded Gram matrix A is
+that of an (n(n+1)/2)-square integer matrix, whatever N is, and its PSD
+verdict is that of the n x n Gram matrix.  The float coordinates of
+export-coords (realize_coordinates) factor A of the canonical half-set
+one row at a time, forming its exact entries (embedded_gram) only
+against the at most D rows kept as pivots, never as the N/2 x N/2 block.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, sqrt
 
 from ._numpy import np
-from .enumeration import I64_SAFE, NotAntipodalError, VectorSet, exact_matmul
+from .enumeration import I64_SAFE, VectorSet, exact_matmul, halve_antipodal
 from .linalg import invert, ldlt_row, psd_rank
 from .spectrum import PairSpectrum
 
@@ -41,8 +41,10 @@ def dim_harm(k: int, d: int) -> int:
     """Dimension of the space of degree-k harmonic polynomials on S^d:
     C(d+k, k) - C(d+k-2, k-2), all polynomials of degree k in d+1
     variables minus the multiples of |x|^2."""
-    if k < 0 or d < 1:
-        raise ValueError("need k >= 0 and d >= 1")
+    if d < 1:
+        raise ValueError("sphere dimension must be at least 1")
+    if k < 0:
+        raise ValueError("need k >= 0")
     return comb(d + k, k) - (comb(d + k - 2, k - 2) if k >= 2 else 0)
 
 
@@ -79,10 +81,10 @@ def embed(spec: PairSpectrum) -> PairSpectrum:
                         antipodal=True, entries=tuple(out.items()))
 
 
-def harmonic_frame(half: VectorSet) -> np.ndarray:
-    """Integer Harm_2 coordinates Psi of the rows of half.
+def harmonic_frame(vs: VectorSet) -> np.ndarray:
+    """Integer Harm_2 coordinates Psi of the rows of vs.
 
-    With c*G = half.gram.entries, m = half.m, n = half.rank and
+    With c*G = vs.gram.entries, m = vs.m, n = vs.rank and
     G^-1 = E / s (linalg.invert), row x maps to the symmetric integer
     matrix Psi_x = s c n x x^T - m E, the image of x x^T - (m/cn) G^-1
     scaled by s c n.  Psi holds its upper triangle, one row per vector and
@@ -99,8 +101,8 @@ def harmonic_frame(half: VectorSet) -> np.ndarray:
     entry and every intermediate in range, else Python ints (object
     dtype).
     """
-    g = half.gram
-    n, c, m = half.rank, g.scale, half.m
+    g = vs.gram
+    n, c, m = vs.rank, g.scale, vs.m
     inv = invert(g)
     s, e = inv.scale, inv.entries
     ge = exact_matmul(g.entries, e).tolist()
@@ -109,7 +111,7 @@ def harmonic_frame(half: VectorSet) -> np.ndarray:
         raise EmbeddingError("(cG) E != c s I: the inverse Gram is wrong")
     iu, ju = np.triu_indices(n)
     me = [m * e[i][j] for i, j in zip(iu.tolist(), ju.tolist())]
-    x = half.coords
+    x = vs.coords
     big = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     scn = s * c * n
     dtype = (np.int64 if scn * big * big + max(map(abs, me)) < I64_SAFE
@@ -118,29 +120,32 @@ def harmonic_frame(half: VectorSet) -> np.ndarray:
     return scn * x[:, iu] * x[:, ju] - np.array(me, dtype=dtype)
 
 
-def harmonic_rank(half: VectorSet) -> tuple[bool, int]:
-    """(is_psd, rank) of the embedded Gram matrix A of half, equal to
-    those of the Gram matrix [[1, -1], [-1, 1]] (x) A of G_X' union -G_X'
-    (the 2 x 2 factor has eigenvalues 2 and 0), proving the code lies on
-    S^(target_D - 1).
+def harmonic_rank(vs: VectorSet) -> tuple[bool, int]:
+    """(is_psd, rank) of the embedded Gram matrix A of the rows of vs.
+
+    For an antipodal X or any half-set X' these equal those of the Gram
+    matrix [[1, -1], [-1, 1]] (x) A' of G_X' union -G_X' (the 2 x 2
+    factor has eigenvalues 2 and 0), proving the code lies on
+    S^(target_D - 1): Psi_x = Psi_(-x), so X gives twice the Psi^T Psi
+    of X', the same matrix after the gcd reduction below.
 
     A is a positive multiple of the Gram matrix of the rows of Psi
     (harmonic_frame) under <S, T> = tr(cG S cG T), and with cG = R^T R,
     <S, S> = |R S R^T|_F^2.  So when cG is positive definite, the is_psd
     verdict, A is PSD and rank A = rank Psi = rank Psi^T Psi: psd_rank of
-    the gcd-reduced n(n+1)/2-square Psi^T Psi, not of the N/2-square A.
+    the gcd-reduced n(n+1)/2-square Psi^T Psi, not of the N-square A.
     A rank above dim Harm_2 contradicts the trace identity and raises
     EmbeddingError.
     """
-    psi = harmonic_frame(half)
+    psi = harmonic_frame(vs)
     ptp = exact_matmul(psi.T, psi).tolist()
     k = gcd(*(x for row in ptp for x in row)) or 1
     _, rank = psd_rank([[x // k for x in row] for row in ptp])
-    target = dim_harm(2, half.sphere_dim)
+    target = dim_harm(2, vs.sphere_dim)
     if rank > target:
         raise EmbeddingError(
             f"embedded Gram rank {rank} exceeds dim Harm = {target}")
-    return half.gram.is_positive_definite(), rank
+    return vs.gram.is_positive_definite(), rank
 
 
 MATRIX_CAP = 512
@@ -168,35 +173,35 @@ def embedded_gram(x_halved: VectorSet, rows, cols) -> np.ndarray:
     return c2 // k * p * p + c0 * m2 // k
 
 
-def realize_coordinates(x_halved: VectorSet, precision: int = 12,
+def realize_coordinates(vs: VectorSet, precision: int = 12,
                         cap: int = MATRIX_CAP) -> list[tuple[float, ...]]:
     """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
 
     Exactness lives in A (embedded_gram); this is a float export of the
     rows of its unpivoted LDL^T scaled by sqrt(D), checked against the
     exact products on blocks of at most D columns.  Rows are the images of
-    x_halved followed by their negatives, the rows LDL^T of
-    [[A, -A], [-A, A]] gives.  cG positive definite makes A PSD
-    (harmonic_rank), so a zero pivot has a zero column below it.  A is
-    factored one row at a time (linalg.ldlt_row), each row formed only
-    against the kept rows, at most D = dim Harm_2 since rank A <= D; the
-    rows after the D-th kept one are dependent and form one batch.
+    a half-set X' followed by their negatives, the rows LDL^T of
+    [[A, -A], [-A, A]] gives: X' is the canonical half of an antipodal vs
+    (enumeration.halve_antipodal), else vs itself.  cG positive definite
+    makes A PSD (harmonic_rank), so a zero pivot has a zero column below
+    it.  A is factored one row at a time (linalg.ldlt_row), each row
+    formed only against the kept rows, at most D = dim Harm_2 since
+    rank A <= D; the rows after the D-th kept one are dependent and form
+    one batch.
     """
-    if x_halved.antipodal:
-        raise NotAntipodalError(
-            "input set is antipodal; halve the set first")
-    npts = x_halved.count
+    half = halve_antipodal(vs) if vs.antipodal else vs
+    npts = half.count
     if npts > cap:
         raise EmbeddingError(
             f"{npts} points exceed the matrix cap {cap}; use the "
             f"spectrum-only embedding (sphdesign embed) instead")
-    if not x_halved.gram.is_positive_definite():
+    if not half.gram.is_positive_definite():
         raise EmbeddingError("the Gram matrix is not positive definite")
-    dim = dim_harm(2, x_halved.sphere_dim)
+    dim = dim_harm(2, half.sphere_dim)
     kept, d, lam, mult = [], [1], [], []    # d[1] = A[0][0], the scale
     while len(mult) < npts and len(kept) < dim:
         i = len(mult)
-        a = embedded_gram(x_halved, [i], kept + [i])[0].tolist()
+        a = embedded_gram(half, [i], kept + [i])[0].tolist()
         *u, pivot = ldlt_row(a, lam, d)
         mult.append(u)
         if pivot:
@@ -204,7 +209,7 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
             d.append(pivot)
             lam.append(u)
     if len(mult) < npts:
-        rest = embedded_gram(x_halved, np.arange(len(mult), npts), kept)
+        rest = embedded_gram(half, np.arange(len(mult), npts), kept)
         *u, pivot = ldlt_row([*rest.astype(object).T, d[1]], lam, d)
         if any(pivot):
             raise EmbeddingError("rank factorization wider than dim Harm")
@@ -219,7 +224,7 @@ def realize_coordinates(x_halved: VectorSet, precision: int = 12,
     err = 0.0
     for j in range(0, npts, dim):
         cols = np.arange(j, min(j + dim, npts))
-        want = embedded_gram(x_halved, slice(None), cols) / d[1]
+        want = embedded_gram(half, slice(None), cols) / d[1]
         err = max(err, float(np.abs(top @ top[cols].T - want).max()))
     if err > 10.0 ** (-precision):
         raise EmbeddingError(

@@ -18,14 +18,13 @@ error can add work but never drop or add a vector.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import inf, isqrt, lcm, nextafter, prod
 
 from ._numpy import np
-from .linalg import GramMatrix, LinalgError, ldlt, ldlt_row
+from .linalg import GramMatrix, LinalgError, invert, ldlt, ldlt_row
 
 
 class EnumerationError(ValueError):
@@ -236,40 +235,16 @@ def _float_up(q: Fraction) -> float:
     return f if Fraction(f) >= q else nextafter(f, inf)
 
 
-def _coordinate_bounds(c: int, p: list[int], lam,
-                       bound: Fraction) -> list[int]:
-    """X_j = isqrt(floor(bound (G^-1)_jj)): |x_j| <= X_j whenever
-    x^T G x <= bound, from the integer LDL^T (p, lam) of c * G.
-
-    With y_i = x_i + sum_{j>i} mu_ji x_j (mu_ji = lam[j][i] / p[i]) and
-    x = V y, (G^-1)_jj = sum_k V[j][k]^2 / D_k, D_k = p[k] / (c p[k-1]).
-    Column k of V holds the coefficients of the Gram-Schmidt vector b*_k
-    in b_0..b_k, a solution of the leading k x k system of c * G, so by
-    Cramer's rule w[i][k] = p[k-1] V[i][k] is an integer (p[-1] = 1).
-    """
-    n = len(p)
-    pp = [1] + p
-    w = [[0] * n for _ in range(n)]
-    for k in range(n):
-        w[k][k] = pp[k]
-        for i in range(k - 1, -1, -1):
-            w[i][k] = -sum(lam[j][i] * w[j][k]
-                           for j in range(i + 1, k + 1)) // p[i]
-    den = lcm(*(pp[k] * p[k] for k in range(n)))
-    num = bound.numerator * c
-    return [isqrt(num * sum(w[j][k] ** 2 * (den // (pp[k] * p[k]))
-                            for k in range(j, n))
-                  // (bound.denominator * den)) for j in range(n)]
-
-
-def _float_certificate(c: int, p: list[int], lam, bound: Fraction):
-    """(X, eta, eps) certifying the float64 sweep step, or None.
+def _float_certificate(g: GramMatrix, p: list[int], lam, bound: Fraction):
+    """(X, eta, eps) certifying the float64 sweep step, or None, for the
+    integer LDL^T (p, lam) of c * g, c = g.scale.
 
     The step finds, per live row, the x_i with T_{i+1} + D_i (x_i + c_i)^2
     <= B (B the bound, c_i = sum_{j>i} mu_ji x_j, T_i the partial sum of
     the levels >= i), in float64 with unit roundoff u = 2^-53.  A node is
-    *valid* when its exact T_i <= B.  On a valid node |x_j| <= X_j
-    (_coordinate_bounds: a real vector extending the node has norm T_i),
+    *valid* when its exact T_i <= B.  On a valid node |x_j| <= X_j =
+    isqrt(floor(B (g^-1)_jj)) (a real vector extending the node has norm
+    T_i, and x^T g x <= B bounds |x_j| by sqrt(B (g^-1)_jj)),
     |y_i| = |x_i + c_i| <= Y_i >= sqrt(B / D_i) and |c_i| <= M_i =
     sum_{j>i} |mu_ji| X_j.  With Higham's gamma_k (*Accuracy and Stability
     of Numerical Algorithms*, 2002, section 3.1; the dot-product bound
@@ -302,14 +277,16 @@ def _float_certificate(c: int, p: list[int], lam, bound: Fraction):
     - eps <= 2^-20 B.  Not needed for completeness: past it the slack
       lets through more nodes above the bound, and the exact tier is used.
     """
-    n = len(p)
+    n, c = len(p), g.scale
     d = [Fraction(p[i], c * (p[i - 1] if i else 1)) for i in range(n)]
     lo, hi = Fraction(1, 2**64), Fraction(2**64)
     if not all(lo <= x <= hi for x in [bound, *d]) or not all(
             p[i] <= abs(lam[j][i]) << 64 and abs(lam[j][i]) <= p[i] << 64
             for j in range(n) for i in range(j) if lam[j][i]):
         return None
-    xmax = _coordinate_bounds(c, p, lam, bound)
+    inv = invert(g)
+    xmax = [isqrt(bound.numerator * inv.entries[j][j]
+                  // (bound.denominator * inv.scale)) for j in range(n)]
     if max(xmax) >= 2**31:
         return None
     u, g3, g4 = _U, _gamma(3), _gamma(4)
@@ -329,13 +306,13 @@ def _float_certificate(c: int, p: list[int], lam, bound: Fraction):
     return xmax, eta, big_e
 
 
-def _float_levels(c, p, lam, bound: Fraction):
+def _float_levels(g: GramMatrix, p, lam, bound: Fraction):
     """The float64 sweep step where _float_certificate certifies it."""
-    cert = _float_certificate(c, p, lam, bound)
+    cert = _float_certificate(g, p, lam, bound)
     if cert is None:
         return None
     xmax, eta, eps = cert
-    n = len(p)
+    n, c = len(p), g.scale
     mu = np.array([[lam[j][i] / p[i] if j > i else 0.0 for i in range(n)]
                    for j in range(n)])
     d = [p[i] / (c * (p[i - 1] if i else 1)) for i in range(n)]
@@ -357,7 +334,7 @@ def _float_levels(c, p, lam, bound: Fraction):
     return step, np.float64, np.zeros(1)
 
 
-def _exact_levels(c, p, lam, bound: Fraction):
+def _exact_levels(g: GramMatrix, p, lam, bound: Fraction):
     """The exact sweep step: every pruning decision in integers.
 
     With w[i] = c p[i-1] p[i], Q(x) = sum_i (p[i] x_i + C_i)^2 / w[i]
@@ -366,7 +343,7 @@ def _exact_levels(c, p, lam, bound: Fraction):
     an integer, and the interval endpoints come from integer square roots.
     """
     n = len(p)
-    w = [c * x * y for x, y in zip([1] + p, p)]
+    w = [g.scale * x * y for x, y in zip([1] + p, p)]
     ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     mscale = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -407,7 +384,7 @@ def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
     """
     n = reduced.n
     p, lam = ldlt(reduced.entries)
-    args = (reduced.scale, p, lam, bound)
+    args = (reduced, p, lam, bound)
     step, dtype, root = _float_levels(*args) or _exact_levels(*args)
     out = []
     stack = [(n - 1, np.zeros((1, 0), dtype), root, np.zeros(1, bool))]
@@ -496,30 +473,22 @@ def minimal_vector_set(gram: GramMatrix) -> VectorSet:
     return VectorSet(gram=gram, min_norm=min_norm, coords=vecs, antipodal=True)
 
 
-def halve_antipodal(vs: VectorSet, seed: int | None = None) -> VectorSet:
-    """One representative per antipodal pair.
+def halve_antipodal(vs: VectorSet) -> VectorSet:
+    """One representative per antipodal pair: the canonical half-set.
 
     Rows are sorted lexicographically and negation reverses that order, so
     a zero-free set is sign-symmetric exactly when its count is even and
     coords[::-1] == -coords, and the partner of row i is row N-1-i.  The
-    canonical rule keeps the vector whose first nonzero coordinate is
-    positive, i.e. the upper half coords[N//2:]; passing a seed instead
-    picks per-pair representatives from a seeded RNG (for
-    halving-invariance property tests).  Raises NotAntipodalError naming
-    an unpaired vector.
+    rule keeps the vector whose first nonzero coordinate is positive, i.e.
+    the upper half coords[N//2:].  Raises NotAntipodalError naming an
+    unpaired vector.
     """
     c = vs.coords
     n = vs.count
     if n % 2 or not is_sign_symmetric(c):
         raise NotAntipodalError(
             f"vector {_unpaired(c)} has no antipodal partner")
-    if seed is None:
-        keep = c[n // 2:]
-    else:
-        rng = random.Random(seed)
-        keep = c[[i if rng.random() < 0.5 else n - 1 - i
-                  for i in range(n // 2)]]
-    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=keep,
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=c[n // 2:],
                      antipodal=False)
 
 

@@ -23,12 +23,7 @@ from .designs import (
     venkov_5design,
 )
 from .embedding import MATRIX_CAP, embed, harmonic_rank
-from .enumeration import (
-    NotAntipodalError,
-    VectorSet,
-    halve_antipodal,
-    minimal_vector_set,
-)
+from .enumeration import NotAntipodalError, VectorSet, minimal_vector_set
 from .reference_tables import ReferenceRow, rows_for_example
 from .spectrum import PairSpectrum, pair_spectrum
 
@@ -86,25 +81,21 @@ class Certificate:
 
 
 def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
-            matrix_cap: int = MATRIX_CAP, vectors: VectorSet | None = None,
-            seed: int | None = None) -> Certificate:
+            matrix_cap: int = MATRIX_CAP,
+            vectors: VectorSet | None = None) -> Certificate:
     """Every stage, once: enumerate minimal vectors (unless supplied), one
     pair-spectrum pass, the source moment criteria, design strength up to
     t_max (skipped when None), the embedded spectrum folded from the same
     spectrum, its 3-design identity, and an exact PSD rank certificate
-    when the half-set fits the matrix cap.  An antipodal set is halved
-    once (picked by seed): the pair spectrum is that of the half-set,
-    mirrored, whichever half-set it is."""
+    when the half-set, N/2 points, fits the matrix cap.  Each stage reads
+    the whole set: pair_spectrum halves an antipodal set itself, and
+    harmonic_rank gives the same rank on it as on any half-set."""
     vs = minimal_vector_set(spec.gram) if vectors is None else vectors
-    half = halve_antipodal(vs, seed=seed) if vs.antipodal else None
-    src = (pair_spectrum(vs, threads=threads) if half is None
-           else pair_spectrum(half, threads=threads).mirrored())
+    src = pair_spectrum(vs, threads=threads)
     venkov5 = venkov_5design(src)   # first: it rejects non-antipodal sets
     strength = None if t_max is None else design_strength(src, t_max)
     emb = embed(src)
-    rank = None
-    if half.count <= matrix_cap:    # venkov_5design made sure half is set
-        rank = harmonic_rank(half)
+    rank = harmonic_rank(vs) if vs.count // 2 <= matrix_cap else None
     return Certificate(
         min_norm=vs.min_norm,
         kissing_ok=(None if spec.expected_kissing is None
@@ -132,15 +123,14 @@ def embedded_report(emb: PairSpectrum, code: CodeParams,
 
 def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
                    matrix_cap: int = MATRIX_CAP,
-                   vectors: VectorSet | None = None,
-                   seed: int | None = None) -> dict:
+                   vectors: VectorSet | None = None) -> dict:
     """The certify pipeline on one lattice as a JSON-ready report dict.
 
     verdict is PASS only if every certified property holds; the kissing
     count is checked only when the spec expects one.
     """
     cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=matrix_cap,
-                   vectors=vectors, seed=seed)
+                   vectors=vectors)
     d = cert.source.d
     v5, moment2, moment4 = cert.venkov5
     embedded = embedded_report(cert.embedded, cert.embedded_code,

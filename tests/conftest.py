@@ -10,6 +10,7 @@ polynomial of sphdesign.embedding.
 from __future__ import annotations
 
 import os
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +111,20 @@ def embedded_block(half: VectorSet) -> list[list[int]]:
     the rows of half; its diagonal entries are the scale."""
     every = np.arange(half.count)
     return embedded_gram(half, every, every).tolist()
+
+
+def random_half(vs: VectorSet, seed: int) -> VectorSet:
+    """A seeded half-set of the antipodal vs: per pair, row i or its
+    partner N-1-i (rows are sorted, so negation reverses them), an oracle
+    for the invariance of every result under the choice of half-set that
+    enumeration.halve_antipodal fixes to the upper half."""
+    if not vs.antipodal:
+        raise NotAntipodalError("random_half needs an antipodal set")
+    rng = random.Random(seed)
+    n = vs.count
+    keep = [i if rng.random() < 0.5 else n - 1 - i for i in range(n // 2)]
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm,
+                     coords=vs.coords[keep], antipodal=False)
 
 
 def union_with_negation(vs: VectorSet) -> VectorSet:

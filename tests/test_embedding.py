@@ -26,7 +26,6 @@ from sphdesign.embedding import (
     realize_coordinates,
 )
 from sphdesign.enumeration import (
-    NotAntipodalError,
     VectorSet,
     exact_matmul,
     halve_antipodal,
@@ -40,6 +39,7 @@ from conftest import (
     gegenbauer,
     harmonic_gram,
     lattice_vectors,
+    random_half,
     spectrum_from_counts,
 )
 
@@ -84,7 +84,7 @@ def test_embed_full_spectrum_equals_halved():
         vs = lattice_vectors(name)
         full = embed(pair_spectrum(vs))
         for seed in (None, 0, 1, 7):
-            half = embed(pair_spectrum(halve_antipodal(vs, seed=seed)))
+            half = embed(pair_spectrum(_half(name, seed)))
             assert half == full, (name, seed)
 
 
@@ -158,7 +158,10 @@ FRAME_LATTICES = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12"]
 
 @lru_cache(maxsize=None)
 def _half(name, seed):
-    return halve_antipodal(lattice_vectors(name), seed=seed)
+    """The canonical half-set of a catalog lattice (seed None), else a
+    seeded random one."""
+    vs = lattice_vectors(name)
+    return halve_antipodal(vs) if seed is None else random_half(vs, seed)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -182,6 +185,17 @@ def test_harmonic_frame_reproduces_embedded_gram(name, seed):
 def test_harmonic_rank_equals_block_rank(name, seed):
     half = _half(name, seed)
     assert harmonic_rank(half) == psd_rank(embedded_block(half))
+
+
+@pytest.mark.parametrize("name", FRAME_LATTICES)
+def test_harmonic_rank_full_set_equals_half(name):
+    # Psi_x = Psi_(-x): the whole set gives twice the Psi^T Psi of its
+    # canonical half, the same matrix after the gcd reduction
+    vs, half = lattice_vectors(name), _half(name, None)
+    psi, psi_half = harmonic_frame(vs), harmonic_frame(half)
+    assert (exact_matmul(psi.T, psi) == 2 * exact_matmul(psi_half.T,
+                                                         psi_half)).all()
+    assert harmonic_rank(vs) == harmonic_rank(half)
 
 
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8", "CT12"])
@@ -366,14 +380,16 @@ def test_half_block_certificate_equals_mirrored(name):
     # [[1, -1], [-1, 1]] (x) A has the PSD verdict and the rank of A
     vs = lattice_vectors(name)
     for seed in (None, 0, 7):
-        block = embedded_block(halve_antipodal(vs, seed=seed))
+        block = embedded_block(_half(name, seed))
         assert 2 * len(block) == vs.count
         assert psd_rank(block) == psd_rank(_mirrored(block)), (name, seed)
 
 
-def test_realize_coordinates_rejects_antipodal(hexagon):
-    with pytest.raises(NotAntipodalError):
-        realize_coordinates(lattice_vectors("A2"))
+@pytest.mark.parametrize("name", ["A2", "D4", "E6dual"])
+def test_realize_coordinates_halves_antipodal_input(name):
+    # an antipodal set is exported through its canonical half-set
+    vs = lattice_vectors(name)
+    assert realize_coordinates(vs) == realize_coordinates(halve_antipodal(vs))
 
 
 def test_realize_coordinates_cap(e8_vectors):
@@ -385,7 +401,7 @@ def test_realize_coordinates_cap(e8_vectors):
 def test_halving_invariance_ten_seeds(d4_vectors):
     base = embed(pair_spectrum(halve_antipodal(d4_vectors)))
     for seed in range(10):
-        alt = embed(pair_spectrum(halve_antipodal(d4_vectors, seed=seed)))
+        alt = embed(pair_spectrum(random_half(d4_vectors, seed)))
         assert alt.entries == base.entries
 
 
@@ -475,5 +491,5 @@ def test_iterate_embedding_divisibility(d4_vectors):
 @settings(max_examples=25, deadline=None)
 def test_halving_invariance_property(seed):
     vs = lattice_vectors("A2")
-    emb = embed(pair_spectrum(halve_antipodal(vs, seed=seed)))
+    emb = embed(pair_spectrum(random_half(vs, seed)))
     assert emb.counts() == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}

@@ -7,7 +7,7 @@ import pytest
 
 from sphdesign import embedding, report, spectrum
 from sphdesign.catalog import catalog
-from sphdesign.embedding import embed
+from sphdesign.embedding import embed, harmonic_rank
 from sphdesign.enumeration import NotAntipodalError, halve_antipodal
 from sphdesign.report import (
     _reproduce_row,
@@ -21,7 +21,7 @@ from sphdesign.report import (
 from sphdesign.reference_tables import REFERENCE_ROWS, ReferenceRow, rows_for_example
 from sphdesign.spectrum import pair_spectrum
 
-from conftest import lattice_vectors
+from conftest import lattice_vectors, random_half
 
 
 def test_code_params_strips_antipodal_products(octahedron):
@@ -89,9 +89,17 @@ def test_verify_supplied_vectors(octahedron):
 
 
 def test_verify_seeded_halving_identical():
+    # the report equals what any half-set gives: its spectrum mirrored,
+    # and the rank certificate of its rows
     base = verify_lattice(catalog("D4"))
+    vs = lattice_vectors("D4")
     for seed in (0, 7):
-        assert verify_lattice(catalog("D4"), seed=seed) == base
+        half = random_half(vs, seed)
+        assert pair_spectrum(half).mirrored().to_triples() \
+            == base["source_spectrum"]
+        is_psd, rank = harmonic_rank(half)
+        assert base["embedded"]["rank_certificate"] == {"is_psd": is_psd,
+                                                        "rank": rank}
 
 
 def test_report_text_renders():
@@ -183,32 +191,31 @@ def _count_spectrum_passes(monkeypatch) -> list:
         monkeypatch.setattr(module, name, wrapper)
 
     counting(report, "pair_spectrum")
-    counting(report, "halve_antipodal")
     counting(spectrum, "halve_antipodal")
     return calls
 
 
 def test_verify_runs_one_spectrum_pass(monkeypatch):
-    # one halving, one spectrum pass on the 120-point half-set, whose
-    # mirror is the full spectrum and which the rank certificate reuses
+    # one spectrum pass, handed the whole set, which it halves itself;
+    # certify halves nothing
+    assert not hasattr(report, "halve_antipodal")
     calls = _count_spectrum_passes(monkeypatch)
-    for seed in (None, 7):
-        calls.clear()
-        rep = verify_lattice(catalog("E8"), seed=seed)
-        assert rep["verdict"] == "PASS"
-        assert calls == [("halve_antipodal", 240), ("pair_spectrum", 120)]
+    rep = verify_lattice(catalog("E8"))
+    assert rep["verdict"] == "PASS"
+    assert calls == [("pair_spectrum", 240), ("halve_antipodal", 240)]
 
 
 def test_reproduce_row_runs_one_spectrum_pass(monkeypatch):
     calls = _count_spectrum_passes(monkeypatch)
     e8 = next(r for r in rows_for_example(1) if r.lattice == "E8")
     assert _reproduce_row(e8, threads=1).status == "PASS"
-    assert calls == [("halve_antipodal", 240), ("pair_spectrum", 120)]
+    assert calls == [("pair_spectrum", 240), ("halve_antipodal", 240)]
 
 
 @pytest.mark.parametrize("name", ["D4", "E8", "E7dual"])
 def test_any_half_set_mirrors_to_the_full_spectrum(name):
     vs = lattice_vectors(name)
     full = pair_spectrum(vs)
-    for seed in (None, 0, 7):
-        assert pair_spectrum(halve_antipodal(vs, seed=seed)).mirrored() == full
+    assert pair_spectrum(halve_antipodal(vs)).mirrored() == full
+    for seed in (0, 7):
+        assert pair_spectrum(random_half(vs, seed)).mirrored() == full

@@ -23,7 +23,12 @@ from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import SpectrumError, pair_spectrum
 
-from conftest import as_tuples, lattice_vectors, spectrum_from_counts
+from conftest import (
+    as_tuples,
+    lattice_vectors,
+    random_half,
+    spectrum_from_counts,
+)
 
 
 def brute_spectrum(vs: VectorSet) -> dict[F, int]:
@@ -70,7 +75,7 @@ def test_matches_brute_force(name):
 
 
 def test_matches_brute_force_halved():
-    half = halve_antipodal(lattice_vectors("D4"), seed=5)
+    half = random_half(lattice_vectors("D4"), 5)
     assert pair_spectrum(half).counts() == brute_spectrum(half)
 
 
