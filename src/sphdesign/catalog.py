@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .gramfile import read_gram, parse_gram
-from .linalg import GramMatrix
+from .linalg import GramMatrix, PivotError
 
 
 class CatalogError(KeyError):
@@ -26,10 +26,6 @@ class LatticeSpec:
     gram: GramMatrix
     expected_kissing: int | None = None
     expected_min_norm: Fraction | None = None
-
-    def __post_init__(self):
-        if not self.gram.is_positive_definite():
-            raise ValueError(f"{self.name}: gram matrix is not positive definite")
 
 
 # name -> (data file stem, expected kissing, expected min norm)
@@ -83,7 +79,12 @@ def catalog(name: str) -> LatticeSpec:
 
 
 def from_gram_file(path: str | Path) -> LatticeSpec:
-    """LatticeSpec for a user-supplied Gram file (no expectations attached)."""
+    """LatticeSpec for a user-supplied Gram file (no expectations attached);
+    a form that is not positive definite raises PivotError naming it."""
     p = Path(path)
-    return LatticeSpec(name=p.stem, gram=read_gram(p))
+    try:
+        gram = read_gram(p)
+    except PivotError as exc:
+        raise PivotError(f"{p.stem}: {exc}") from None
+    return LatticeSpec(name=p.stem, gram=gram)
 

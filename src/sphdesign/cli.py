@@ -73,15 +73,19 @@ def _places(text: str) -> int:
     return int(text)
 
 
-def _threads(text: str) -> int:
-    """Type of --threads N: a worker count, N >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
-    return n
+def _int_at_least(lo: int):
+    """Type of an int flag bounded below: --threads N >= 1 (a worker
+    count) and --matrix-cap M >= 0 (a half-set size)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an int >= {lo}, got {text!r}")
+        return n
+    return parse
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -303,13 +307,14 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
                                                "implies the identity form"),
         "--format": dict(choices=("text", "json"), default="text"),
         "--out": dict(metavar="PATH", help="write output to a file"),
-        "--threads": dict(type=_threads, default=_default_threads(),
-                          metavar="N",
+        "--threads": dict(type=_int_at_least(1), metavar="N",
+                          default=_default_threads(),
                           help=f"worker threads (env {_THREADS_ENV})"),
         "--decimal": dict(type=_places, metavar="K", default=None,
                           help="render decimals with K places instead of "
                                "rationals"),
-        "--matrix-cap": dict(type=int, default=MATRIX_CAP, metavar="M",
+        "--matrix-cap": dict(type=_int_at_least(0), default=MATRIX_CAP,
+                             metavar="M",
                              help="max half-set size for exact Gram-level "
                                   f"work (default {MATRIX_CAP})"),
     }

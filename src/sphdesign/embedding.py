@@ -15,11 +15,11 @@ criterion of designs.venkov_3design, as for any code.
 The rank certificate (harmonic_rank) works in Harm_2 itself: each vector
 gets integer coordinates in the (n(n+1)/2)-dimensional space of symmetric
 matrices (harmonic_frame), so the rank of the embedded Gram matrix A is
-that of an (n(n+1)/2)-square integer matrix, whatever N is, and its PSD
-verdict is that of the n x n Gram matrix.  The float coordinates of
-export-coords (realize_coordinates) factor A of the canonical half-set
-one row at a time, forming its exact entries (embedded_gram) only
-against the at most D rows kept as pivots, never as the N/2 x N/2 block.
+that of an (n(n+1)/2)-square integer matrix, whatever N is; A is PSD as
+cG is positive definite.  The float coordinates of export-coords
+(realize_coordinates) factor A of the canonical half-set one row at a
+time, forming its exact entries (embedded_gram) only against the at most
+D rows kept as pivots, never as the N/2 x N/2 block.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ def harmonic_frame(vs: VectorSet) -> np.ndarray:
     return scn * x[:, iu] * x[:, ju] - np.array(me, dtype=dtype)
 
 
-def harmonic_rank(vs: VectorSet) -> tuple[bool, int]:
-    """(is_psd, rank) of the embedded Gram matrix A of the rows of vs.
+def harmonic_rank(vs: VectorSet) -> int:
+    """Rank of the embedded Gram matrix A of the rows of vs.
 
-    For an antipodal X or any half-set X' these equal those of the Gram
+    For an antipodal X or any half-set X' it equals that of the Gram
     matrix [[1, -1], [-1, 1]] (x) A' of G_X' union -G_X' (the 2 x 2
     factor has eigenvalues 2 and 0), proving the code lies on
     S^(target_D - 1): Psi_x = Psi_(-x), so X gives twice the Psi^T Psi
@@ -131,21 +131,21 @@ def harmonic_rank(vs: VectorSet) -> tuple[bool, int]:
 
     A is a positive multiple of the Gram matrix of the rows of Psi
     (harmonic_frame) under <S, T> = tr(cG S cG T), and with cG = R^T R,
-    <S, S> = |R S R^T|_F^2.  So when cG is positive definite, the is_psd
-    verdict, A is PSD and rank A = rank Psi = rank Psi^T Psi: psd_rank of
-    the gcd-reduced n(n+1)/2-square Psi^T Psi, not of the N-square A.
-    A rank above dim Harm_2 contradicts the trace identity and raises
-    EmbeddingError.
+    <S, S> = |R S R^T|_F^2.  cG is positive definite (a GramMatrix is),
+    so this is an inner product, A is PSD and rank A = rank Psi =
+    rank Psi^T Psi: psd_rank of the gcd-reduced n(n+1)/2-square
+    Psi^T Psi, not of the N-square A.  A rank above dim Harm_2
+    contradicts the trace identity and raises EmbeddingError.
     """
     psi = harmonic_frame(vs)
     ptp = exact_matmul(psi.T, psi).tolist()
     k = gcd(*(x for row in ptp for x in row)) or 1
-    _, rank = psd_rank([[x // k for x in row] for row in ptp])
+    rank = psd_rank([[x // k for x in row] for row in ptp])
     target = dim_harm(2, vs.sphere_dim)
     if rank > target:
         raise EmbeddingError(
             f"embedded Gram rank {rank} exceeds dim Harm = {target}")
-    return vs.gram.is_positive_definite(), rank
+    return rank
 
 
 MATRIX_CAP = 512
@@ -182,12 +182,12 @@ def realize_coordinates(vs: VectorSet, precision: int = 12,
     exact products on blocks of at most D columns.  Rows are the images of
     a half-set X' followed by their negatives, the rows LDL^T of
     [[A, -A], [-A, A]] gives: X' is the canonical half of an antipodal vs
-    (enumeration.halve_antipodal), else vs itself.  cG positive definite
-    makes A PSD (harmonic_rank), so a zero pivot has a zero column below
-    it.  A is factored one row at a time (linalg.ldlt_row), each row
-    formed only against the kept rows, at most D = dim Harm_2 since
-    rank A <= D; the rows after the D-th kept one are dependent and form
-    one batch.
+    (enumeration.halve_antipodal), else vs itself.  cG is positive
+    definite, so A is PSD (harmonic_rank) and a zero pivot has a zero
+    column below it.  A is factored one row at a time (linalg.ldlt_row),
+    each row formed only against the kept rows, at most D = dim Harm_2
+    since rank A <= D; the rows after the D-th kept one are dependent and
+    form one batch.
     """
     half = halve_antipodal(vs) if vs.antipodal else vs
     npts = half.count
@@ -195,8 +195,6 @@ def realize_coordinates(vs: VectorSet, precision: int = 12,
         raise EmbeddingError(
             f"{npts} points exceed the matrix cap {cap}; use the "
             f"spectrum-only embedding (sphdesign embed) instead")
-    if not half.gram.is_positive_definite():
-        raise EmbeddingError("the Gram matrix is not positive definite")
     dim = dim_harm(2, half.sphere_dim)
     kept, d, lam, mult = [], [1], [], []    # d[1] = A[0][0], the scale
     while len(mult) < npts and len(kept) < dim:

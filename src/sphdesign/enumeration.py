@@ -24,7 +24,7 @@ from functools import reduce
 from math import inf, isqrt, lcm, nextafter, prod
 
 from ._numpy import np
-from .linalg import GramMatrix, LinalgError, invert, ldlt, ldlt_row
+from .linalg import GramMatrix, invert, ldlt, ldlt_row
 
 
 class EnumerationError(ValueError):
@@ -39,10 +39,11 @@ class NotAntipodalError(ValueError):
 class VectorSet:
     """Finite set of integer coordinate vectors with constant norm.
 
-    coords is an (N x rank) integer array, rows in canonical (lexicographic)
-    order; every row v satisfies v^T gram v == min_norm exactly.  m is the
-    scaled min norm c * min_norm (c = gram.scale), a positive int: every
-    row has v^T (c gram) v == m, and every scaled product lies in [-m, m].
+    coords is an (N x rank) integer array, rank = gram.n, rows in
+    canonical (lexicographic) order; every row v satisfies
+    v^T gram v == min_norm exactly.  m is the scaled min norm
+    c * min_norm (c = gram.scale), a positive int: every row has
+    v^T (c gram) v == m, and every scaled product lies in [-m, m].
     antipodal defaults to whether the rows are closed under negation.
     """
 
@@ -58,6 +59,9 @@ class VectorSet:
         c = np.array(self.coords, dtype=np.int64)
         if c.ndim != 2:
             raise ValueError("coords must be a 2-d integer array")
+        if c.shape[1] != self.gram.n:
+            raise ValueError(f"vectors have rank {c.shape[1]} but the Gram "
+                             f"matrix has rank {self.gram.n}")
         if not _lex_sorted(c):
             c = c[np.lexsort(c.T[::-1])]
         c.setflags(write=False)
@@ -144,8 +148,7 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
     T keeps the Z-span of the Gram entries, so c stays minimal.  The
     Gram-Schmidt coefficients of the result satisfy |mu_kj| <= 1/2 and the
     Lovasz condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.
-    Raises LinalgError when some d[k] <= 0, i.e. g is not positive
-    definite.
+    g is positive definite, so every d[k] is positive.
     """
     n = g.n
     a = [list(row) for row in g.entries]
@@ -155,8 +158,6 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
 
     def gram_schmidt(k: int) -> None:
         u = ldlt_row(a[k][:k + 1], lam, d)
-        if u[k] <= 0:
-            raise LinalgError("gram matrix is not positive definite")
         lam[k][:k], d[k + 1] = u[:k], u[k]
 
     def reduce_pair(k: int, l: int) -> None:
@@ -453,14 +454,12 @@ def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
 
     Reduces once, enumerates at the smallest diagonal entry of the reduced
     Gram (the shortest reduced basis vector's norm, at most 2^(n-1) times
-    the minimal norm), keeps the vectors of the smallest norm found and
-    maps only those back to input coordinates.
+    the minimal norm, so that vector is found), keeps the vectors of the
+    smallest norm found and maps only those back to input coordinates.
     """
     reduced, trans = size_reduce(gram)
     bound = min(reduced[i, i] for i in range(reduced.n))
     half = _fincke_pohst(reduced, bound)
-    if half.shape[0] == 0:
-        raise EnumerationError("no nonzero vectors at the basis-diagonal bound")
     norms = exact_norms(reduced, half)
     m = norms.min()
     half = half[norms == m]     # drops the larger array before the map back

@@ -39,8 +39,8 @@ class SpectrumError(ValueError):
 class PairSpectrum:
     """Ordered-pair counts by normalized inner product s = (v,w)/min_norm.
 
-    entries is stored as a tuple of (s, count) pairs sorted by s descending;
-    counts() gives dict access.  size is N = |X|; counts sum to N^2.
+    entries is stored as a tuple of (s, count) pairs sorted by s
+    descending.  size is N = |X|; counts sum to N^2.
     """
 
     d: int
@@ -69,9 +69,6 @@ class PairSpectrum:
                     raise SpectrumError(
                         f"antipodal spectrum asymmetric at s = {s}")
 
-    def counts(self) -> dict[Fraction, int]:
-        return dict(self.entries)
-
     def mirrored(self) -> "PairSpectrum":
         """Spectrum of X union -X for this antipodal-free X:
         C(s) = 2 c(s) + 2 c(-s), an exact identity."""
@@ -83,9 +80,6 @@ class PairSpectrum:
             full[-s] = full.get(-s, 0) + 2 * c
         return PairSpectrum(d=self.d, size=2 * self.size, antipodal=True,
                             entries=tuple(full.items()))
-
-    def count(self, s) -> int:
-        return self.counts().get(Fraction(s), 0)
 
     def to_triples(self) -> list[list[int]]:
         """[s_numerator, s_denominator, count] rows, s descending."""

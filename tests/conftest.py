@@ -32,7 +32,7 @@ from sphdesign.enumeration import (
     minimal_vector_set,
     size_reduce,
 )
-from sphdesign.linalg import GramMatrix, LinalgError, invert
+from sphdesign.linalg import GramMatrix, LinalgError, PivotError, invert
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -87,9 +87,48 @@ def gauss_jordan_inverse(g: GramMatrix) -> GramMatrix:
     return GramMatrix.from_rows([[g.scale * x for x in row[n:]] for row in a])
 
 
-def harmonic_gram(g: GramMatrix) -> list[list[int]]:
+def reference_ldlt(rows) -> tuple[tuple[tuple[Fraction, ...], ...],
+                                   tuple[Fraction, ...]]:
+    """Oracle: the former Fraction-arithmetic LDL^T of linalg, on any
+    symmetric matrix of rationals.
+
+    Unpivoted LDL^T factorization: returns (L, D) with L unit lower
+    triangular and L*diag(D)*L^T == rows exactly.  A zero pivot with a
+    zero column below it is skipped (D[k] = 0); a zero pivot with a
+    nonzero remainder below it raises PivotError.  So the matrix is
+    positive semidefinite exactly when this returns and every D[k] >= 0,
+    and positive definite exactly when every D[k] > 0.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d: list[Fraction] = []
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            if any(a[i][k] != 0 for i in range(k + 1, n)):
+                raise PivotError(
+                    f"zero pivot at step {k} with nonzero remainder; requires pivoted variant"
+                )
+            d.append(Fraction(0))
+            continue
+        d.append(pivot)
+        for i in range(k + 1, n):
+            L[i][k] = a[i][k] / pivot
+        for i in range(k + 1, n):
+            lik = L[i][k]
+            if lik == 0:
+                continue
+            arow_i = a[i]
+            for j in range(k + 1, i + 1):
+                arow_i[j] -= lik * a[j][k]
+    return tuple(tuple(row) for row in L), tuple(d)
+
+
+def harmonic_gram(entries) -> list[list[int]]:
     """W, the Gram matrix of the coordinate basis of embedding.harmonic_frame
-    under <S, T> = tr(cG S cG T), cG = g.entries.
+    under <S, T> = tr(cG S cG T), cG = entries, any symmetric integer
+    matrix (a GramMatrix's entries when cG is positive definite).
 
     W[p][q] = tr(cG S_p cG S_q) for the symmetric basis matrices S_p (E_ii,
     or E_ij + E_ji for i < j, ordered as numpy.triu_indices), so that
@@ -97,8 +136,8 @@ def harmonic_gram(g: GramMatrix) -> list[list[int]]:
     + G_il G_jk) / 2 for p = (i, j), q = (k, l), with u = 1 on the
     diagonal and 2 off it.
     """
-    iu, ju = np.triu_indices(g.n)
-    ga = np.array(g.entries, dtype=object)
+    iu, ju = np.triu_indices(len(entries))
+    ga = np.array(entries, dtype=object)
     u = np.where(iu == ju, 1, 2).astype(object)
     w = ((ga[np.ix_(iu, iu)] * ga[np.ix_(ju, ju)]
           + ga[np.ix_(iu, ju)] * ga[np.ix_(ju, iu)])

@@ -15,7 +15,7 @@ from sphdesign.catalog import (
     catalog_names,
     from_gram_file,
 )
-from sphdesign.linalg import GramMatrix, ldlt
+from sphdesign.linalg import GramMatrix, PivotError, ldlt
 
 from conftest import dual
 
@@ -57,7 +57,8 @@ def test_shipped_form_invariants(name):
     expected_det, expected_min = SHIPPED[name]
     assert det(spec.gram) == expected_det
     assert spec.expected_min_norm == expected_min
-    assert spec.gram.is_positive_definite()
+    # Sylvester: every leading principal minor is positive
+    assert all(p > 0 for p in ldlt(spec.gram.entries)[0])
 
 
 def test_missing_data_message():
@@ -100,9 +101,16 @@ def test_from_gram_file(tmp_path):
     assert spec.gram[0, 1] == F(1)
 
 
-def test_latticespec_rejects_indefinite():
-    with pytest.raises(ValueError, match="positive definite"):
+def test_latticespec_rejects_indefinite(tmp_path):
+    # a LatticeSpec holds a GramMatrix, which is refused where it is
+    # built; from a file, the error names it
+    with pytest.raises(PivotError, match="^gram matrix is not positive"):
         LatticeSpec(name="bad", gram=GramMatrix.from_rows([[1, 2], [2, 1]]))
+    p = tmp_path / "bad.gram"
+    p.write_text("2\n1 2\n2 1\n")
+    with pytest.raises(PivotError,
+                       match="^bad: gram matrix is not positive definite$"):
+        from_gram_file(p)
 
 
 BUILD_CATALOG = Path(__file__).resolve().parents[1] / "scripts/build_catalog.py"

@@ -237,6 +237,25 @@ def test_bad_threads_usage_error(capsys, threads):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "export-coords"])
+@pytest.mark.parametrize("cap", ["-5", "-1", "x"])
+def test_bad_matrix_cap_usage_error(capsys, command, cap):
+    # a negative cap would silently drop the certificate (verify) or
+    # refuse every set (export-coords)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--lattice", "A2", "--matrix-cap", cap])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --matrix-cap: expected an int >= 0, got '{cap}'" in err
+    assert "Traceback" not in err
+
+
+def test_zero_matrix_cap_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--lattice", "A2",
+                       "--matrix-cap", "0")
+    assert code == 0 and "rank certificate" not in out
+
+
 def test_decimal_str_exact():
     assert _decimal_str(F(1, 3), 6) == "0.333333"
     assert _decimal_str(F(-5, 4), 3) == "-1.250"
@@ -349,6 +368,37 @@ def test_duplicate_vectors_exit_two(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--vectors", str(vecs))
     assert code == 2 and out == ""
     assert err == "error: duplicate vectors present\n"
+
+
+@pytest.mark.parametrize("command",
+                         ["verify", "spectrum", "embed", "export-coords"])
+def test_vector_rank_mismatch_exit_two(tmp_path, capsys, command):
+    # rank-3 vectors on the rank-2 A2 form: one line naming both ranks,
+    # not numpy's matmul message
+    gram = tmp_path / "a2.gram"
+    gram.write_text("2\n2 1\n1 2\n")
+    vecs = tmp_path / "f.vecs"
+    vecs.write_text("3 2 1\n1 0 0\n-1 0 0\n")
+    code, out, err = run(capsys, command, "--gram-file", str(gram),
+                         "--vectors", str(vecs))
+    assert code == 2 and out == ""
+    assert err == ("error: vectors have rank 3 but the Gram matrix has "
+                   "rank 2\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "embed",
+                                     "export-coords", "minvec"])
+@pytest.mark.parametrize("rows", ["1 2\n2 1", "1 1\n1 1", "0 0\n0 0"],
+                         ids=["indefinite", "singular", "zero"])
+def test_non_positive_definite_gram_file_exit_two(tmp_path, capsys,
+                                                   command, rows):
+    # indefinite, singular PSD and zero forms are refused where the file
+    # is read, with its name
+    gram = tmp_path / "bad.gram"
+    gram.write_text(f"2\n{rows}\n")
+    code, out, err = run(capsys, command, "--gram-file", str(gram))
+    assert code == 2 and out == ""
+    assert err == "error: bad: gram matrix is not positive definite\n"
 
 
 def test_unexpected_exception_exit_three(monkeypatch, capsys):

@@ -30,7 +30,7 @@ from sphdesign.enumeration import (
     exact_matmul,
     halve_antipodal,
 )
-from sphdesign.linalg import GramMatrix, invert, ldlt, psd_rank
+from sphdesign.linalg import GramMatrix, PivotError, invert, psd_rank
 from sphdesign.spectrum import pair_spectrum
 
 from conftest import (
@@ -40,6 +40,7 @@ from conftest import (
     harmonic_gram,
     lattice_vectors,
     random_half,
+    reference_ldlt,
     spectrum_from_counts,
 )
 
@@ -99,7 +100,7 @@ def test_embed_rejects_odd_antipodal_count():
 def test_hexagon_embeds_to_hexagon(hexagon):
     emb = embed(pair_spectrum(halve_antipodal(hexagon)))
     assert emb.d + 1 == 2
-    assert emb.counts() == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}
+    assert dict(emb.entries) == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}
     ok, lhs = venkov_3design(emb)
     assert ok and lhs == moment_target(emb.d, 2) == F(1, 2)
 
@@ -108,7 +109,7 @@ def test_hexagon_embedding_iterates():
     # the embedded hexagon is again a hexagon on S^1; iterating is stable
     emb = embed(pair_spectrum(halve_antipodal(lattice_vectors("A2"))))
     emb2 = embed(emb)
-    assert emb2.counts() == emb.counts()
+    assert emb2.entries == emb.entries
 
 
 def test_octahedron_embedding_fails_theorem(octahedron):
@@ -121,7 +122,7 @@ def test_octahedron_embedding_fails_theorem(octahedron):
 def test_d4_embedded_spectrum(d4_vectors):
     emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
     assert emb.d + 1 == 9
-    assert emb.counts() == {
+    assert dict(emb.entries) == {
         F(1): 24, F(1, 3): 72, F(0): 384, F(-1, 3): 72, F(-1): 24}
     ok, lhs = venkov_3design(emb)
     assert ok and lhs == moment_target(emb.d, 2) == F(1, 9)
@@ -132,8 +133,8 @@ def test_e8_embedded_spectrum(e8_vectors):
     assert emb.d + 1 == 35
     # +-1/2 sources land on +1/7, the 0 products land on -1/7, and the
     # sign closure symmetrizes: 13440 + 30240/2 on each side
-    assert emb.counts() == {F(1): 240, F(1, 7): 28560,
-                            F(-1, 7): 28560, F(-1): 240}
+    assert dict(emb.entries) == {F(1): 240, F(1, 7): 28560,
+                                 F(-1, 7): 28560, F(-1): 240}
     ok, lhs = venkov_3design(emb)
     assert ok and lhs == moment_target(emb.d, 2) == F(1, 35)
 
@@ -149,8 +150,7 @@ def test_embedded_size_doubles(e8_vectors):
                                        ("E7dual", 27)])
 def test_rank_certificates_small(name, rank):
     half = halve_antipodal(lattice_vectors(name))
-    is_psd, r = harmonic_rank(half)
-    assert is_psd and r == rank
+    assert harmonic_rank(half) == rank
 
 
 FRAME_LATTICES = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12"]
@@ -170,7 +170,7 @@ def test_harmonic_frame_reproduces_embedded_gram(name, seed):
     # Psi W Psi^T = s^2 c^2 n (n-1) m^2 A exactly, A = block / scale
     half = _half(name, seed)
     psi = harmonic_frame(half)
-    w = harmonic_gram(half.gram)
+    w = harmonic_gram(half.gram.entries)
     n, c, m = half.rank, half.gram.scale, half.m
     assert psi.shape == (half.count, n * (n + 1) // 2)
     kappa = invert(half.gram).scale ** 2 * c * c * n * (n - 1) * m * m
@@ -185,6 +185,9 @@ def test_harmonic_frame_reproduces_embedded_gram(name, seed):
 def test_harmonic_rank_equals_block_rank(name, seed):
     half = _half(name, seed)
     assert harmonic_rank(half) == psd_rank(embedded_block(half))
+    # and the block is PSD: it is Psi W Psi^T / kappa
+    # (test_harmonic_frame_reproduces_embedded_gram), W positive definite
+    assert _definite(harmonic_gram(half.gram.entries))
 
 
 @pytest.mark.parametrize("name", FRAME_LATTICES)
@@ -209,7 +212,7 @@ def test_frame_without_inverse_correction_raises(monkeypatch, name):
     x = half.coords.astype(object)
     bare = scn * x[:, iu] * x[:, ju]
     target = dim_harm(2, half.sphere_dim)
-    assert psd_rank(exact_matmul(bare.T, bare).tolist())[1] == target + 1
+    assert psd_rank(exact_matmul(bare.T, bare).tolist()) == target + 1
     monkeypatch.setattr(embedding, "harmonic_frame", lambda h: bare)
     with pytest.raises(EmbeddingError, match="exceeds dim Harm"):
         harmonic_rank(half)
@@ -223,21 +226,36 @@ def test_frame_rejects_wrong_inverse(monkeypatch):
         harmonic_rank(half)
 
 
-def _indefinite_half():
-    """x^2 - 2 y^2 = 1 on three vectors, products 3, 3 and 17."""
-    half = VectorSet(gram=GramMatrix.from_rows([[1, 0], [0, -2]]),
-                     min_norm=1, coords=np.array([[1, 0], [3, 2], [3, -2]]),
-                     antipodal=False)
-    half.validate()
-    return half
+def _definite(rows) -> bool:
+    """Whether a symmetric matrix is positive definite, by the Fraction
+    reference LDL^T."""
+    try:
+        return min(reference_ldlt(rows)[1]) > 0
+    except PivotError:
+        return False
 
 
 def test_harmonic_rank_indefinite_form():
-    # W is indefinite, so there is no PSD certificate, and A is not PSD
-    # either
-    half = _indefinite_half()
-    assert harmonic_rank(half)[0] is False
-    assert psd_rank(embedded_block(half))[0] is False
+    # on this indefinite form the four vectors have norm 8 and Psi has
+    # rank 3, but A (all ones) has rank 1: off positive definite forms the
+    # rank of Psi is not that of A.  The form is refused where it is
+    # built, so no vector set on it reaches harmonic_rank
+    import sympy
+
+    rows = [[-2, 2, 3], [2, 0, 0], [3, 0, 2]]
+    x = [[0, -3, 2], [0, -1, 2], [0, 0, -2], [0, -2, -2]]
+    g, v = sympy.Matrix(rows), sympy.Matrix(x)
+    p = v * g * v.T
+    assert [p[i, i] for i in range(4)] == [8] * 4
+    assert p.applyfunc(lambda t: (3 * (t / 8) ** 2 - 1) / 2).rank() == 1
+    psi = [[s[i, j] for i in range(3) for j in range(i, 3)]
+           for s in (3 * v[k, :].T * v[k, :] - 8 * g.inv() for k in range(4))]
+    assert sympy.Matrix(psi).rank() == 3
+    with pytest.raises(PivotError, match="not positive definite"):
+        VectorSet(gram=GramMatrix.from_rows(rows), min_norm=8,
+                  coords=np.array(x))
+    with pytest.raises(PivotError, match="not positive definite"):
+        GramMatrix(1, tuple(map(tuple, rows)))
 
 
 _small = st.integers(min_value=-4, max_value=4)
@@ -245,9 +263,9 @@ _small = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def _forms(draw):
-    """Symmetric integer forms of side 1 to 4: arbitrary ones, mostly
-    indefinite, and B^T B, singular when B has fewer rows than columns
-    and positive definite when the identity is added."""
+    """Rows of symmetric integer forms of side 1 to 4: arbitrary ones,
+    mostly indefinite, and B^T B, singular when B has fewer rows than
+    columns and positive definite when the identity is added."""
     n = draw(st.integers(min_value=1, max_value=4))
     kind = draw(st.sampled_from(["any", "singular", "definite"]))
     if kind == "any":
@@ -261,29 +279,28 @@ def _forms(draw):
         rows = [[sum(b[k][i] * b[k][j] for k in range(r))
                  + (kind == "definite" and i == j) for j in range(n)]
                 for i in range(n)]
-    return GramMatrix.from_rows(rows)
+    return rows
 
 
 @given(_forms())
 @settings(max_examples=150, deadline=None)
-def test_harmonic_gram_definite_exactly_when_form_is(g):
+def test_harmonic_gram_definite_exactly_when_form_is(rows):
     # <S, S> = tr(cG S cG S) is |R S R^T|_F^2 for cG = R^T R, and also for
     # cG = -R^T R: W is positive definite exactly when cG is definite.  A
     # vector of norm m > 0 rules out the negative definite forms, so for a
-    # vector set W is positive definite exactly when cG is
-    # (harmonic_rank's verdict)
-    w = harmonic_gram(g)
-    is_psd, rank = psd_rank(w)
-    neg = GramMatrix(g.scale, tuple(tuple(-x for x in row)
-                                    for row in g.entries))
-    assert (is_psd and rank == len(w)) == \
-        (g.is_positive_definite() or neg.is_positive_definite())
+    # vector set W is positive definite exactly when cG is, which every
+    # GramMatrix is (harmonic_rank's inner product)
+    neg = [[-x for x in row] for row in rows]
+    assert _definite(harmonic_gram(rows)) == \
+        (_definite(rows) or _definite(neg))
 
 
 def test_harmonic_gram_negative_definite_form():
-    g = GramMatrix.from_rows([[-2, 1], [1, -2]])
-    assert psd_rank(harmonic_gram(g)) == (True, 3)
-    assert not g.is_positive_definite()
+    rows = [[-2, 1], [1, -2]]
+    w = harmonic_gram(rows)
+    assert _definite(w) and psd_rank(w) == 3
+    with pytest.raises(PivotError, match="not positive definite"):
+        GramMatrix.from_rows(rows)
 
 
 @pytest.mark.parametrize("k", [2 ** 30, 2 ** 30 + 1])
@@ -302,8 +319,9 @@ def test_harmonic_frame_both_sides_of_bound(k):
     want = [[2 * a * a - m, 2 * a * b, 2 * b * b - m]
             for a, b in as_tuples(half)]
     assert psi.tolist() == want
-    assert harmonic_rank(half) == psd_rank(embedded_block(half)) \
-        == (True, 2)
+    block = embedded_block(half)
+    assert min(reference_ldlt(block)[1]) >= 0       # PSD
+    assert harmonic_rank(half) == psd_rank(block) == 2
 
 
 @pytest.mark.parametrize("k", [2 ** 30 - 1, 2 ** 30])
@@ -363,7 +381,7 @@ def test_embedded_gram_reduced(name, factor):
 def test_rank_certificate_ct12():
     half = _half("CT12", None)
     assert half.count == 378
-    assert harmonic_rank(half) == (True, 77)
+    assert harmonic_rank(half) == 77
     assert dim_harm(2, half.sphere_dim) == 77
 
 
@@ -377,7 +395,7 @@ def _mirrored(a):
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E6dual", "E7",
                                   "E7dual", "E8"])
 def test_half_block_certificate_equals_mirrored(name):
-    # [[1, -1], [-1, 1]] (x) A has the PSD verdict and the rank of A
+    # [[1, -1], [-1, 1]] (x) A has the rank of A
     vs = lattice_vectors(name)
     for seed in (None, 0, 7):
         block = embedded_block(_half(name, seed))
@@ -422,21 +440,13 @@ def test_realize_coordinates_equal_mirrored_ldlt(name):
     # half is the negated top half and the pivots after A's are zero
     half = halve_antipodal(lattice_vectors(name))
     block = embedded_block(half)
-    pivots, lam = ldlt(_mirrored(block))
-    # D[j] = p[j] / (p_prev * scale) for A = block / scale; L unit lower
-    # triangular with L[i][j] = lam[i][j] / p[j]
-    roots, prev = {}, 1
-    for j, p in enumerate(pivots):
-        if p:
-            roots[j] = sqrt(F(p, prev * block[0][0]))
-            prev = p
-
-    def lmat(i, j):
-        return F(int(i == j)) if j >= i else F(lam[i][j], pivots[j])
-
-    want = [tuple([float(lmat(i, j)) * r for j, r in roots.items()]
+    L, D = reference_ldlt(_mirrored(block))
+    # the pivots of A = block / scale are D[j] / scale; the zero ones are
+    # skipped
+    roots = {j: sqrt(x / block[0][0]) for j, x in enumerate(D) if x}
+    want = [tuple([float(L[i][j]) * r for j, r in roots.items()]
                   + [0.0] * (dim_harm(2, half.sphere_dim) - len(roots)))
-            for i in range(len(pivots))]
+            for i in range(len(D))]
     got = realize_coordinates(half)
     assert [[x.hex() for x in row] for row in got] == \
         [[x.hex() for x in row] for row in want]
@@ -468,9 +478,12 @@ def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
 
 
 def test_realize_coordinates_indefinite_form_raises():
-    # cG is checked first: no PivotError and no square root of a negative
-    with pytest.raises(EmbeddingError, match="not positive definite"):
-        realize_coordinates(_indefinite_half())
+    # x^2 - 2 y^2 = 1 on three vectors: the form is refused where it is
+    # built, so no square root of a negative pivot is ever taken
+    with pytest.raises(PivotError, match="not positive definite"):
+        realize_coordinates(VectorSet(
+            gram=GramMatrix.from_rows([[1, 0], [0, -2]]), min_norm=1,
+            coords=np.array([[1, 0], [3, 2], [3, -2]]), antipodal=False))
 
 
 def test_realize_coordinates_default_precision_e8(e8_vectors):
@@ -492,4 +505,4 @@ def test_iterate_embedding_divisibility(d4_vectors):
 def test_halving_invariance_property(seed):
     vs = lattice_vectors("A2")
     emb = embed(pair_spectrum(random_half(vs, seed)))
-    assert emb.counts() == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}
+    assert dict(emb.entries) == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}

@@ -27,7 +27,7 @@ from sphdesign.enumeration import (
     shortest_norm_and_vectors,
     size_reduce,
 )
-from sphdesign.linalg import GramMatrix, LinalgError, invert, ldlt
+from sphdesign.linalg import GramMatrix, PivotError, invert, ldlt
 
 from conftest import (
     as_tuples,
@@ -199,26 +199,27 @@ def _non_positive_definite(draw):
     b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
     s = [draw(st.integers(1, 3)) for _ in range(n)]
     s[draw(st.integers(0, n - 1))] = draw(st.integers(-2, 0))
-    return GramMatrix.from_rows(
-        [[sum(b[k][i] * s[k] * b[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)])
+    return [[sum(b[k][i] * s[k] * b[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
 
 
 @given(_non_positive_definite())
 @settings(max_examples=60, deadline=None)
-def test_lll_rejects_non_positive_definite(g):
-    with pytest.raises(LinalgError, match="positive definite"):
-        size_reduce(g)
+def test_lll_rejects_non_positive_definite(rows):
+    # the LLL is never handed such a form: its GramMatrix is refused
+    # where it is built
+    with pytest.raises(PivotError, match="not positive definite"):
+        GramMatrix.from_rows(rows)
 
 
 @pytest.mark.parametrize("rows", [[[0]], [[-1]], [[1, 1], [1, 1]],
                                   [[1, 2], [2, 1]], [[2, 0], [0, 0]],
                                   [[4, 2, 0], [2, 1, 0], [0, 0, 5]]])
 def test_lll_rejects_semidefinite_and_indefinite(rows):
-    with pytest.raises(LinalgError, match="positive definite"):
-        size_reduce(GramMatrix.from_rows(rows))
-    with pytest.raises(LinalgError, match="positive definite"):
-        shortest_norm_and_vectors(GramMatrix.from_rows(rows))
+    # size_reduce and shortest_norm_and_vectors take a GramMatrix, and a
+    # singular or indefinite one is refused where it is built
+    with pytest.raises(PivotError, match="not positive definite"):
+        GramMatrix.from_rows(rows)
 
 
 def test_shortest_vectors_from_reduced_basis(monkeypatch):
@@ -280,7 +281,7 @@ def test_exact_norms_object_fallback():
 def test_exact_norms_both_sides_of_bound(k):
     # the int64 certificate n^2 max|G| max|v|^2 = 4 k^2 reaches 2^62 at
     # k = 2^30; both tiers must equal the Fraction oracle
-    g = GramMatrix.from_rows([[1, -1], [-1, 1]])
+    g = GramMatrix.identity(2)
     coords = np.array([[k, k - 1], [k - 1, -k], [-k, 1]], dtype=np.int64)
     norms = exact_norms(g, coords)
     assert norms.dtype == (np.int64 if k < 2 ** 30 else object)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,12 @@ from sphdesign.linalg import (
     psd_rank,
 )
 
-from conftest import gauss_jordan_inverse, matmul, quadratic_form
+from conftest import (
+    gauss_jordan_inverse,
+    matmul,
+    quadratic_form,
+    reference_ldlt,
+)
 
 
 def test_from_rows_symmetrizes_nothing_but_validates():
@@ -71,52 +77,16 @@ def test_integer_entries_scale():
     assert g[0, 1] == F(-2, 3)
 
 
-def reference_ldlt(g: GramMatrix) -> tuple[tuple[tuple[F, ...], ...], tuple[F, ...]]:
-    """Oracle: the former Fraction-arithmetic LDL^T of linalg, unchanged.
-
-    Unpivoted LDL^T factorization: returns (L, D) with L unit lower
-    triangular and L*diag(D)*L^T == g exactly.  Raises PivotError on a zero
-    pivot with nonzero remainder below it.
-    """
-    n = g.n
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
-    L = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-    d: list[F] = []
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
-            if any(a[i][k] != 0 for i in range(k + 1, n)):
-                raise PivotError(
-                    f"zero pivot at step {k} with nonzero remainder; requires pivoted variant"
-                )
-            d.append(F(0))
-            continue
-        d.append(pivot)
-        for i in range(k + 1, n):
-            L[i][k] = a[i][k] / pivot
-        for i in range(k + 1, n):
-            lik = L[i][k]
-            if lik == 0:
-                continue
-            arow_i = a[i]
-            for j in range(k + 1, i + 1):
-                arow_i[j] -= lik * a[j][k]
-    return tuple(tuple(row) for row in L), tuple(d)
-
-
 def rational_factors(pivots, lam):
     """(L, D) in the reference's form, from the integer pivots p and
-    multipliers lam: L[i][k] = lam[i][k] / p[k], D[k] = p[k] / p_prev."""
+    multipliers lam: L[i][k] = lam[i][k] / p[k], D[k] = p[k] / p[k - 1]."""
     n = len(pivots)
     L = [[F(int(i == k)) for k in range(n)] for i in range(n)]
-    D, prev = [], 1
-    for k, p in enumerate(pivots):
-        D.append(F(p, prev))
-        if p:
-            for i in range(k + 1, n):
-                L[i][k] = F(lam[i][k], p)
-            prev = p
-    return tuple(tuple(row) for row in L), tuple(D)
+    for i in range(n):
+        for k in range(i):
+            L[i][k] = F(lam[i][k], pivots[k])
+    D = tuple(F(p, q) for p, q in zip(pivots, [1, *pivots]))
+    return tuple(tuple(row) for row in L), D
 
 
 def rebuild(L, D):
@@ -135,29 +105,31 @@ def test_ldlt_reconstructs():
 
 
 def test_ldlt_indefinite_has_negative_pivot():
-    pivots, _ = ldlt([[1, 2], [2, 1]])
-    assert pivots == [1, -3]
-    assert rational_factors(*ldlt([[1, 2], [2, 1]]))[1] == (F(1), F(-3))
+    # the second pivot, the leading minor 1 - 4 = -3, is refused
+    assert reference_ldlt([[1, 2], [2, 1]])[1] == (F(1), F(-3))
+    with pytest.raises(PivotError, match="not positive definite"):
+        ldlt([[1, 2], [2, 1]])
 
 
 def test_ldlt_zero_pivot_nonzero_column_raises():
-    with pytest.raises(PivotError, match="not positive semidefinite"):
+    with pytest.raises(PivotError, match="not positive definite"):
         ldlt([[0, 1], [1, 0]])
 
 
 def test_ldlt_psd_singular():
-    # rank-1 PSD: zero pivot with a zero column below it is accepted
-    pivots, _ = ldlt([[1, 1], [1, 1]])
-    assert pivots == [1, 0]
+    # rank-1 PSD: its zero pivot is refused like any pivot <= 0
+    assert reference_ldlt([[1, 1], [1, 1]])[1] == (F(1), F(0))
+    with pytest.raises(PivotError, match="not positive definite"):
+        ldlt([[1, 1], [1, 1]])
 
 
 def test_psd_rank_cases():
-    assert psd_rank(GramMatrix.identity(4).entries) == (True, 4)
-    assert psd_rank([[1, 1], [1, 1]]) == (True, 1)
-    assert psd_rank([[1, 2], [2, 1]]) == (False, 2)
-    assert psd_rank([[0, 0], [0, 0]]) == (True, 0)
-    assert psd_rank([[0, 1], [1, 0]]) == (False, 2)
-    assert psd_rank([]) == (True, 0)
+    assert psd_rank(GramMatrix.identity(4).entries) == 4
+    assert psd_rank([[1, 1], [1, 1]]) == 1
+    assert psd_rank([[0, 0], [0, 0]]) == 0
+    # a zero row between kept ones
+    assert psd_rank([[1, 0, 1], [0, 0, 0], [1, 0, 2]]) == 2
+    assert psd_rank([]) == 0
 
 
 def test_psd_rank_rejects_non_square_and_non_symmetric():
@@ -179,14 +151,21 @@ def test_invert_roundtrip():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(LinalgError, match="^matrix is singular$"):
+    # a singular form is refused where it is built, before invert
+    with pytest.raises(PivotError, match="not positive definite"):
         invert(GramMatrix.from_rows([[1, 1], [1, 1]]))
 
 
 def test_is_positive_definite():
-    assert GramMatrix.from_rows([[2, -1], [-1, 2]]).is_positive_definite()
-    assert not GramMatrix.from_rows([[1, 1], [1, 1]]).is_positive_definite()
-    assert not GramMatrix.from_rows([[-1]]).is_positive_definite()
+    # a GramMatrix is positive definite by construction, through
+    # from_rows and the constructor alike
+    assert GramMatrix.from_rows([[2, -1], [-1, 2]]).n == 2
+    for rows in ([[1, 1], [1, 1]], [[-1]], [[0]], [[1, 2], [2, 1]]):
+        with pytest.raises(PivotError,
+                           match="^gram matrix is not positive definite$"):
+            GramMatrix.from_rows(rows)
+        with pytest.raises(PivotError):
+            GramMatrix(1, tuple(map(tuple, rows)))
 
 
 _entries = st.integers(min_value=-4, max_value=4)
@@ -194,54 +173,23 @@ _entries = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def _psd_grams(draw, nmax=4, deficient=False):
-    """A^T A is PSD for any integer A; adding identity makes it PD.  With
-    deficient, A has fewer rows than columns, so the rank is below n."""
+    """Rows of B^T B, PSD for any integer B; with deficient, B has fewer
+    rows than columns, so the rank is below n."""
     n = draw(st.integers(min_value=2 if deficient else 1, max_value=nmax))
     m = draw(st.integers(min_value=1,
                          max_value=n - 1 if deficient else nmax))
-    a = [[draw(_entries) for _ in range(n)] for _ in range(m)]
-    rows = [[sum(a[k][i] * a[k][j] for k in range(m)) for j in range(n)]
+    b = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    return [[sum(b[k][i] * b[k][j] for k in range(m)) for j in range(n)]
             for i in range(n)]
-    return GramMatrix.from_rows(rows)
 
 
-def _sympy_verdict(g):
-    import sympy
-
-    m = sympy.Matrix([[sympy.Rational(x, g.scale) for x in row]
-                      for row in g.entries])
-    return m.is_positive_semidefinite, m.rank()
-
-
-# a positive scale changes neither the PSD verdict nor the rank
-_scales = st.sampled_from([1, 4, 2 ** 40])
-
-
-def _scaled_verdict(g, c):
-    """psd_rank of the integer-scaled g, asserted equal at scale c."""
-    a = g.entries
-    verdict = psd_rank(a)
-    assert psd_rank([[c * x for x in row] for row in a]) == verdict
-    return verdict
-
-
-@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True)), _scales)
-@settings(max_examples=100, deadline=None)
-def test_psd_rank_matches_sympy(g, c):
-    ok, rank = _scaled_verdict(g, c)
-    assert ok
-    assert (ok, rank) == _sympy_verdict(g)
-
-
-@given(_psd_grams())
-@settings(max_examples=40, deadline=None)
-def test_pd_shift_ldlt_positive_pivots(g):
-    rows = [[g[i, j] + (1 if i == j else 0) for j in range(g.n)]
-            for i in range(g.n)]
-    gp = GramMatrix.from_rows(rows)
-    pivots, _ = ldlt(gp.entries)
-    assert all(x > 0 for x in pivots)
-    assert gp.is_positive_definite()
+@st.composite
+def _definite(draw, nmax=4):
+    """Rows of B^T B + I over a denominator up to 6: positive definite."""
+    a = draw(_psd_grams(nmax))
+    den = draw(st.integers(min_value=1, max_value=6))
+    return [[F(x + (i == j), den) for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
 
 
 @st.composite
@@ -254,29 +202,89 @@ def _symmetric(draw, nmax=5, zero_diagonal=False):
             if i == j and zero_diagonal:
                 continue
             rows[i][j] = rows[j][i] = F(draw(_entries), den)
-    return GramMatrix.from_rows(rows)
+    return rows
 
 
-@given(st.one_of(_symmetric(), _symmetric(zero_diagonal=True)), _scales)
-@settings(max_examples=120, deadline=None)
-def test_psd_rank_symmetric_matches_sympy(g, c):
-    # mostly indefinite; a zero diagonal leaves no pivot, and then only
-    # the zero matrix is PSD
-    assert _scaled_verdict(g, c) == _sympy_verdict(g)
+def _scaled(rows) -> tuple[int, list[list[int]]]:
+    """(c, c * rows) with c the lcm of the denominators of rows."""
+    c = lcm(*(F(x).denominator for row in rows for x in row))
+    return c, [[int(F(x) * c) for x in row] for row in rows]
+
+
+def _sympy(rows):
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(F(x).numerator, F(x).denominator)
+                          for x in row] for row in rows])
+
+
+# a positive scale does not change the rank
+_scales = st.sampled_from([1, 4, 2 ** 40])
+
+
+def _scaled_rank(a, c):
+    """psd_rank of a, asserted equal at scale c."""
+    rank = psd_rank(a)
+    assert psd_rank([[c * x for x in row] for row in a]) == rank
+    return rank
+
+
+@given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True)), _scales)
+@settings(max_examples=100, deadline=None)
+def test_psd_rank_matches_sympy(a, c):
+    # B^T B for random integer B, rank-deficient when B has fewer rows
+    # than columns or dependent rows
+    m = _sympy(a)
+    assert m.is_positive_semidefinite
+    assert _scaled_rank(a, c) == m.rank()
+
+
+@given(_psd_grams())
+@settings(max_examples=40, deadline=None)
+def test_pd_shift_ldlt_positive_pivots(a):
+    rows = [[x + (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+    pivots, _ = ldlt(rows)
+    assert all(x > 0 for x in pivots)
+    assert GramMatrix.from_rows(rows).entries == tuple(map(tuple, rows))
+
+
+@given(st.one_of(_symmetric(), _symmetric(zero_diagonal=True),
+                 _psd_grams(nmax=5, deficient=True), _definite(nmax=5)))
+@settings(max_examples=200, deadline=None)
+def test_from_rows_succeeds_exactly_when_positive_definite(rows):
+    # mostly indefinite or PSD-singular: GramMatrix.from_rows and the
+    # constructor on the scaled rows refuse exactly what sympy does not
+    # call positive definite
+    definite = _sympy(rows).is_positive_definite
+    c, a = _scaled(rows)
+    if definite:
+        g = GramMatrix.from_rows(rows)
+        assert (g.scale, g.entries) == (c, tuple(map(tuple, a)))
+        return
+    with pytest.raises(PivotError,
+                       match="^gram matrix is not positive definite$"):
+        GramMatrix.from_rows(rows)
+    with pytest.raises(PivotError):
+        GramMatrix(c, tuple(map(tuple, a)))
 
 
 @given(st.one_of(_psd_grams(), _psd_grams(nmax=5, deficient=True),
-                 _symmetric(), _symmetric(zero_diagonal=True)))
+                 _definite(), _symmetric(), _symmetric(zero_diagonal=True)))
 @settings(max_examples=150, deadline=None)
-def test_ldlt_exact_and_equals_fraction_reference(g):
-    # PD, rank-deficient PSD and indefinite: L diag(D) L^T rebuilt from the
-    # integer pivots and multipliers is the input exactly (an inexact floor
+def test_ldlt_exact_and_equals_fraction_reference(rows):
+    # PD, rank-deficient PSD and indefinite: ldlt refuses exactly the
+    # matrices whose Fraction reference has a pivot <= 0 (or a zero pivot
+    # it cannot skip); on the rest L diag(D) L^T rebuilt from the integer
+    # pivots and multipliers is the input exactly (an inexact floor
     # division would show here), and the factors are the Fraction ones
-    a = [list(row) for row in g.entries]
+    _, a = _scaled(rows)
     try:
-        want = reference_ldlt(GramMatrix.from_rows(a))
+        want = reference_ldlt(a)
     except PivotError:
-        with pytest.raises(PivotError):
+        want = None
+    if want is None or min(want[1]) <= 0:
+        with pytest.raises(PivotError, match="not positive definite"):
             ldlt(a)
         return
     got = rational_factors(*ldlt(a))
@@ -284,20 +292,13 @@ def test_ldlt_exact_and_equals_fraction_reference(g):
     assert rebuild(*got) == a
 
 
-@given(st.one_of(_psd_grams(nmax=6), _psd_grams(nmax=5, deficient=True),
-                 _symmetric(nmax=6), _symmetric(zero_diagonal=True)))
+@given(_definite(nmax=6))
 @settings(max_examples=200, deadline=None)
-def test_invert_equals_gauss_jordan_oracle(g):
-    # PD, singular PSD, indefinite and zero-diagonal inputs (the last need
-    # row swaps): the same minimal GramMatrix, or the same error
-    try:
-        want = gauss_jordan_inverse(g)
-    except LinalgError as err:
-        assert str(err) == "matrix is singular"
-        with pytest.raises(LinalgError, match="^matrix is singular$"):
-            invert(g)
-        return
-    assert invert(g) == want
+def test_invert_equals_gauss_jordan_oracle(rows):
+    # every Bareiss pivot is a leading minor, positive: the same minimal
+    # GramMatrix as the Fraction oracle, which swaps rows past zeros
+    g = GramMatrix.from_rows(rows)
+    assert invert(g) == gauss_jordan_inverse(g)
 
 
 @pytest.mark.parametrize("name", ["E8", "CT12", "Leech"])
