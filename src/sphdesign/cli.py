@@ -30,7 +30,7 @@ from .catalog import (
 from .designs import moment_target, venkov_3design
 from .embedding import MATRIX_CAP, embed, realize_coordinates
 from .enumeration import VectorSet, minimal_vector_set
-from .gramfile import format_rational, read_vector_set, write_vector_set
+from .gramfile import read_vector_set, write_vector_set
 from .report import (
     code_params,
     embedded_report,
@@ -105,7 +105,7 @@ def _decimal_str(x: Fraction, places: int) -> str:
 
 def _render(x: Fraction, decimal: int | None) -> str:
     if decimal is None:
-        return format_rational(x)
+        return str(x)
     return _decimal_str(x, decimal)
 
 
@@ -178,7 +178,7 @@ def _cmd_lattices(args) -> int:
             "name": name,
             "available": name in have,
             "expected_kissing": kissing,
-            "expected_min_norm": format_rational(min_norm) if min_norm else None,
+            "expected_min_norm": str(min_norm) if min_norm else None,
         })
     if args.format == "json":
         _write_or_print(json.dumps(rows, indent=2), args.out)
@@ -200,14 +200,14 @@ def _cmd_minvec(args) -> int:
         payload = {
             "lattice": spec.name,
             "rank": vs.rank,
-            "min_norm": format_rational(vs.min_norm),
+            "min_norm": str(vs.min_norm),
             "count": vs.count,
         }
         if args.out:
             payload["out"] = args.out
         print(json.dumps(payload, indent=2))
     else:
-        print(f"min_norm {format_rational(vs.min_norm)}, {vs.count} vectors")
+        print(f"min_norm {vs.min_norm}, {vs.count} vectors")
         if args.out:
             print(f"wrote {vs.count} vectors to {args.out}")
     return 0

@@ -5,7 +5,9 @@ An antipodal set X on S^d is a t-design iff its even moments
 (2j-1)!! / ((d+1)(d+3)...(d+2j-1)), for every 2j <= t (Venkov,
 *Reseaux et designs spheriques*, 2001): its odd Gegenbauer sums vanish,
 and g_0, g_2, ..., g_2J span the same polynomials as 1, s^2, ..., s^2J.
-Every criterion here reads those moments (even_moments).
+Every criterion here reads those moments (even_moments), which refuse a
+spectrum that is not antipodal: one whose counts at s = -1 and s = 1
+differ (PairSpectrum.antipodal).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ def moment_target(d: int, two_k: int) -> Fraction:
 def even_moments(spec: PairSpectrum,
                  k: int) -> Iterator[tuple[Fraction, Fraction]]:
     """(moment, moment_target) for the powers 2, 4, ..., 2k of an antipodal
-    spectrum, exact, computed as they are read."""
+    spectrum, exact, computed as they are read; any other spectrum raises
+    NotAntipodalError."""
     if not spec.antipodal:
         raise NotAntipodalError(
             "moment criterion is stated for antipodal sets only")

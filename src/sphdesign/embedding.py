@@ -28,7 +28,13 @@ from fractions import Fraction
 from math import comb, gcd, sqrt
 
 from ._numpy import np
-from .enumeration import I64_SAFE, VectorSet, exact_matmul, halve_antipodal
+from .enumeration import (
+    I64_SAFE,
+    NotAntipodalError,
+    VectorSet,
+    exact_matmul,
+    halve_antipodal,
+)
 from .linalg import invert, ldlt_row, psd_rank
 from .spectrum import PairSpectrum
 
@@ -58,27 +64,25 @@ def g2_coefficients(d: int) -> tuple[int, int, int]:
 
 def embed(spec: PairSpectrum) -> PairSpectrum:
     """Spectrum of G_X' union -G_X' on S^(D-1), folded from the pair
-    spectrum of X.
+    spectrum of the antipodal set X.
 
     Each source product s contributes C(s)/2 at +g(s) and C(s)/2 at -g(s),
-    where g = g_{2,d} (g2_coefficients) and C the spectrum of the
-    antipodal set X; an odd C(s) raises EmbeddingError.
-    embed(emb) embeds an embedded code again.  A spectrum not flagged
-    antipodal is read as that of a half-set X' and mirrored first.
+    where g = g_{2,d} (g2_coefficients) and C the spectrum of X, whose
+    counts are even (PairSpectrum).  embed(emb) embeds an embedded code
+    again.  A spectrum that is not antipodal raises NotAntipodalError.
     """
-    full = spec if spec.antipodal else spec.mirrored()
-    d = full.d
+    if not spec.antipodal:
+        raise NotAntipodalError(
+            "the embedding is defined for antipodal sets only")
+    d = spec.d
     c0, c2, l = g2_coefficients(d)
     out: dict[Fraction, int] = {}
-    for s, c in full.entries:
-        if c % 2:
-            raise EmbeddingError(
-                f"odd count {c} at s = {s}: not an antipodal spectrum")
+    for s, c in spec.entries:
         val = (c0 + c2 * s * s) / l
         out[val] = out.get(val, 0) + c // 2
         out[-val] = out.get(-val, 0) + c // 2
-    return PairSpectrum(d=dim_harm(2, d) - 1, size=full.size,
-                        antipodal=True, entries=tuple(out.items()))
+    return PairSpectrum(d=dim_harm(2, d) - 1, size=spec.size,
+                        entries=tuple(out.items()))
 
 
 def harmonic_frame(vs: VectorSet) -> np.ndarray:
@@ -180,16 +184,16 @@ def realize_coordinates(vs: VectorSet, precision: int = 12,
     Exactness lives in A (embedded_gram); this is a float export of the
     rows of its unpivoted LDL^T scaled by sqrt(D), checked against the
     exact products on blocks of at most D columns.  Rows are the images of
-    a half-set X' followed by their negatives, the rows LDL^T of
-    [[A, -A], [-A, A]] gives: X' is the canonical half of an antipodal vs
-    (enumeration.halve_antipodal), else vs itself.  cG is positive
+    the canonical half X' of the antipodal vs (enumeration.halve_antipodal,
+    which refuses any other set) followed by their negatives, the rows
+    LDL^T of [[A, -A], [-A, A]] gives.  cG is positive
     definite, so A is PSD (harmonic_rank) and a zero pivot has a zero
     column below it.  A is factored one row at a time (linalg.ldlt_row),
     each row formed only against the kept rows, at most D = dim Harm_2
     since rank A <= D; the rows after the D-th kept one are dependent and
     form one batch.
     """
-    half = halve_antipodal(vs) if vs.antipodal else vs
+    half = halve_antipodal(vs)
     npts = half.count
     if npts > cap:
         raise EmbeddingError(

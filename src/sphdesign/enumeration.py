@@ -44,13 +44,14 @@ class VectorSet:
     v^T gram v == min_norm exactly.  m is the scaled min norm
     c * min_norm (c = gram.scale), a positive int: every row has
     v^T (c gram) v == m, and every scaled product lies in [-m, m].
-    antipodal defaults to whether the rows are closed under negation.
+    antipodal is read from the rows: an even count closed under negation
+    (is_sign_symmetric).
     """
 
     gram: GramMatrix
     min_norm: Fraction
     coords: np.ndarray
-    antipodal: bool | None = None
+    antipodal: bool = field(init=False)
     m: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -66,8 +67,8 @@ class VectorSet:
             c = c[np.lexsort(c.T[::-1])]
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-        if self.antipodal is None:
-            object.__setattr__(self, "antipodal", is_sign_symmetric(c))
+        object.__setattr__(self, "antipodal",
+                           len(c) % 2 == 0 and is_sign_symmetric(c))
         min_norm = Fraction(self.min_norm)
         m = min_norm * self.gram.scale
         if m.denominator != 1 or m <= 0:
@@ -469,26 +470,23 @@ def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
 def minimal_vector_set(gram: GramMatrix) -> VectorSet:
     """VectorSet of all minimal vectors."""
     min_norm, vecs = shortest_norm_and_vectors(gram)
-    return VectorSet(gram=gram, min_norm=min_norm, coords=vecs, antipodal=True)
+    return VectorSet(gram=gram, min_norm=min_norm, coords=vecs)
 
 
 def halve_antipodal(vs: VectorSet) -> VectorSet:
     """One representative per antipodal pair: the canonical half-set.
 
     Rows are sorted lexicographically and negation reverses that order, so
-    a zero-free set is sign-symmetric exactly when its count is even and
-    coords[::-1] == -coords, and the partner of row i is row N-1-i.  The
-    rule keeps the vector whose first nonzero coordinate is positive, i.e.
-    the upper half coords[N//2:].  Raises NotAntipodalError naming an
-    unpaired vector.
+    in an antipodal set (VectorSet.antipodal) the partner of row i is row
+    N-1-i.  The rule keeps the vector whose first nonzero coordinate is
+    positive, i.e. the upper half coords[N//2:].  Raises NotAntipodalError
+    naming an unpaired vector.
     """
-    c = vs.coords
-    n = vs.count
-    if n % 2 or not is_sign_symmetric(c):
+    if not vs.antipodal:
         raise NotAntipodalError(
-            f"vector {_unpaired(c)} has no antipodal partner")
-    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=c[n // 2:],
-                     antipodal=False)
+            f"vector {_unpaired(vs.coords)} has no antipodal partner")
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm,
+                     coords=vs.coords[vs.count // 2:])
 
 
 # rows per chunk of the order and sign checks, so their temporaries stay

@@ -40,10 +40,6 @@ def parse_rational(token: str) -> Fraction:
         raise FormatError(f"zero denominator: {token!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _data_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -82,9 +78,9 @@ def write_gram(path: str | Path, g: GramMatrix, header: str | None = None) -> No
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
     lines.append(str(g.n))
-    widths = [max(len(format_rational(g[i, j])) for i in range(g.n)) for j in range(g.n)]
+    widths = [max(len(str(g[i, j])) for i in range(g.n)) for j in range(g.n)]
     for i in range(g.n):
-        lines.append(" ".join(format_rational(g[i, j]).rjust(widths[j]) for j in range(g.n)))
+        lines.append(" ".join(str(g[i, j]).rjust(widths[j]) for j in range(g.n)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -169,7 +165,7 @@ def write_vector_set(path: str | Path, rank: int, min_norm: Fraction,
                      vectors) -> None:
     """vectors: an integer array, or rows of ints, of width rank."""
     rows = np.asarray(vectors, dtype=np.int64).reshape(-1, rank).tolist()
-    lines = [f"{rank} {len(rows)} {format_rational(min_norm)}"]
+    lines = [f"{rank} {len(rows)} {min_norm}"]
     fmt = " ".join(["%d"] * rank)
     lines.extend(fmt % tuple(v) for v in rows)
     Path(path).write_text("\n".join(lines) + "\n")

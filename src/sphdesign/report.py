@@ -23,7 +23,7 @@ from .designs import (
     venkov_5design,
 )
 from .embedding import MATRIX_CAP, embed, harmonic_rank
-from .enumeration import NotAntipodalError, VectorSet, minimal_vector_set
+from .enumeration import VectorSet, minimal_vector_set
 from .reference_tables import ReferenceRow, rows_for_example
 from .spectrum import PairSpectrum, pair_spectrum
 
@@ -43,17 +43,13 @@ class CodeParams:
 
 def code_params(spec: PairSpectrum) -> CodeParams:
     """Code parameters of an antipodal set: s = +-1 pairs (self/antipodal)
-    are excluded, the rest enter by absolute value."""
-    if not spec.antipodal:
-        raise NotAntipodalError("code parameters are defined for antipodal sets")
+    are excluded, the rest enter by absolute value.  Callers pass only
+    antipodal spectra: certify after venkov_5design has refused any
+    other, and the output of embed."""
     vals = sorted({abs(s) for s, _ in spec.entries if abs(s) != 1})
     a = max(vals, default=Fraction(0))
     return CodeParams(ambient=spec.d + 1, size=spec.size, a=a,
                       spectrum_abs=tuple(vals))
-
-
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,10 @@ def embedded_report(emb: PairSpectrum, code: CodeParams,
     is3, lhs = theorem
     return {
         "D": emb.d + 1,
-        "code": [code.ambient, code.size, _frac(code.a)],
+        "code": [code.ambient, code.size, str(code.a)],
         "spectrum": emb.to_triples(),
-        "theorem_check": {"lhs": _frac(lhs),
-                          "rhs": _frac(moment_target(emb.d, 2))},
+        "theorem_check": {"lhs": str(lhs),
+                          "rhs": str(moment_target(emb.d, 2))},
         "is_3design": is3,
     }
 
@@ -142,15 +138,15 @@ def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
         "lattice": spec.name,
         "d": d,
         "N": cert.source.size,
-        "min_norm": _frac(cert.min_norm),
+        "min_norm": str(cert.min_norm),
         "kissing_ok": cert.kissing_ok,
         "source_spectrum": cert.source.to_triples(),
         "venkov5": {
             "holds": v5,
-            "moment2": _frac(moment2),
-            "moment4": _frac(moment4),
-            "target2": _frac(moment_target(d, 2)),
-            "target4": _frac(moment_target(d, 4)),
+            "moment2": str(moment2),
+            "moment4": str(moment4),
+            "target2": str(moment_target(d, 2)),
+            "target4": str(moment_target(d, 4)),
         },
         "design_strength": cert.strength,
         "embedded": embedded,
@@ -163,10 +159,7 @@ class TableRow:
     lattice: str
     status: str                      # PASS | FAIL | DATA-REQUIRED
     expected: ReferenceRow
-    computed_code: tuple[int, int, Fraction] | None = None
-    computed_source_abs: tuple[Fraction, ...] | None = None
-    computed_embedded_abs: tuple[Fraction, ...] | None = None
-    computed_strength: int | None = None
+    certificate: Certificate | None = None    # None when DATA-REQUIRED
     detail: str = ""
 
 
@@ -210,10 +203,7 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
         lattice=ref.lattice,
         status="FAIL" if problems else "PASS",
         expected=ref,
-        computed_code=emb_code.as_tuple(),
-        computed_source_abs=src_abs,
-        computed_embedded_abs=emb_code.spectrum_abs,
-        computed_strength=cert.strength,
+        certificate=cert,
         detail="; ".join(problems),
     )
 
@@ -227,11 +217,6 @@ def _abs_str(vals) -> str:
     return "{" + ", ".join(str(v) for v in vals) + "}"
 
 
-def _code_str(code) -> str:
-    ambient, size, a = code
-    return f"({ambient}, {size}, {a})"
-
-
 def table_text(rows: list[TableRow]) -> str:
     """Plain-text rendering mirroring the three-column table layout."""
     out = []
@@ -242,10 +227,12 @@ def table_text(rows: list[TableRow]) -> str:
         if row.status == "DATA-REQUIRED":
             out.append(f"{row.lattice:<9} {'':<22} {'':<22} {'':<22} DATA-REQUIRED")
             continue
+        src, emb = row.certificate.source_code, row.certificate.embedded_code
+        code = f"({emb.ambient}, {emb.size}, {emb.a})"
         out.append(
-            f"{row.lattice:<9} {_code_str(row.computed_code):<22} "
-            f"{_abs_str(row.computed_source_abs):<22} "
-            f"{_abs_str(row.computed_embedded_abs):<22} {row.status}")
+            f"{row.lattice:<9} {code:<22} "
+            f"{_abs_str(src.spectrum_abs):<22} "
+            f"{_abs_str(emb.spectrum_abs):<22} {row.status}")
         if row.detail:
             out.append(f"          {row.detail}")
     return "\n".join(out)
@@ -259,22 +246,23 @@ def table_json(rows: list[TableRow]) -> str:
             "status": row.status,
             "expected": {
                 "code": [row.expected.ambient, row.expected.size,
-                         _frac(row.expected.a)],
-                "source_abs": [_frac(v) for v in row.expected.source_abs],
-                "embedded_abs": [_frac(v) for v in row.expected.embedded_abs],
+                         str(row.expected.a)],
+                "source_abs": [str(v) for v in row.expected.source_abs],
+                "embedded_abs": [str(v) for v in row.expected.embedded_abs],
             },
         }
         if row.expected.source_strength is not None:
             entry["expected"]["source_strength"] = row.expected.source_strength
-        if row.computed_code is not None:
+        cert = row.certificate
+        if cert is not None:
+            emb = cert.embedded_code
             entry["computed"] = {
-                "code": [row.computed_code[0], row.computed_code[1],
-                         _frac(row.computed_code[2])],
-                "source_abs": [_frac(v) for v in row.computed_source_abs],
-                "embedded_abs": [_frac(v) for v in row.computed_embedded_abs],
+                "code": [emb.ambient, emb.size, str(emb.a)],
+                "source_abs": [str(v) for v in cert.source_code.spectrum_abs],
+                "embedded_abs": [str(v) for v in emb.spectrum_abs],
             }
-            if row.computed_strength is not None:
-                entry["computed"]["source_strength"] = row.computed_strength
+            if cert.strength is not None:
+                entry["computed"]["source_strength"] = cert.strength
         if row.detail:
             entry["detail"] = row.detail
         payload.append(entry)

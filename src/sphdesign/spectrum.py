@@ -40,13 +40,15 @@ class PairSpectrum:
     """Ordered-pair counts by normalized inner product s = (v,w)/min_norm.
 
     entries is stored as a tuple of (s, count) pairs sorted by s
-    descending.  size is N = |X|; counts sum to N^2.
+    descending.  size is N = |X|; counts sum to N^2.  The spectrum of a
+    set closed under negation (antipodal) is symmetric, c(s) = c(-s) by
+    (x, y) <-> (x, -y), and its counts are even, by (x, y) <-> (-x, -y);
+    both are checked.
     """
 
     d: int
     size: int
     entries: tuple[tuple[Fraction, int], ...]
-    antipodal: bool = False
 
     def __post_init__(self):
         ent = tuple(sorted(((Fraction(s), int(c)) for s, c in self.entries),
@@ -68,18 +70,18 @@ class PairSpectrum:
                 if counts.get(-s) != c:
                     raise SpectrumError(
                         f"antipodal spectrum asymmetric at s = {s}")
+                if c % 2:
+                    raise SpectrumError(
+                        f"odd count {c} at s = {s}: not an antipodal spectrum")
 
-    def mirrored(self) -> "PairSpectrum":
-        """Spectrum of X union -X for this antipodal-free X:
-        C(s) = 2 c(s) + 2 c(-s), an exact identity."""
-        if self.antipodal:
-            raise SpectrumError("spectrum is already antipodal")
-        full: dict[Fraction, int] = {}
-        for s, c in self.entries:
-            full[s] = full.get(s, 0) + 2 * c
-            full[-s] = full.get(-s, 0) + 2 * c
-        return PairSpectrum(d=self.d, size=2 * self.size, antipodal=True,
-                            entries=tuple(full.items()))
+    @property
+    def antipodal(self) -> bool:
+        """Whether the set is closed under negation: c(-1) = c(1).  With
+        k_v the multiplicity of v, c(1) = sum k_v^2 and c(-1) =
+        sum k_v k_(-v), equal exactly when every k_v = k_(-v)
+        (Cauchy-Schwarz)."""
+        counts = dict(self.entries)
+        return counts.get(Fraction(-1), 0) == counts.get(Fraction(1), 0)
 
     def to_triples(self) -> list[list[int]]:
         """[s_numerator, s_denominator, count] rows, s descending."""
@@ -200,21 +202,23 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
 def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     """Exact spectrum of ordered-pair normalized inner products of x.
 
-    For antipodal sets only one representative per pair enters the O(N^2)
-    pass; the full spectrum is that of the halved set, mirrored (see
-    PairSpectrum.mirrored), an exact identity that quarters the work.
-    The pass runs on at most threads workers (_hist_blocks): the calling
-    thread and up to threads - 1 plain threads.
+    For antipodal sets only the canonical half X' (halve_antipodal)
+    enters the O(N^2) pass, which quarters the work; the spectrum of
+    X = X' union -X' follows from that of X' by the exact identity
+    C(s) = 2 c(s) + 2 c(-s).  The pass runs on at most threads workers
+    (_hist_blocks): the calling thread and up to threads - 1 plain
+    threads.
     """
     if x.count == 0:
         raise SpectrumError("empty vector set")
-    work = halve_antipodal(x) if x.antipodal else x
-    v = work.coords
+    v = halve_antipodal(x).coords if x.antipodal else x.coords
     a = exact_matmul(v, x.gram.entries)
 
     # |scaled product| <= m, the scaled min norm, by Cauchy-Schwarz
     vals, hist = _hist_blocks(a, v, x.m, threads)
-    counts = {Fraction(int(p), x.m): int(c) for p, c in zip(vals, hist)}
-    spec = PairSpectrum(d=x.rank - 1, size=work.count,
-                        entries=tuple(counts.items()))
-    return spec.mirrored() if x.antipodal else spec
+    counts = {int(p): int(c) for p, c in zip(vals, hist)}
+    if x.antipodal:
+        counts = {p: 2 * counts.get(p, 0) + 2 * counts.get(-p, 0)
+                  for p in {*counts, *(-p for p in counts)}}
+    return PairSpectrum(d=x.rank - 1, size=x.count, entries=tuple(
+        (Fraction(p, x.m), c) for p, c in counts.items()))

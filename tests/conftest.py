@@ -163,7 +163,7 @@ def random_half(vs: VectorSet, seed: int) -> VectorSet:
     n = vs.count
     keep = [i if rng.random() < 0.5 else n - 1 - i for i in range(n // 2)]
     return VectorSet(gram=vs.gram, min_norm=vs.min_norm,
-                     coords=vs.coords[keep], antipodal=False)
+                     coords=vs.coords[keep])
 
 
 def union_with_negation(vs: VectorSet) -> VectorSet:
@@ -171,8 +171,21 @@ def union_with_negation(vs: VectorSet) -> VectorSet:
     coords = np.concatenate([vs.coords, -vs.coords])
     if len(np.unique(coords, axis=0)) != coords.shape[0]:
         raise NotAntipodalError("set already contains an antipodal pair")
-    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords,
-                     antipodal=True)
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords)
+
+
+def mirror(spec: PairSpectrum) -> PairSpectrum:
+    """Spectrum of X union -X from that of an antipodal-free X:
+    C(s) = 2 c(s) + 2 c(-s), the fold spectrum.pair_spectrum applies to
+    the canonical half, here for any half-set."""
+    if spec.antipodal:
+        raise NotAntipodalError("spectrum is already antipodal")
+    full: dict[Fraction, int] = {}
+    for s, c in spec.entries:
+        full[s] = full.get(s, 0) + 2 * c
+        full[-s] = full.get(-s, 0) + 2 * c
+    return PairSpectrum(d=spec.d, size=2 * spec.size,
+                        entries=tuple(full.items()))
 
 
 def dual(spec: LatticeSpec) -> LatticeSpec:
@@ -183,11 +196,10 @@ def dual(spec: LatticeSpec) -> LatticeSpec:
                        expected_kissing=kissing, expected_min_norm=min_norm)
 
 
-def spectrum_from_counts(d: int, counts: dict,
-                         antipodal: bool = False) -> PairSpectrum:
+def spectrum_from_counts(d: int, counts: dict) -> PairSpectrum:
     """A PairSpectrum from {s: count}, of size sqrt(sum of counts)."""
     return PairSpectrum(d=d, size=isqrt(sum(counts.values())),
-                        antipodal=antipodal, entries=tuple(counts.items()))
+                        entries=tuple(counts.items()))
 
 
 def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
@@ -263,11 +275,11 @@ def gegenbauer(k: int, d: int) -> GegenbauerPoly:
 
 def gegenbauer_sum(spec: PairSpectrum, k: int) -> Fraction:
     """Exact sum_s count(s) * g_{k,d}(s); zero iff the degree-k harmonic
-    moments of the set vanish.  Warns on a spectrum not flagged antipodal."""
+    moments of the set vanish.  Warns on a spectrum that is not antipodal."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not spec.antipodal:
-        warnings.warn("Gegenbauer test on a spectrum not flagged antipodal",
+        warnings.warn("Gegenbauer test on a spectrum that is not antipodal",
                       stacklevel=2)
     g = gegenbauer(k, spec.d)
     return sum((c * g(s) for s, c in spec.entries), Fraction(0))
@@ -295,7 +307,7 @@ def octahedron() -> VectorSet:
     coords = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                        [0, -1, 0], [0, 0, 1], [0, 0, -1]])
     return VectorSet(gram=GramMatrix.identity(3), min_norm=Fraction(1),
-                     coords=coords, antipodal=True)
+                     coords=coords)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,13 @@ from sphdesign.report import code_params, reproduce_table
 from sphdesign.reference_tables import REFERENCE_ROWS
 from sphdesign.spectrum import pair_spectrum
 
-from conftest import THREADS, gegenbauer_sum, lattice_vectors, random_half
+from conftest import (
+    THREADS,
+    gegenbauer_sum,
+    lattice_vectors,
+    mirror,
+    random_half,
+)
 
 MANDATORY_EXAMPLE_1 = ["A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8"]
 
@@ -62,10 +68,11 @@ def test_criterion_01_example1_mandatory_rows_exact():
     ok = all(rows[name].status == "PASS" for name in MANDATORY_EXAMPLE_1)
     refs = {r.lattice: r for r in REFERENCE_ROWS}
     for name in MANDATORY_EXAMPLE_1:
-        row, ref = rows[name], refs[name]
-        ok = ok and row.computed_code == (ref.ambient, ref.size, ref.a)
-        ok = ok and row.computed_source_abs == ref.source_abs
-        ok = ok and row.computed_embedded_abs == ref.embedded_abs
+        cert, ref = rows[name].certificate, refs[name]
+        emb = cert.embedded_code
+        ok = ok and emb.as_tuple() == (ref.ambient, ref.size, ref.a)
+        ok = ok and cert.source_code.spectrum_abs == ref.source_abs
+        ok = ok and emb.spectrum_abs == ref.embedded_abs
     ok = ok and elapsed < 60.0
     _line(1, ok, f"Example 1 mandatory rows exact ({elapsed:.1f}s < 60s)")
 
@@ -73,7 +80,7 @@ def test_criterion_01_example1_mandatory_rows_exact():
 @pytest.mark.slow
 def test_criterion_02_bw16_row(bw16_run):
     vs, sp, elapsed = bw16_run
-    emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
+    emb = embed(sp)
     cp = code_params(emb)
     ok = cp.as_tuple() == (135, 4320, F(1, 5))
     ok = ok and cp.spectrum_abs == (F(0), F(1, 15), F(1, 5))
@@ -87,7 +94,7 @@ def test_criterion_02_bw16_row(bw16_run):
 @pytest.mark.slow
 def test_criterion_03_leech_row(leech_run):
     vs, sp, elapsed = leech_run
-    emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
+    emb = embed(sp)
     cp = code_params(emb)
     ok = cp.as_tuple() == (299, 196560, F(5, 23))
     ok = ok and cp.spectrum_abs == (F(1, 46), F(1, 23), F(5, 23))
@@ -110,7 +117,7 @@ def test_criterion_04_theorem_on_every_lattice(bw16_run, leech_run):
         else:
             vs = lattice_vectors(name)
         d = vs.sphere_dim
-        emb = embed(pair_spectrum(halve_antipodal(vs), threads=THREADS))
+        emb = embed(pair_spectrum(vs, threads=THREADS))
         t_ok, lhs = venkov_3design(emb)
         ok = ok and t_ok and lhs == F(2, d * (d + 3))
         ok = ok and emb.d == d * (d + 3) // 2 - 1
@@ -124,13 +131,13 @@ def test_criterion_05_halving_invariance():
     for name in ("E8", "D4"):
         vs = lattice_vectors(name)
         half = halve_antipodal(vs)
-        base = pair_spectrum(half, threads=THREADS).mirrored()
+        base = pair_spectrum(vs, threads=THREADS)
         base_bytes = json.dumps(embed(base).to_triples()).encode()
         base_rank = harmonic_rank(half)
         for seed in range(10):
             alt = random_half(vs, seed)
-            sp = pair_spectrum(alt, threads=THREADS)
-            ok = ok and sp.mirrored() == base
+            sp = mirror(pair_spectrum(alt, threads=THREADS))
+            ok = ok and sp == base
             ok = ok and json.dumps(embed(sp).to_triples()).encode() \
                 == base_bytes
             ok = ok and harmonic_rank(alt) == base_rank
@@ -143,7 +150,7 @@ def test_criterion_06_octahedron_negative_control(octahedron):
     holds, _, lhs4 = venkov_5design(sp)
     ok = (not holds) and lhs4 == F(1, 3)
     ok = ok and moment_target(2, 4) == F(1, 5)
-    emb = embed(pair_spectrum(halve_antipodal(octahedron)))
+    emb = embed(pair_spectrum(octahedron))
     t_ok, lhs = venkov_3design(emb)
     ok = ok and (not t_ok) and lhs == F(1, 2)
     ok = ok and moment_target(emb.d, 2) == F(1, 5)
@@ -151,7 +158,7 @@ def test_criterion_06_octahedron_negative_control(octahedron):
 
 
 def test_criterion_07_hexagon_matches_a2_row(hexagon):
-    emb = embed(pair_spectrum(halve_antipodal(hexagon)))
+    emb = embed(pair_spectrum(hexagon))
     cp = code_params(emb)
     ok = cp.as_tuple() == (2, 6, F(1, 2))
     ok = ok and emb.d == 1 and venkov_3design(emb)[0]

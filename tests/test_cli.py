@@ -386,6 +386,56 @@ def test_vector_rank_mismatch_exit_two(tmp_path, capsys, command):
                    "rank 2\n")
 
 
+# {e1, -e1, e2} in Z^3 and a half-set of Z^2's minimal vectors: neither
+# is closed under negation, so neither is an antipodal set
+_NOT_ANTIPODAL = {"mixed": ("3 3 1\n1 0 0\n-1 0 0\n0 1 0\n", "(0, 1, 0)",
+                            [[1, 1, 3], [0, 1, 4], [-1, 1, 2]]),
+                  "half": ("2 2 1\n1 0\n0 1\n", "(0, 1)",
+                           [[1, 1, 2], [0, 1, 2]])}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_ANTIPODAL))
+@pytest.mark.parametrize("command, message", [
+    ("verify", "moment criterion is stated for antipodal sets only"),
+    ("embed", "the embedding is defined for antipodal sets only"),
+    ("export-coords", "vector {} has no antipodal partner")])
+def test_non_antipodal_set_exit_two(tmp_path, capsys, name, command,
+                                    message):
+    # embed and export-coords refuse what verify refuses, instead of
+    # reading the set as a half-set: on {e1, -e1, e2} they printed a
+    # 6-point code with count 10 at s = 1 and two equal rows
+    text, unpaired, _ = _NOT_ANTIPODAL[name]
+    vecs = tmp_path / f"{name}.vecs"
+    vecs.write_text(text)
+    code, out, err = run(capsys, command, "--vectors", str(vecs))
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(unpaired)}\n"
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_ANTIPODAL))
+def test_spectrum_of_non_antipodal_set(tmp_path, capsys, name):
+    # spectrum serves any set, and says whether it is antipodal
+    text, _, entries = _NOT_ANTIPODAL[name]
+    vecs = tmp_path / f"{name}.vecs"
+    vecs.write_text(text)
+    code, out, _ = run(capsys, "spectrum", "--vectors", str(vecs),
+                       "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["antipodal"] is False and got["entries"] == entries
+
+
+def test_embed_z2_multiset(tmp_path, capsys):
+    # Z^2's embedded code is a multiset on S^1, G_e1 = -G_e2, with counts
+    # 8 and 8 at s = +-1 for 4 points: antipodal, and no 3-design
+    gram = tmp_path / "z2.gram"
+    gram.write_text("2\n1 0\n0 1\n")
+    code, out, err = run(capsys, "embed", "--gram-file", str(gram))
+    assert code == 1 and err == ""
+    assert out == ("embedded code (2, 4, 0) on S^1\n"
+                   "3-design: False (moment 1 vs 1/2)\n1 8\n-1 8\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum", "embed",
                                      "export-coords", "minvec"])
 @pytest.mark.parametrize("rows", ["1 2\n2 1", "1 1\n1 1", "0 0\n0 0"],

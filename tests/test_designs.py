@@ -152,7 +152,7 @@ _D4_HALF = halve_antipodal(lattice_vectors("D4"))
 def _d4_antipodal_subset(picks) -> VectorSet:
     rows = _D4_HALF.coords[sorted(picks)]
     return VectorSet(gram=_D4_HALF.gram, min_norm=_D4_HALF.min_norm,
-                     coords=np.vstack([rows, -rows]), antipodal=True)
+                     coords=np.vstack([rows, -rows]))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=11), min_size=1))

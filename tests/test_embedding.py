@@ -26,12 +26,13 @@ from sphdesign.embedding import (
     realize_coordinates,
 )
 from sphdesign.enumeration import (
+    NotAntipodalError,
     VectorSet,
     exact_matmul,
     halve_antipodal,
 )
 from sphdesign.linalg import GramMatrix, PivotError, invert, psd_rank
-from sphdesign.spectrum import pair_spectrum
+from sphdesign.spectrum import SpectrumError, pair_spectrum
 
 from conftest import (
     as_tuples,
@@ -39,6 +40,7 @@ from conftest import (
     gegenbauer,
     harmonic_gram,
     lattice_vectors,
+    mirror,
     random_half,
     reference_ldlt,
     spectrum_from_counts,
@@ -80,25 +82,30 @@ def test_g2_coefficients_reject_zero_sphere():
 
 def test_embed_full_spectrum_equals_halved():
     # the kernel is even: folding the antipodal spectrum gives the same
-    # embedded code as embedding any half-set
+    # embedded code as embedding X' union -X' for any half-set X'
     for name in ("A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8"):
         vs = lattice_vectors(name)
         full = embed(pair_spectrum(vs))
         for seed in (None, 0, 1, 7):
-            half = embed(pair_spectrum(_half(name, seed)))
+            half = embed(mirror(pair_spectrum(_half(name, seed))))
             assert half == full, (name, seed)
 
 
 def test_embed_rejects_odd_antipodal_count():
-    # a valid antipodal spectrum of 5 points, which no antipodal set has
-    odd = spectrum_from_counts(2, {F(1): 5, F(0): 15, F(-1): 5},
-                               antipodal=True)
-    with pytest.raises(EmbeddingError, match="odd count"):
-        embed(odd)
+    # c(-1) = c(1) reads as antipodal, but no antipodal set has 5 points:
+    # the spectrum is refused where it is built, before any embedding
+    with pytest.raises(SpectrumError, match="odd count 5 at s = 1"):
+        spectrum_from_counts(2, {F(1): 5, F(0): 15, F(-1): 5})
+
+
+def test_embed_rejects_non_antipodal_spectrum(hexagon):
+    # a half-set is refused, not read as half of an antipodal set
+    with pytest.raises(NotAntipodalError, match="antipodal sets only"):
+        embed(pair_spectrum(halve_antipodal(hexagon)))
 
 
 def test_hexagon_embeds_to_hexagon(hexagon):
-    emb = embed(pair_spectrum(halve_antipodal(hexagon)))
+    emb = embed(pair_spectrum(hexagon))
     assert emb.d + 1 == 2
     assert dict(emb.entries) == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}
     ok, lhs = venkov_3design(emb)
@@ -107,20 +114,20 @@ def test_hexagon_embeds_to_hexagon(hexagon):
 
 def test_hexagon_embedding_iterates():
     # the embedded hexagon is again a hexagon on S^1; iterating is stable
-    emb = embed(pair_spectrum(halve_antipodal(lattice_vectors("A2"))))
+    emb = embed(pair_spectrum(lattice_vectors("A2")))
     emb2 = embed(emb)
     assert emb2.entries == emb.entries
 
 
 def test_octahedron_embedding_fails_theorem(octahedron):
-    emb = embed(pair_spectrum(halve_antipodal(octahedron)))
+    emb = embed(pair_spectrum(octahedron))
     assert emb.d + 1 == 5
     ok, lhs = venkov_3design(emb)
     assert not ok and lhs == F(1, 2) and moment_target(emb.d, 2) == F(1, 5)
 
 
 def test_d4_embedded_spectrum(d4_vectors):
-    emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
+    emb = embed(pair_spectrum(d4_vectors))
     assert emb.d + 1 == 9
     assert dict(emb.entries) == {
         F(1): 24, F(1, 3): 72, F(0): 384, F(-1, 3): 72, F(-1): 24}
@@ -129,7 +136,7 @@ def test_d4_embedded_spectrum(d4_vectors):
 
 
 def test_e8_embedded_spectrum(e8_vectors):
-    emb = embed(pair_spectrum(halve_antipodal(e8_vectors)))
+    emb = embed(pair_spectrum(e8_vectors))
     assert emb.d + 1 == 35
     # +-1/2 sources land on +1/7, the 0 products land on -1/7, and the
     # sign closure symmetrizes: 13440 + 30240/2 on each side
@@ -140,7 +147,7 @@ def test_e8_embedded_spectrum(e8_vectors):
 
 
 def test_embedded_size_doubles(e8_vectors):
-    emb = embed(pair_spectrum(halve_antipodal(e8_vectors)))
+    emb = embed(pair_spectrum(e8_vectors))
     assert emb.size == 240
     assert emb.antipodal
 
@@ -310,8 +317,7 @@ def test_harmonic_frame_both_sides_of_bound(k):
     j = k - 1
     m = k * k + j * j
     half = VectorSet(gram=GramMatrix.identity(2), min_norm=m,
-                     coords=np.array([[k, j], [j, k], [j, -k]]),
-                     antipodal=False)
+                     coords=np.array([[k, j], [j, k], [j, -k]]))
     half.validate()
     psi = harmonic_frame(half)
     assert psi.dtype == (np.int64 if k <= 2 ** 30 else object)
@@ -329,8 +335,7 @@ def test_embedded_gram_both_sides_of_bound(k):
     # v G v^T is certified in int64 while n^2 max|G| max|v|^2 = 4 k^2 < 2^62
     j = k - 1
     half = VectorSet(gram=GramMatrix.identity(2), min_norm=k * k + j * j,
-                     coords=np.array([[k, j], [j, k], [j, -k]]),
-                     antipodal=False)
+                     coords=np.array([[k, j], [j, k], [j, -k]]))
     half.validate()
     g = gegenbauer(2, 1)
     rows = as_tuples(half)
@@ -346,8 +351,7 @@ def test_embedded_gram_int64_both_sides_of_bound(m, k, j):
     # on S^1, g(t) = 2 t^2 - 1: the block is int64 while
     # 2 max|P|^2 + m^2 = 3 m^2 < 2^62, up to m = 1239850262
     half = VectorSet(gram=GramMatrix.identity(2), min_norm=m,
-                     coords=np.array([[k, j], [j, k], [j, -k]]),
-                     antipodal=False)
+                     coords=np.array([[k, j], [j, k], [j, -k]]))
     half.validate()
     every = np.arange(3)
     block = embedded_gram(half, every, every)
@@ -405,27 +409,32 @@ def test_half_block_certificate_equals_mirrored(name):
 
 @pytest.mark.parametrize("name", ["A2", "D4", "E6dual"])
 def test_realize_coordinates_halves_antipodal_input(name):
-    # an antipodal set is exported through its canonical half-set
+    # an antipodal set is exported through its canonical half-set, one row
+    # per point, the negated half last; any half-set is refused
     vs = lattice_vectors(name)
-    assert realize_coordinates(vs) == realize_coordinates(halve_antipodal(vs))
+    rows = realize_coordinates(vs)
+    half = len(rows) // 2
+    assert len(rows) == vs.count
+    assert rows[half:] == [tuple(0.0 - x for x in row) for row in rows[:half]]
+    for alt in (halve_antipodal(vs), random_half(vs, 7)):
+        with pytest.raises(NotAntipodalError, match="no antipodal partner"):
+            realize_coordinates(alt)
 
 
 def test_realize_coordinates_cap(e8_vectors):
-    half = halve_antipodal(e8_vectors)
-    with pytest.raises(EmbeddingError, match="spectrum-only"):
-        realize_coordinates(half, cap=100)
+    with pytest.raises(EmbeddingError, match="120 points exceed"):
+        realize_coordinates(e8_vectors, cap=100)
 
 
 def test_halving_invariance_ten_seeds(d4_vectors):
-    base = embed(pair_spectrum(halve_antipodal(d4_vectors)))
+    base = embed(pair_spectrum(d4_vectors))
     for seed in range(10):
-        alt = embed(pair_spectrum(random_half(d4_vectors, seed)))
+        alt = embed(mirror(pair_spectrum(random_half(d4_vectors, seed))))
         assert alt.entries == base.entries
 
 
 def test_realize_coordinates_hexagon_exact_products():
-    half = halve_antipodal(lattice_vectors("A2"))
-    pts = realize_coordinates(half, precision=12)
+    pts = realize_coordinates(lattice_vectors("A2"), precision=12)
     assert len(pts) == 6 and len(pts[0]) == 2
     arr = np.array(pts)
     g = arr @ arr.T
@@ -447,7 +456,7 @@ def test_realize_coordinates_equal_mirrored_ldlt(name):
     want = [tuple([float(L[i][j]) * r for j, r in roots.items()]
                   + [0.0] * (dim_harm(2, half.sphere_dim) - len(roots)))
             for i in range(len(D))]
-    got = realize_coordinates(half)
+    got = realize_coordinates(lattice_vectors(name))
     assert [[x.hex() for x in row] for row in got] == \
         [[x.hex() for x in row] for row in want]
 
@@ -456,9 +465,9 @@ def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
     # A is formed and factored only against the kept rows, at most
     # D = dim Harm_2 of them: no block the export builds (embedded_gram)
     # or factors (ldlt_row, whose last entry is the diagonal) is wider
-    half = _half("CT12", None)
-    dim = dim_harm(2, half.sphere_dim)
-    want = realize_coordinates(half)
+    vs = lattice_vectors("CT12")
+    dim = dim_harm(2, vs.sphere_dim)
+    want = realize_coordinates(vs)
     widths = []
     real_gram, real_row = embedding.embedded_gram, embedding.ldlt_row
 
@@ -473,7 +482,7 @@ def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
 
     monkeypatch.setattr(embedding, "embedded_gram", gram)
     monkeypatch.setattr(embedding, "ldlt_row", row)
-    assert realize_coordinates(half) == want
+    assert realize_coordinates(vs) == want
     assert max(widths) == dim == 77
 
 
@@ -483,16 +492,16 @@ def test_realize_coordinates_indefinite_form_raises():
     with pytest.raises(PivotError, match="not positive definite"):
         realize_coordinates(VectorSet(
             gram=GramMatrix.from_rows([[1, 0], [0, -2]]), min_norm=1,
-            coords=np.array([[1, 0], [3, 2], [3, -2]]), antipodal=False))
+            coords=np.array([[1, 0], [3, 2], [3, -2]])))
 
 
 def test_realize_coordinates_default_precision_e8(e8_vectors):
-    pts = realize_coordinates(halve_antipodal(e8_vectors))
+    pts = realize_coordinates(e8_vectors)
     assert len(pts) == 240 and len(pts[0]) == 35
 
 
 def test_iterate_embedding_divisibility(d4_vectors):
-    emb = embed(pair_spectrum(halve_antipodal(d4_vectors)))
+    emb = embed(pair_spectrum(d4_vectors))
     emb2 = embed(emb)
     ok, _ = venkov_3design(emb2)
     assert emb2.d + 1 == dim_harm(2, 8)
@@ -504,5 +513,5 @@ def test_iterate_embedding_divisibility(d4_vectors):
 @settings(max_examples=25, deadline=None)
 def test_halving_invariance_property(seed):
     vs = lattice_vectors("A2")
-    emb = embed(pair_spectrum(random_half(vs, seed)))
+    emb = embed(mirror(pair_spectrum(random_half(vs, seed))))
     assert dict(emb.entries) == {F(1): 6, F(1, 2): 12, F(-1, 2): 12, F(-1): 6}

@@ -327,7 +327,7 @@ def test_halving_union_roundtrip():
 def test_halving_rejects_unpaired():
     coords = np.array([[1, 0], [0, 1], [0, -1]])
     vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1),
-                   coords=coords, antipodal=True)
+                   coords=coords)
     with pytest.raises(NotAntipodalError, match=r"\(1, 0\)"):
         halve_antipodal(vs)
 
@@ -335,7 +335,7 @@ def test_halving_rejects_unpaired():
 def test_validate_catches_bad_norm():
     coords = np.array([[1, 0], [1, 1]])
     vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1),
-                   coords=coords, antipodal=False)
+                   coords=coords)
     with pytest.raises(ValueError, match="norm"):
         vs.validate()
 
@@ -534,6 +534,10 @@ def test_vector_set_sorts_rows_and_derives_antipodal():
     half = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1),
                      coords=np.array(rows[:2]))
     assert half.coords.tolist() == [[0, 1], [1, 0]] and not half.antipodal
+    # an odd count is never antipodal, though {0, +-e1} is sign-symmetric
+    odd = VectorSet(gram=GramMatrix.identity(1), min_norm=F(1),
+                    coords=np.array([[1], [0], [-1]]))
+    assert enumeration.is_sign_symmetric(odd.coords) and not odd.antipodal
 
 
 _check_rows = st.sampled_from([1, 2, 3, 5, 2**12])

@@ -8,7 +8,7 @@ import pytest
 from sphdesign import embedding, report, spectrum
 from sphdesign.catalog import catalog
 from sphdesign.embedding import embed, harmonic_rank
-from sphdesign.enumeration import NotAntipodalError, halve_antipodal
+from sphdesign.enumeration import halve_antipodal
 from sphdesign.report import (
     _reproduce_row,
     code_params,
@@ -21,7 +21,7 @@ from sphdesign.report import (
 from sphdesign.reference_tables import REFERENCE_ROWS, ReferenceRow, rows_for_example
 from sphdesign.spectrum import pair_spectrum
 
-from conftest import lattice_vectors, random_half
+from conftest import lattice_vectors, mirror, random_half
 
 
 def test_code_params_strips_antipodal_products(octahedron):
@@ -36,14 +36,9 @@ def test_code_params_hexagon(hexagon):
 
 
 def test_code_params_embedded(hexagon):
-    emb = embed(pair_spectrum(halve_antipodal(hexagon)))
+    emb = embed(pair_spectrum(hexagon))
     cp = code_params(emb)
     assert cp.as_tuple() == (2, 6, F(1, 2))
-
-
-def test_code_params_requires_antipodal(hexagon):
-    with pytest.raises(NotAntipodalError):
-        code_params(pair_spectrum(halve_antipodal(hexagon)))
 
 
 def test_verify_lattice_pass():
@@ -95,7 +90,7 @@ def test_verify_seeded_halving_identical():
     vs = lattice_vectors("D4")
     for seed in (0, 7):
         half = random_half(vs, seed)
-        assert pair_spectrum(half).mirrored().to_triples() \
+        assert mirror(pair_spectrum(half)).to_triples() \
             == base["source_spectrum"]
         assert base["embedded"]["rank_certificate"] == {
             "is_psd": True, "rank": harmonic_rank(half)}
@@ -125,7 +120,9 @@ def test_reproduce_example_1():
     rows = reproduce_table(1)
     by_name = {r.lattice: r for r in rows}
     assert by_name["E7dual"].status == "PASS"
-    assert by_name["E7dual"].computed_code == (27, 56, F(1, 27))
+    cert = by_name["E7dual"].certificate
+    assert cert.embedded_code.as_tuple() == (27, 56, F(1, 27))
+    assert by_name["K10"].certificate is None
     assert by_name["K10"].status == "DATA-REQUIRED"
     assert "catalog data required" in by_name["K10"].detail
     assert by_name["CT12"].status == "PASS"
@@ -215,6 +212,6 @@ def test_reproduce_row_runs_one_spectrum_pass(monkeypatch):
 def test_any_half_set_mirrors_to_the_full_spectrum(name):
     vs = lattice_vectors(name)
     full = pair_spectrum(vs)
-    assert pair_spectrum(halve_antipodal(vs)).mirrored() == full
+    assert mirror(pair_spectrum(halve_antipodal(vs))) == full
     for seed in (0, 7):
-        assert pair_spectrum(random_half(vs, seed)).mirrored() == full
+        assert mirror(pair_spectrum(random_half(vs, seed))) == full

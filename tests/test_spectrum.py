@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sphdesign import spectrum
 from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
-from sphdesign.spectrum import SpectrumError, pair_spectrum
+from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
 
 from conftest import (
     as_tuples,
@@ -98,7 +98,7 @@ def _skewed_unimodular(k: int) -> VectorSet:
     coordinates, yet every pairwise product is -1, 0 or 1."""
     g = GramMatrix.from_rows([[1, k], [k, k * k + 1]])
     coords = np.array([[1, 0], [-1, 0], [-k, 1], [k, -1]], dtype=np.int64)
-    return VectorSet(gram=g, min_norm=F(1), coords=coords, antipodal=True)
+    return VectorSet(gram=g, min_norm=F(1), coords=coords)
 
 
 def test_wide_entry_fallback():
@@ -141,7 +141,7 @@ def test_min_norm_off_gram_scale():
     for bad in (F(1, 2), F(0), F(-1)):
         with pytest.raises(ValueError, match=f"min_norm {bad} is not"):
             VectorSet(gram=GramMatrix.identity(2), min_norm=bad,
-                      coords=np.array([[1, 0], [-1, 0]]), antipodal=True)
+                      coords=np.array([[1, 0], [-1, 0]]))
 
 
 def test_hist_blocks_int64_branch_cancellation():
@@ -241,24 +241,25 @@ def test_failing_worker_reraises_after_join(monkeypatch):
 
 
 def _three_sparse_signs(n: int) -> VectorSet:
-    """All vectors of Z^n with three entries +-1 and the rest 0, taken as
-    a plain set (not halved): 8 C(n, 3) rows, products in [-3, 3]."""
+    """The vectors of Z^n with three entries +-1, the first of them +1,
+    and the rest 0: no antipodal pair, so the pass runs on all 4 C(n, 3)
+    rows (not halved); products in [-3, 3]."""
     rows = []
     for support in itertools.combinations(range(n), 3):
-        for signs in itertools.product((1, -1), repeat=3):
+        for signs in itertools.product((1, -1), repeat=2):
             row = [0] * n
-            for i, sign in zip(support, signs):
+            for i, sign in zip(support, (1, *signs)):
                 row[i] = sign
             rows.append(row)
     return VectorSet(gram=GramMatrix.identity(n), min_norm=F(3),
-                     coords=np.array(rows), antipodal=False)
+                     coords=np.array(rows))
 
 
 def test_pair_spectrum_memory_stays_cache_sized():
-    # 2288 rows: a kernel holding a whole 2048 x 2048 float64 product block
+    # 2240 rows: a kernel holding a whole 2048 x 2048 float64 product block
     # and its int64 copy would peak near 67 MB
-    vs = _three_sparse_signs(13)
-    assert vs.count == 2288
+    vs = _three_sparse_signs(16)
+    assert vs.count == 2240 and not vs.antipodal
     tracemalloc.start()
     try:
         sp = pair_spectrum(vs, threads=2)
@@ -285,7 +286,7 @@ def _skewed_circle(points, r: int, k: int) -> VectorSet:
     k.  The spectrum pass sees a = (s, k s + t)."""
     g = GramMatrix.from_rows([[1, k], [k, k * k + 1]])
     coords = np.array([[s - k * t, t] for s, t in points], dtype=np.int64)
-    return VectorSet(gram=g, min_norm=F(r), coords=coords, antipodal=False)
+    return VectorSet(gram=g, min_norm=F(r), coords=coords)
 
 
 def _pass_bound(points, k: int) -> int:
@@ -357,7 +358,7 @@ def test_tier_boundaries_tight_bound(tier, signs, step):
     assert (n * x * x < tier) == (step <= 0)
     _assert_blocks_match_brute_force(VectorSet(
         gram=GramMatrix.identity(n), min_norm=F(n * x * x),
-        coords=x * np.array(signs, dtype=np.int64), antipodal=False))
+        coords=x * np.array(signs, dtype=np.int64)))
 
 
 def test_entries_sorted_descending(e8_spectrum):
@@ -367,20 +368,57 @@ def test_entries_sorted_descending(e8_spectrum):
 
 
 def test_from_counts_validation():
-    ok = spectrum_from_counts(2, {F(1): 6, F(0): 24, F(-1): 6},
-                              antipodal=True)
+    ok = spectrum_from_counts(2, {F(1): 6, F(0): 24, F(-1): 6})
     assert ok.size == 6
     with pytest.raises(SpectrumError):   # total not a perfect square count
-        spectrum_from_counts(2, {F(1): 6, F(0): 23, F(-1): 6},
-                             antipodal=True)
+        spectrum_from_counts(2, {F(1): 6, F(0): 23, F(-1): 6})
     with pytest.raises(SpectrumError):   # count(1) < N
-        spectrum_from_counts(2, {F(1): 2, F(0): 30, F(-1): 4},
-                             antipodal=True)
+        spectrum_from_counts(2, {F(1): 2, F(0): 30, F(-1): 4})
     with pytest.raises(SpectrumError):   # |s| > 1
         spectrum_from_counts(2, {F(1): 4, F(2): 8, F(-2): 8,
-                                 F(-1): 4}, antipodal=True)
+                                 F(-1): 4})
     with pytest.raises(SpectrumError):   # antipodal asymmetry
         spectrum_from_counts(2, {F(1): 6, F(1, 2): 12, F(0): 12,
-                                 F(-1): 6}, antipodal=True)
+                                 F(-1): 6})
     with pytest.raises(SpectrumError):   # nonpositive count
-        spectrum_from_counts(2, {F(1): 6, F(0): -2}, antipodal=True)
+        spectrum_from_counts(2, {F(1): 6, F(0): -2})
+
+
+def test_antipodal_is_not_a_constructor_argument():
+    # antipodality is read from the data, so no flag can contradict it
+    with pytest.raises(TypeError):
+        PairSpectrum(d=1, size=1, entries=((F(1), 1),), antipodal=True)
+    with pytest.raises(TypeError):
+        VectorSet(gram=GramMatrix.identity(1), min_norm=F(1),
+                  coords=np.array([[1], [-1]]), antipodal=True)
+
+
+# integer points of Z^3 on the spheres of norm 1, 2, 3, 5 and 6
+_SHELLS = {r: [v for v in itertools.product(range(-2, 3), repeat=3)
+               if sum(x * x for x in v) == r]
+           for r in (1, 2, 3, 5, 6)}
+
+
+@st.composite
+def _shell_subsets(draw):
+    """A duplicate-free subset of one shell, closed under negation in
+    about half the draws."""
+    r = draw(st.sampled_from(sorted(_SHELLS)))
+    rows = draw(st.sets(st.sampled_from(_SHELLS[r]), min_size=1,
+                        max_size=12))
+    if draw(st.booleans()):
+        rows |= {tuple(-x for x in v) for v in rows}
+    return r, sorted(rows)
+
+
+@given(_shell_subsets())
+@settings(max_examples=150, deadline=None)
+def test_antipodal_flags_agree_with_brute_force(subset):
+    # the set's flag (even count, sign-symmetric rows), the spectrum's
+    # (c(-1) = c(1)) and "every negation is present" are one fact
+    r, rows = subset
+    vs = VectorSet(gram=GramMatrix.identity(3), min_norm=F(r),
+                   coords=np.array(rows))
+    want = {tuple(-x for x in v) for v in rows} == set(rows)
+    assert vs.antipodal == pair_spectrum(vs).antipodal == want
+    assert dict(pair_spectrum(vs).entries) == brute_spectrum(vs)
