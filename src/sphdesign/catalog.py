@@ -28,20 +28,21 @@ class LatticeSpec:
     expected_min_norm: Fraction | None = None
 
 
-# name -> (data file stem, expected kissing, expected min norm)
-_CATALOG: dict[str, tuple[str, int | None, Fraction | None]] = {
-    "A2": ("a2", 6, Fraction(2)),
-    "D4": ("d4", 24, Fraction(2)),
-    "E6": ("e6", 72, Fraction(2)),
-    "E6dual": ("e6dual", 54, Fraction(4, 3)),
-    "E7": ("e7", 126, Fraction(2)),
-    "E7dual": ("e7dual", 56, Fraction(3, 2)),
-    "E8": ("e8", 240, Fraction(2)),
-    "K10": ("k10", 276, None),
-    "K10dual": ("k10dual", 54, None),
-    "CT12": ("ct12", 756, Fraction(4)),
-    "BW16": ("bw16", 4320, Fraction(4)),
-    "Leech": ("leech", 196560, Fraction(4)),
+# name -> expected min norm, None where none is claimed; the Gram data
+# of a name is <name.lower()>.gram, its kissing number its reference row's N
+_CATALOG: dict[str, Fraction | None] = {
+    "A2": Fraction(2),
+    "D4": Fraction(2),
+    "E6": Fraction(2),
+    "E6dual": Fraction(4, 3),
+    "E7": Fraction(2),
+    "E7dual": Fraction(3, 2),
+    "E8": Fraction(2),
+    "K10": None,
+    "K10dual": None,
+    "CT12": Fraction(4),
+    "BW16": Fraction(4),
+    "Leech": Fraction(4),
 }
 
 
@@ -49,13 +50,21 @@ def catalog_names() -> list[str]:
     return list(_CATALOG)
 
 
+def _data_file(name: str):
+    return resources.files("sphdesign.data").joinpath(f"{name.lower()}.gram")
+
+
 def available_names() -> list[str]:
     """Catalog names whose Gram data actually ships."""
-    out = []
-    for name, (stem, _, _) in _CATALOG.items():
-        if resources.files("sphdesign.data").joinpath(f"{stem}.gram").is_file():
-            out.append(name)
-    return out
+    return [name for name in _CATALOG if _data_file(name).is_file()]
+
+
+def expectations(name: str) -> tuple[int, Fraction | None]:
+    """(kissing number, min norm) the catalog expects of a catalog name."""
+    # imported on first use: importing catalog loads only the Gram readers
+    from .reference_tables import REFERENCE_ROWS
+    [kissing] = [r.size for r in REFERENCE_ROWS if r.lattice == name]
+    return kissing, _CATALOG[name]
 
 
 def catalog(name: str) -> LatticeSpec:
@@ -67,11 +76,11 @@ def catalog(name: str) -> LatticeSpec:
     if name not in _CATALOG:
         raise CatalogError(
             f"unknown lattice {name!r}; available: {', '.join(_CATALOG)}")
-    stem, kissing, min_norm = _CATALOG[name]
-    res = resources.files("sphdesign.data").joinpath(f"{stem}.gram")
+    kissing, min_norm = expectations(name)
+    res = _data_file(name)
     if not res.is_file():
         raise CatalogDataMissing(
-            f"{name}: catalog data required (no {stem}.gram shipped); "
+            f"{name}: catalog data required (no {res.name} shipped); "
             f"supply a Gram file to use this lattice")
     gram = parse_gram(res.read_text())
     return LatticeSpec(name=name, gram=gram,

@@ -19,12 +19,12 @@ from pathlib import Path
 
 # eager on purpose: perfbench/traced_cli.py wraps every module after importing cli
 from .catalog import (
-    _CATALOG,
     CatalogError,
     LatticeSpec,
     available_names,
     catalog,
     catalog_names,
+    expectations,
     from_gram_file,
 )
 from .designs import moment_target, venkov_3design
@@ -32,7 +32,7 @@ from .embedding import MATRIX_CAP, embed, realize_coordinates
 from .enumeration import VectorSet, minimal_vector_set
 from .gramfile import read_vector_set, write_vector_set
 from .report import (
-    code_params,
+    code_str,
     embedded_report,
     report_text,
     reproduce_table,
@@ -61,24 +61,20 @@ MAX_PLACES = 10_000
 _DIGIT_CHUNK = 600
 
 
-def _places(text: str) -> int:
-    """Type of --decimal K: a count of decimal places, 0 <= K <= MAX_PLACES."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
-    # the length test first: int() of a long digit string trips the
-    # interpreter's str-to-int limit
-    if len(text.lstrip("0")) > len(str(MAX_PLACES)) or int(text) > MAX_PLACES:
-        raise argparse.ArgumentTypeError(
-            f"at most {MAX_PLACES} places, got {text!r}")
-    return int(text)
-
-
-def _int_at_least(lo: int):
-    """Type of an int flag bounded below: --threads N >= 1 (a worker
-    count) and --matrix-cap M >= 0 (a half-set size)."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """Type of an int flag written in the digits 0-9 alone: --threads
+    N >= 1 (a worker count), --matrix-cap M >= 0 (a half-set size) and
+    --decimal K, lo <= K <= hi (a count of places)."""
     def parse(text: str) -> int:
+        digits = text.isascii() and text.isdecimal()
+        # int() of a digit string past the interpreter's str-to-int limit
+        # raises, so a bound is tested on the length first
+        if digits and hi is not None and (
+                len(text.lstrip("0")) > len(str(hi)) or int(text) > hi):
+            raise argparse.ArgumentTypeError(
+                f"at most {hi} places, got {text!r}")
         try:
-            n = int(text)
+            n = int(text) if digits else lo - 1
         except ValueError:
             n = lo - 1
         if n < lo:
@@ -173,7 +169,7 @@ def _cmd_lattices(args) -> int:
     rows = []
     have = set(available_names())
     for name in catalog_names():
-        _, kissing, min_norm = _CATALOG[name]
+        kissing, min_norm = expectations(name)
         rows.append({
             "name": name,
             "available": name in have,
@@ -186,8 +182,8 @@ def _cmd_lattices(args) -> int:
         lines = []
         for r in rows:
             status = "available" if r["available"] else "data required"
-            kiss = f"kissing {r['expected_kissing']}" if r["expected_kissing"] else ""
-            lines.append(f"{r['name']:<8} {status:<14} {kiss}".rstrip())
+            lines.append(f"{r['name']:<8} {status:<14} "
+                         f"kissing {r['expected_kissing']}")
         _write_or_print("\n".join(lines), args.out)
     return 0
 
@@ -251,14 +247,13 @@ def _cmd_embed(args) -> int:
     spec, vs = _vector_set(args)
     emb = embed(pair_spectrum(vs, threads=args.threads))
     ok, lhs = theorem = venkov_3design(emb)
-    cp = code_params(emb)
     if args.format == "json":
-        payload = {"lattice": spec.name, **embedded_report(emb, cp, theorem)}
+        payload = {"lattice": spec.name, **embedded_report(emb, theorem)}
         _write_or_print(json.dumps(payload, indent=2), args.out)
     else:
+        code = code_str(emb.d + 1, emb.size, _render(emb.a, args.decimal))
         lines = [
-            f"embedded code ({cp.ambient}, {cp.size}, "
-            f"{_render(cp.a, args.decimal)}) on S^{emb.d}",
+            f"embedded code {code} on S^{emb.d}",
             f"3-design: {ok} (moment {_render(lhs, args.decimal)} vs "
             f"{_render(moment_target(emb.d, 2), args.decimal)})",
         ]
@@ -284,12 +279,9 @@ def _cmd_export_coords(args) -> int:
     dim = len(coords[0]) if coords else 0
     lines = [f"{dim} {len(coords)}"]
     lines += [" ".join(f"{x:.{precision}f}" for x in row) for row in coords]
-    body = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(body + "\n")
+    _write_or_print("\n".join(lines), args.out)
+    if args.out is not None:
         print(f"wrote {len(coords)} coordinate rows ({spec.name}) to {args.out}")
-    else:
-        print(body)
     return 0
 
 
@@ -310,7 +302,7 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         "--threads": dict(type=_int_at_least(1), metavar="N",
                           default=_default_threads(),
                           help=f"worker threads (env {_THREADS_ENV})"),
-        "--decimal": dict(type=_places, metavar="K", default=None,
+        "--decimal": dict(type=_int_at_least(0, MAX_PLACES), metavar="K",
                           help="render decimals with K places instead of "
                                "rationals"),
         "--matrix-cap": dict(type=_int_at_least(0), default=MATRIX_CAP,
@@ -367,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write verified unit-vector coordinates for the "
                             "embedded code")
     _add_flags(p, *_INPUT, "--out", "--matrix-cap")
-    p.add_argument("--decimal", type=_places, metavar="K", default=12,
+    p.add_argument("--decimal", type=_int_at_least(0, MAX_PLACES),
+                   metavar="K", default=12,
                    help="places per coordinate, and the realization "
                         "tolerance 10^-K (default 12)")
     p.set_defaults(func=_cmd_export_coords)

@@ -103,19 +103,16 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
     """Returns (rank, count, min_norm, vectors), vectors a (count x rank)
     int64 array.
 
-    Data lines are checked one at a time and their integers go into one
-    int64 buffer; nothing is sized from the header.  A line matching
-    _ROW_RE with rank integers is parsed by numpy with its batch; any other
-    line gets the token-by-token checks, whose first failure is raised
-    unless the vector count disagrees with the header, which is reported
-    first.
+    The vector count is checked against the header before any row.  Rows
+    are read _BATCH at a time: numpy parses a slice whose every line
+    matches _ROW_RE with rank integers, and each line of any other slice
+    gets the token-by-token checks of _vector_row, the first failure
+    being raised.
     """
-    lines = (line for line in (raw.split("#", 1)[0].strip()
-                               for raw in text.splitlines()) if line)
-    first = next(lines, None)
-    if first is None:
+    lines = _data_lines(text)
+    if not lines:
         raise FormatError("empty vector-set file")
-    header = first.split()
+    header = lines[0].split()
     if len(header) != 3:
         raise FormatError('header must be "rank N min_norm"')
     rank, count = int(header[0]), int(header[1])
@@ -123,36 +120,18 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
         raise FormatError(
             f"rank and vector count must be positive, got {rank} and {count}")
     min_norm = parse_rational(header[2])
-    buf, batch = array("q"), []
-
-    def flush():
-        if batch:
+    if len(lines) != count + 1:
+        raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")
+    buf = array("q")
+    for i in range(1, count + 1, _BATCH):
+        batch = lines[i:i + _BATCH]
+        if all(_ROW_RE.fullmatch(line) and len(line.split()) == rank
+               for line in batch):
             ints = np.fromstring(" ".join(batch), dtype=np.int64, sep=" ")
             buf.frombytes(ints.tobytes())
-            batch.clear()
-
-    found, error = 0, None
-    for line in lines:
-        found += 1
-        if error is not None:
-            continue
-        if _ROW_RE.fullmatch(line) and len(line.split()) == rank:
-            batch.append(line)
-            if len(batch) == _BATCH:
-                flush()
-            continue
-        try:
-            row = _vector_row(line, rank)
-        except FormatError as exc:
-            error = exc
-            continue
-        flush()
-        buf.extend(row)
-    if found != count:
-        raise FormatError(f"expected {count} vectors, found {found}")
-    if error is not None:
-        raise error
-    flush()
+        else:
+            for line in batch:
+                buf.extend(_vector_row(line, rank))
     vectors = np.frombuffer(buf, np.int64).reshape(count, rank)
     return rank, count, min_norm, vectors
 

@@ -1,8 +1,8 @@
-"""Spherical-code parameters, the certify pipeline and its two views.
+"""The certify pipeline and its two views.
 
 certify() runs every stage once per lattice and returns exact quantities
-only; the embedded code is a plain PairSpectrum, read by the same
-code_params and moment criterion as the source.  The verification report
+only; the embedded code is a plain PairSpectrum, whose code (D, N, a) and
+moment criterion are read as the source's are.  The verification report
 renders them, with JSON writing every rational as a "p/q" string so
 nothing is rounded on the way out.  Table reproduction compares them to
 the stored reference rows with exact equality and emits PASS/FAIL (or
@@ -28,28 +28,9 @@ from .reference_tables import ReferenceRow, rows_for_example
 from .spectrum import PairSpectrum, pair_spectrum
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Antipodal spherical code parameters (ambient dim, N, max product)."""
-
-    ambient: int
-    size: int
-    a: Fraction
-    spectrum_abs: tuple[Fraction, ...]
-
-    def as_tuple(self) -> tuple[int, int, Fraction]:
-        return (self.ambient, self.size, self.a)
-
-
-def code_params(spec: PairSpectrum) -> CodeParams:
-    """Code parameters of an antipodal set: s = +-1 pairs (self/antipodal)
-    are excluded, the rest enter by absolute value.  Callers pass only
-    antipodal spectra: certify after venkov_5design has refused any
-    other, and the output of embed."""
-    vals = sorted({abs(s) for s, _ in spec.entries if abs(s) != 1})
-    a = max(vals, default=Fraction(0))
-    return CodeParams(ambient=spec.d + 1, size=spec.size, a=a,
-                      spectrum_abs=tuple(vals))
+def code_str(ambient, size, a) -> str:
+    """The spherical code (D, N, a) as text, a as rendered by str()."""
+    return f"({ambient}, {size}, {a})"
 
 
 @dataclass(frozen=True)
@@ -60,11 +41,9 @@ class Certificate:
     kissing_ok: bool | None                   # None when no count is expected
     min_norm_ok: bool
     source: PairSpectrum
-    source_code: CodeParams
     venkov5: tuple[bool, Fraction, Fraction]  # (holds, moment2, moment4)
     strength: int | None                      # None when not requested
     embedded: PairSpectrum                    # the code on S^(D-1)
-    embedded_code: CodeParams
     theorem: tuple[bool, Fraction]            # (is_3design, moment2)
     rank: int | None                          # None over the matrix cap
 
@@ -97,18 +76,16 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
                     else vs.count == spec.expected_kissing),
         min_norm_ok=(spec.expected_min_norm is None
                      or vs.min_norm == spec.expected_min_norm),
-        source=src, source_code=code_params(src), venkov5=venkov5,
-        strength=strength, embedded=emb, embedded_code=code_params(emb),
+        source=src, venkov5=venkov5, strength=strength, embedded=emb,
         theorem=venkov_3design(emb), rank=rank)
 
 
-def embedded_report(emb: PairSpectrum, code: CodeParams,
-                    theorem: tuple[bool, Fraction]) -> dict:
+def embedded_report(emb: PairSpectrum, theorem: tuple[bool, Fraction]) -> dict:
     """JSON-ready embedded code and its 3-design check."""
     is3, lhs = theorem
     return {
         "D": emb.d + 1,
-        "code": [code.ambient, code.size, str(code.a)],
+        "code": [emb.d + 1, emb.size, str(emb.a)],
         "spectrum": emb.to_triples(),
         "theorem_check": {"lhs": str(lhs),
                           "rhs": str(moment_target(emb.d, 2))},
@@ -128,8 +105,7 @@ def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
                    vectors=vectors)
     d = cert.source.d
     v5, moment2, moment4 = cert.venkov5
-    embedded = embedded_report(cert.embedded, cert.embedded_code,
-                               cert.theorem)
+    embedded = embedded_report(cert.embedded, cert.theorem)
     if cert.rank is not None:
         # cG is positive definite, so the embedded Gram matrix A is PSD
         # (embedding.harmonic_rank): only its rank is computed
@@ -156,7 +132,6 @@ def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
 
 @dataclass(frozen=True)
 class TableRow:
-    lattice: str
     status: str                      # PASS | FAIL | DATA-REQUIRED
     expected: ReferenceRow
     certificate: Certificate | None = None    # None when DATA-REQUIRED
@@ -167,8 +142,7 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
     try:
         spec = catalog(ref.lattice)
     except CatalogDataMissing as exc:
-        return TableRow(lattice=ref.lattice, status="DATA-REQUIRED",
-                        expected=ref, detail=str(exc))
+        return TableRow(status="DATA-REQUIRED", expected=ref, detail=str(exc))
     # strength only where the table claims one; no rank certificate
     t_max = None if ref.source_strength is None else ref.source_strength + 1
     cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=0)
@@ -177,7 +151,7 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
         problems.append(f"kissing {cert.source.size} != {ref.size}")
     if not cert.venkov5[0]:
         problems.append("source moment criteria fail")
-    src_abs = cert.source_code.spectrum_abs
+    src_abs = cert.source.abs_products
     if src_abs != ref.source_abs:
         problems.append(
             f"source products {_abs_str(src_abs)} != "
@@ -186,21 +160,20 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
     if not is3:
         problems.append(f"embedded moment {lhs} != "
                         f"{moment_target(cert.embedded.d, 2)}")
-    emb_code = cert.embedded_code
-    if emb_code.as_tuple() != (ref.ambient, ref.size, ref.a):
+    emb = cert.embedded
+    code = (emb.d + 1, emb.size, emb.a)
+    if code != (ref.ambient, ref.size, ref.a):
+        problems.append(f"embedded code {code_str(*code)} != "
+                        f"{code_str(ref.ambient, ref.size, ref.a)}")
+    if emb.abs_products != ref.embedded_abs:
         problems.append(
-            f"embedded code {emb_code.as_tuple()} != "
-            f"({ref.ambient}, {ref.size}, {ref.a})")
-    if emb_code.spectrum_abs != ref.embedded_abs:
-        problems.append(
-            f"embedded products {_abs_str(emb_code.spectrum_abs)} != "
+            f"embedded products {_abs_str(emb.abs_products)} != "
             f"{_abs_str(ref.embedded_abs)}")
     if t_max is not None and cert.strength != ref.source_strength:
         problems.append(
             f"design strength {cert.strength} != {ref.source_strength}")
 
     return TableRow(
-        lattice=ref.lattice,
         status="FAIL" if problems else "PASS",
         expected=ref,
         certificate=cert,
@@ -225,14 +198,15 @@ def table_text(rows: list[TableRow]) -> str:
     out.append("-" * len(header))
     for row in rows:
         if row.status == "DATA-REQUIRED":
-            out.append(f"{row.lattice:<9} {'':<22} {'':<22} {'':<22} DATA-REQUIRED")
+            out.append(f"{row.expected.lattice:<9} {'':<22} {'':<22} "
+                       f"{'':<22} DATA-REQUIRED")
             continue
-        src, emb = row.certificate.source_code, row.certificate.embedded_code
-        code = f"({emb.ambient}, {emb.size}, {emb.a})"
+        src, emb = row.certificate.source, row.certificate.embedded
+        code = code_str(emb.d + 1, emb.size, emb.a)
         out.append(
-            f"{row.lattice:<9} {code:<22} "
-            f"{_abs_str(src.spectrum_abs):<22} "
-            f"{_abs_str(emb.spectrum_abs):<22} {row.status}")
+            f"{row.expected.lattice:<9} {code:<22} "
+            f"{_abs_str(src.abs_products):<22} "
+            f"{_abs_str(emb.abs_products):<22} {row.status}")
         if row.detail:
             out.append(f"          {row.detail}")
     return "\n".join(out)
@@ -242,7 +216,7 @@ def table_json(rows: list[TableRow]) -> str:
     payload = []
     for row in rows:
         entry: dict = {
-            "lattice": row.lattice,
+            "lattice": row.expected.lattice,
             "status": row.status,
             "expected": {
                 "code": [row.expected.ambient, row.expected.size,
@@ -255,11 +229,11 @@ def table_json(rows: list[TableRow]) -> str:
             entry["expected"]["source_strength"] = row.expected.source_strength
         cert = row.certificate
         if cert is not None:
-            emb = cert.embedded_code
+            emb = cert.embedded
             entry["computed"] = {
-                "code": [emb.ambient, emb.size, str(emb.a)],
-                "source_abs": [str(v) for v in cert.source_code.spectrum_abs],
-                "embedded_abs": [str(v) for v in emb.spectrum_abs],
+                "code": [emb.d + 1, emb.size, str(emb.a)],
+                "source_abs": [str(v) for v in cert.source.abs_products],
+                "embedded_abs": [str(v) for v in emb.abs_products],
             }
             if cert.strength is not None:
                 entry["computed"]["source_strength"] = cert.strength
@@ -286,8 +260,7 @@ def report_text(report: dict) -> str:
     lines.append(f"  design strength: {report['design_strength']}")
     emb = report["embedded"]
     lines.append(
-        f"  embedded code ({emb['code'][0]}, {emb['code'][1]}, {emb['code'][2]}) "
-        f"in R^{emb['D']}")
+        f"  embedded code {code_str(*emb['code'])} in R^{emb['D']}")
     tc = emb["theorem_check"]
     lines.append(
         f"  embedded 3-design: {emb['is_3design']} "

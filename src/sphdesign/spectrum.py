@@ -83,6 +83,16 @@ class PairSpectrum:
         counts = dict(self.entries)
         return counts.get(Fraction(-1), 0) == counts.get(Fraction(1), 0)
 
+    @property
+    def abs_products(self) -> tuple[Fraction, ...]:
+        """The distinct |s| != 1 ascending: the code's inner products."""
+        return tuple(sorted({abs(s) for s, _ in self.entries if abs(s) != 1}))
+
+    @property
+    def a(self) -> Fraction:
+        """Max |s| != 1, 0 if none: a of the code (d + 1, size, a)."""
+        return max(self.abs_products, default=Fraction(0))
+
     def to_triples(self) -> list[list[int]]:
         """[s_numerator, s_denominator, count] rows, s descending."""
         return [[s.numerator, s.denominator, c] for s, c in self.entries]

@@ -20,7 +20,12 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from sphdesign.catalog import _CATALOG, LatticeSpec, catalog
+from sphdesign.catalog import (
+    LatticeSpec,
+    catalog,
+    catalog_names,
+    expectations,
+)
 from sphdesign.embedding import embedded_gram
 from sphdesign.enumeration import (
     EnumerationError,
@@ -191,7 +196,8 @@ def mirror(spec: PairSpectrum) -> PairSpectrum:
 def dual(spec: LatticeSpec) -> LatticeSpec:
     """The dual lattice: Gram matrix replaced by its exact inverse."""
     name = spec.name[:-4] if spec.name.endswith("dual") else spec.name + "dual"
-    _, kissing, min_norm = _CATALOG.get(name, (None, None, None))
+    kissing, min_norm = (expectations(name) if name in catalog_names()
+                         else (None, None))
     return LatticeSpec(name=name, gram=invert(spec.gram),
                        expected_kissing=kissing, expected_min_norm=min_norm)
 

@@ -25,7 +25,7 @@ from sphdesign.designs import (
 )
 from sphdesign.embedding import dim_harm, embed, harmonic_rank
 from sphdesign.enumeration import halve_antipodal
-from sphdesign.report import code_params, reproduce_table
+from sphdesign.report import reproduce_table
 from sphdesign.reference_tables import REFERENCE_ROWS
 from sphdesign.spectrum import pair_spectrum
 
@@ -63,16 +63,18 @@ def leech_run():
 
 def test_criterion_01_example1_mandatory_rows_exact():
     t0 = time.perf_counter()
-    rows = {r.lattice: r for r in reproduce_table(1, threads=THREADS)}
+    rows = {r.expected.lattice: r
+            for r in reproduce_table(1, threads=THREADS)}
     elapsed = time.perf_counter() - t0
     ok = all(rows[name].status == "PASS" for name in MANDATORY_EXAMPLE_1)
     refs = {r.lattice: r for r in REFERENCE_ROWS}
     for name in MANDATORY_EXAMPLE_1:
         cert, ref = rows[name].certificate, refs[name]
-        emb = cert.embedded_code
-        ok = ok and emb.as_tuple() == (ref.ambient, ref.size, ref.a)
-        ok = ok and cert.source_code.spectrum_abs == ref.source_abs
-        ok = ok and emb.spectrum_abs == ref.embedded_abs
+        emb = cert.embedded
+        ok = ok and ((emb.d + 1, emb.size, emb.a)
+                     == (ref.ambient, ref.size, ref.a))
+        ok = ok and cert.source.abs_products == ref.source_abs
+        ok = ok and emb.abs_products == ref.embedded_abs
     ok = ok and elapsed < 60.0
     _line(1, ok, f"Example 1 mandatory rows exact ({elapsed:.1f}s < 60s)")
 
@@ -81,9 +83,8 @@ def test_criterion_01_example1_mandatory_rows_exact():
 def test_criterion_02_bw16_row(bw16_run):
     vs, sp, elapsed = bw16_run
     emb = embed(sp)
-    cp = code_params(emb)
-    ok = cp.as_tuple() == (135, 4320, F(1, 5))
-    ok = ok and cp.spectrum_abs == (F(0), F(1, 15), F(1, 5))
+    ok = (emb.d + 1, emb.size, emb.a) == (135, 4320, F(1, 5))
+    ok = ok and emb.abs_products == (F(0), F(1, 15), F(1, 5))
     ok = ok and design_strength(sp, 8) == 7
     t_ok, lhs = venkov_3design(emb)
     ok = ok and t_ok and lhs == moment_target(emb.d, 2) == F(2, 15 * 18)
@@ -95,9 +96,8 @@ def test_criterion_02_bw16_row(bw16_run):
 def test_criterion_03_leech_row(leech_run):
     vs, sp, elapsed = leech_run
     emb = embed(sp)
-    cp = code_params(emb)
-    ok = cp.as_tuple() == (299, 196560, F(5, 23))
-    ok = ok and cp.spectrum_abs == (F(1, 46), F(1, 23), F(5, 23))
+    ok = (emb.d + 1, emb.size, emb.a) == (299, 196560, F(5, 23))
+    ok = ok and emb.abs_products == (F(1, 46), F(1, 23), F(5, 23))
     ok = ok and design_strength(sp, 12) == 11
     t_ok, lhs = venkov_3design(emb)
     ok = ok and t_ok and lhs == moment_target(emb.d, 2) == F(2, 23 * 26)
@@ -159,8 +159,7 @@ def test_criterion_06_octahedron_negative_control(octahedron):
 
 def test_criterion_07_hexagon_matches_a2_row(hexagon):
     emb = embed(pair_spectrum(hexagon))
-    cp = code_params(emb)
-    ok = cp.as_tuple() == (2, 6, F(1, 2))
+    ok = (emb.d + 1, emb.size, emb.a) == (2, 6, F(1, 2))
     ok = ok and emb.d == 1 and venkov_3design(emb)[0]
     _line(7, ok, "hexagon end-to-end reproduces (2, 6, 1/2)")
 
@@ -204,7 +203,8 @@ def test_criterion_10_kissing_numbers(bw16_run, leech_run):
     ok = all(lattice_vectors(n).count == c for n, c in expected.items())
     ok = ok and bw16_run[0].count == 4320
     ok = ok and leech_run[0].count == 196560
-    rows = {r.lattice: r.status for r in reproduce_table(1, threads=THREADS)}
+    rows = {r.expected.lattice: r.status
+            for r in reproduce_table(1, threads=THREADS)}
     ok = ok and rows["K10"] == rows["K10dual"] == "DATA-REQUIRED"
     ok = ok and all(v in ("PASS", "DATA-REQUIRED") for v in rows.values())
     _line(10, ok, "kissing numbers match every published N; "

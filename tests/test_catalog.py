@@ -113,14 +113,14 @@ def test_latticespec_rejects_indefinite(tmp_path):
         from_gram_file(p)
 
 
-BUILD_CATALOG = Path(__file__).resolve().parents[1] / "scripts/build_catalog.py"
+BUILD_SCRIPT = Path(__file__).resolve().parents[1] / "scripts/build_catalog.py"
 
 
 def test_build_catalog_determinant():
     # load the generator without running main(), which rewrites the
     # shipped data files
     spec = importlib.util.spec_from_file_location("build_catalog",
-                                                  BUILD_CATALOG)
+                                                  BUILD_SCRIPT)
     build_catalog = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(build_catalog)
     for name, (expected_det, _) in SHIPPED.items():

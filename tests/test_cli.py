@@ -26,8 +26,8 @@ def run(capsys, *argv):
 def test_lattices_listing(capsys):
     code, out, _ = run(capsys, "lattices")
     assert code == 0
-    assert "K10      data required" in out
-    assert "Leech    available" in out
+    assert "K10      data required  kissing 276" in out
+    assert "Leech    available      kissing 196560" in out
 
 
 def test_minvec_text(capsys):
@@ -226,9 +226,10 @@ def test_bad_decimal_usage_error(capsys, command, places):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "x"])
+@pytest.mark.parametrize("threads", ["0", "-3", "x", "1_0", "+2", " 2"])
 def test_bad_threads_usage_error(capsys, threads):
-    # a worker count below 1 is a usage error, not a silent serial run
+    # a worker count below 1 is a usage error, not a silent serial run;
+    # so is one written with anything but the digits 0-9
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--lattice", "A2", "--threads", threads])
     out, err = capsys.readouterr()
@@ -238,7 +239,7 @@ def test_bad_threads_usage_error(capsys, threads):
 
 
 @pytest.mark.parametrize("command", ["verify", "export-coords"])
-@pytest.mark.parametrize("cap", ["-5", "-1", "x"])
+@pytest.mark.parametrize("cap", ["-5", "-1", "x", "+5"])
 def test_bad_matrix_cap_usage_error(capsys, command, cap):
     # a negative cap would silently drop the certificate (verify) or
     # refuse every set (export-coords)

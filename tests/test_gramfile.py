@@ -128,6 +128,24 @@ def test_vector_set_long_and_padded_integers():
     assert vecs.tolist() == [[1, -2], [3, -4], [2 ** 63 - 1, 1 - 2 ** 63]]
 
 
+def test_vector_set_slice_read_line_by_line():
+    # 2000 rows span two numpy slices; vector 1500, a zero-padded 20-digit
+    # coordinate, sends the second slice through the token checks
+    rows = [f"{i} {-i}" for i in range(2000)]
+    rows[1499] = f"{1499:020d} -1499"
+    _, _, _, vecs = parse_vector_set("2 2000 1\n" + "\n".join(rows) + "\n")
+    assert vecs.tolist() == [[i, -i] for i in range(2000)]
+    # a bad vector 1900 in that slice raises its own message ...
+    rows[1899] = "1899 x"
+    with pytest.raises(FormatError) as exc:
+        parse_vector_set("2 2000 1\n" + "\n".join(rows) + "\n")
+    assert str(exc.value) == "vector coordinates must be integers: '1899 x'"
+    # ... unless the vector count disagrees with the header
+    with pytest.raises(FormatError) as exc:
+        parse_vector_set("2 2001 1\n" + "\n".join(rows) + "\n")
+    assert str(exc.value) == "expected 2001 vectors, found 2000"
+
+
 def test_vector_set_header_count_allocates_nothing():
     # a header claiming 10^12 vectors fails on the count, with no
     # allocation sized from it

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,6 @@ from sphdesign.embedding import embed, harmonic_rank
 from sphdesign.enumeration import halve_antipodal
 from sphdesign.report import (
     _reproduce_row,
-    code_params,
     report_text,
     reproduce_table,
     table_json,
@@ -25,20 +25,19 @@ from conftest import lattice_vectors, mirror, random_half
 
 
 def test_code_params_strips_antipodal_products(octahedron):
-    cp = code_params(pair_spectrum(octahedron))
-    assert cp.as_tuple() == (3, 6, F(0))
-    assert cp.spectrum_abs == (F(0),)
+    sp = pair_spectrum(octahedron)
+    assert (sp.d + 1, sp.size, sp.a) == (3, 6, F(0))
+    assert sp.abs_products == (F(0),)
 
 
 def test_code_params_hexagon(hexagon):
-    cp = code_params(pair_spectrum(hexagon))
-    assert cp.as_tuple() == (2, 6, F(1, 2))
+    sp = pair_spectrum(hexagon)
+    assert (sp.d + 1, sp.size, sp.a) == (2, 6, F(1, 2))
 
 
 def test_code_params_embedded(hexagon):
     emb = embed(pair_spectrum(hexagon))
-    cp = code_params(emb)
-    assert cp.as_tuple() == (2, 6, F(1, 2))
+    assert (emb.d + 1, emb.size, emb.a) == (2, 6, F(1, 2))
 
 
 def test_verify_lattice_pass():
@@ -118,10 +117,10 @@ def test_reference_rows_complete():
 
 def test_reproduce_example_1():
     rows = reproduce_table(1)
-    by_name = {r.lattice: r for r in rows}
+    by_name = {r.expected.lattice: r for r in rows}
     assert by_name["E7dual"].status == "PASS"
-    cert = by_name["E7dual"].certificate
-    assert cert.embedded_code.as_tuple() == (27, 56, F(1, 27))
+    emb = by_name["E7dual"].certificate.embedded
+    assert (emb.d + 1, emb.size, emb.a) == (27, 56, F(1, 27))
     assert by_name["K10"].certificate is None
     assert by_name["K10"].status == "DATA-REQUIRED"
     assert "catalog data required" in by_name["K10"].detail
@@ -141,6 +140,28 @@ def test_reproduce_row_detects_wrong_products():
     row = _reproduce_row(bad, threads=1)
     assert row.status == "FAIL"
     assert "products" in row.detail and "code" in row.detail
+
+
+def test_reproduce_row_renders_a_failing_code_as_rationals():
+    a2 = replace(rows_for_example(1)[0], a=F(1, 3))
+    row = _reproduce_row(a2, threads=1)
+    assert row.status == "FAIL"
+    assert row.detail == "embedded code (2, 6, 1/2) != (2, 6, 1/3)"
+
+
+@pytest.mark.parametrize("change", [
+    {"ambient": 3}, {"a": F(1, 3)}, {"size": 8},
+    {"source_abs": (F(1, 3),)}, {"embedded_abs": (F(0), F(1, 2))},
+    {"source_strength": 3},
+])
+def test_reproduce_row_fail_details_are_rationals(change):
+    # one reference field changed at a time: every mismatch is named,
+    # and every value in it is printed as p/q, never as a repr
+    a2 = rows_for_example(1)[0]
+    assert a2.lattice == "A2"
+    row = _reproduce_row(replace(a2, **change), threads=1)
+    assert row.status == "FAIL"
+    assert row.detail and "Fraction(" not in row.detail
 
 
 def test_table_text_layout():
