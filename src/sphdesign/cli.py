@@ -11,6 +11,7 @@ produce byte-identical output, and --threads never changes results.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -46,12 +47,12 @@ _THREADS_ENV = "SPHDESIGN_THREADS"
 
 
 def _default_threads() -> int:
-    raw = os.environ.get(_THREADS_ENV, "")
+    """The --threads default: SPHDESIGN_THREADS read as --threads reads
+    its value, and 1 when it is unset or --threads would refuse it."""
     try:
-        n = int(raw)
-    except ValueError:
+        return _int_at_least(1)(os.environ.get(_THREADS_ENV, ""))
+    except argparse.ArgumentTypeError:
         return 1
-    return n if n >= 1 else 1
 
 
 # --decimal bounds the output: K digits per rendered number
@@ -387,5 +388,23 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """main() as a whole process, the `sphdesign` command and
+    `python -m sphdesign.cli`: the cyclic collector is off for the run
+    and the heap is frozen before the interpreter finalizes.
+
+    A command leaves a few hundred cyclic objects (the argparse parser)
+    whatever the lattice, so the collector has nothing to reclaim in a
+    one-shot process; its passes over numpy's and the package's objects,
+    during numpy's import and again at finalization, cost tens of ms per
+    command.  tests/test_imports.py bounds that residue.  main() itself
+    leaves the collector alone, so tests and importers keep it."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -296,12 +296,12 @@ def test_decimal_over_bound_usage_error(capsys, command, places):
 
 
 def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("SPHDESIGN_THREADS", "3")
-    args = build_parser().parse_args(["spectrum", "--lattice", "A2"])
-    assert args.threads == 3
-    monkeypatch.setenv("SPHDESIGN_THREADS", "bogus")
-    args = build_parser().parse_args(["spectrum", "--lattice", "A2"])
-    assert args.threads == 1
+    # digits only, as --threads reads them; anything else falls back to 1
+    for raw, threads in [("3", 3), ("bogus", 1), ("0", 1),
+                         ("1_0", 1), ("+2", 1), (" 2", 1)]:
+        monkeypatch.setenv("SPHDESIGN_THREADS", raw)
+        args = build_parser().parse_args(["spectrum", "--lattice", "A2"])
+        assert args.threads == threads, raw
 
 
 def test_t_max_default_eleven():

@@ -1,5 +1,7 @@
 """Import contract: every package module loads with the CLI, numpy only
 when a command computes, and the spectrum workers need no thread pool.
+Process contract: the CLI process runs without the cyclic collector,
+main() in any other process leaves it as it was.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported numpy.
@@ -17,9 +19,11 @@ from pathlib import Path
 import pytest
 
 import sphdesign
+from sphdesign.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sphdesign.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
 
 # runs the CLI on argv[2:] with argv[1] rows per spectrum stripe (so a
 # tiny set can span several workers) and prints, as the last stdout line,
@@ -45,9 +49,8 @@ print(json.dumps([code, loaded("numpy"),
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=ENV,
                           timeout=120)
 
 
@@ -119,3 +122,61 @@ print(sums, errors)
 """)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[10, 10] []"
+
+
+def test_main_leaves_the_collector_on_and_the_heap_unfrozen():
+    r = _python("""
+import contextlib, gc, io
+from sphdesign import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--lattice", "A2"])
+print(code, gc.isenabled(), gc.get_freeze_count())
+""")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "True", "0"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "--lattice", "E8", "--format", "json"], 0),
+    (["verify", "--lattice", "NOPE"], 2),
+    (["verify"], 2),
+    (["--help"], 0),
+], ids=["verify-json", "verify-unknown-lattice", "verify-no-input", "help"])
+def test_the_process_prints_what_main_prints(capsys, args, code):
+    try:
+        in_process = main(args)
+    except SystemExit as exc:
+        in_process = exc.code
+    out = capsys.readouterr()
+    r = subprocess.run([sys.executable, "-m", "sphdesign.cli", *args],
+                       capture_output=True, text=True, env=ENV, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (in_process, out.out,
+                                                  out.err)
+    assert r.returncode == code
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--lattice", "A2"],
+    ["verify", "--lattice", "CT12"],
+    pytest.param(["reproduce", "--example", "2"], marks=pytest.mark.slow),
+], ids=["A2", "CT12", "BW16"])
+def test_a_command_leaves_a_constant_cyclic_residue(args):
+    # the CLI process never collects (cli.run), which is safe only while
+    # what a command leaves in reference cycles does not grow with N
+    r = _python("""
+import contextlib, gc, io, sys
+from sphdesign import cli
+gc.collect()
+gc.disable()
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(gc.collect())
+""", *args)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 1000
+
+
+def test_the_console_script_runs_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["sphdesign"] == "sphdesign.cli:run"

@@ -132,7 +132,8 @@ def test_reproduce_row_detects_mismatch():
     bad = ReferenceRow(1, "A2", 2, 8, F(1, 2), (F(1, 2),), (F(1, 2),))
     row = _reproduce_row(bad, threads=1)
     assert row.status == "FAIL"
-    assert "kissing 6 != 8" in row.detail
+    # a wrong N is one problem, reported once, by the code comparison
+    assert row.detail == "embedded code (2, 6, 1/2) != (2, 8, 1/2)"
 
 
 def test_reproduce_row_detects_wrong_products():
