@@ -64,8 +64,10 @@ _DIGIT_CHUNK = 600
 
 def _int_at_least(lo: int, hi: int | None = None):
     """Type of an int flag written in the digits 0-9 alone: --threads
-    N >= 1 (a worker count), --matrix-cap M >= 0 (a half-set size) and
-    --decimal K, lo <= K <= hi (a count of places)."""
+    N >= 1 (a worker count), --t-max T >= 1 (a design strength),
+    --example N >= 1 (a table, then checked against its choices),
+    --matrix-cap M >= 0 (a half-set size) and --decimal K, lo <= K <= hi
+    (a count of places)."""
     def parse(text: str) -> int:
         digits = text.isascii() and text.isdecimal()
         # int() of a digit string past the interpreter's str-to-int limit
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full design certification report")
     _add_flags(p, *_INPUT, *_REPORT, "--matrix-cap")
-    p.add_argument("--t-max", type=int, default=11, metavar="T",
+    p.add_argument("--t-max", type=_int_at_least(1), default=11, metavar="T",
                    help="largest design strength to test (default 11)")
     p.set_defaults(func=_cmd_verify)
 
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("reproduce", help="recompute a published example table")
-    p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--example", type=_int_at_least(1), required=True,
+                   choices=(1, 2, 3))
     _add_flags(p, *_REPORT)
     p.set_defaults(func=_cmd_reproduce)
 

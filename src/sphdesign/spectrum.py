@@ -8,9 +8,13 @@ a proven bound makes every partial sum an exactly represented integer,
 else exact integer products (int64 under a proven bound, else Python
 integers).  The pass streams cache-sized blocks of products into one
 histogram per worker, the calling thread being worker 0 and each other
-worker a plain thread, and the counts are converted to rationals once per
-distinct value at the end.  numpy is imported on the first array
-operation (see _numpy), not when this module is.
+worker a plain thread started only for sets of at least
+_STRIPES_PER_WORKER row stripes per worker, and the counts are converted
+to rationals once per distinct value at the end.  In the float tiers
+the integer product V cG is freed once its float copy exists, so the pass
+holds the set, one float copy of each operand and one block buffer per
+worker.  numpy is imported on the first array operation (see _numpy), not
+when this module is.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 # rows per product block: a float32 block, its int64 bin indices and the
 # row and column stripes it multiplies stay inside a core's L2 cache
 _BLOCK = 256
+# row stripes per worker: np.bincount holds the interpreter lock, so a
+# second worker pays only from 64 stripes on and below that just adds its
+# block buffers.  The pass of `sphdesign spectrum --threads 2` over the
+# first 256 s rows of the Leech half-set took, in ms with one worker /
+# two (medians of 11-15 runs):
+# s = 9: 13.1 / 14.1, 32: 119 / 117, 48: 312 / 314, 56: 417 / 415,
+# 64: 528 / 367, 80: 881 / 535, 96: 1134 / 752
+_STRIPES_PER_WORKER = 32
 # any partial sum of a dot product below these is an exactly represented
 # float32 / float64 integer, so BLAS matmul is bit-exact
 _F32_SAFE = 2**24
@@ -107,13 +119,16 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
     are cut into stripes of _BLOCK rows, and one product block pairs a row
     stripe with a column stripe at or right of it, so it stays cache-sized
     and is reused for every block a worker computes.  Each of the
-    min(threads, stripes) workers owns every workers-th row stripe (the
-    triangle of blocks then splits about evenly) and counts into its own
-    histogram, with off-diagonal blocks counted twice; the worker
-    histograms are summed once at the end.  The calling thread runs worker
-    0 and one plain threading.Thread runs each other worker; once every
-    worker is joined, the exception of the lowest-numbered failing worker,
-    if any, is re-raised.
+    max(1, min(threads, stripes // _STRIPES_PER_WORKER)) workers owns
+    every workers-th row stripe (the triangle of blocks then splits about
+    evenly) and counts into its own histogram, with off-diagonal blocks
+    counted twice; the worker histograms are summed once at the end.  The
+    calling thread runs worker 0 and one plain threading.Thread runs each
+    other worker; once every worker is joined, the exception of the
+    lowest-numbered failing worker, if any, is re-raised.
+
+    a is rebound to its float copy, so an a the caller no longer holds is
+    freed before any block is computed.
 
     Products come from float32 BLAS when k max|a| max|v| < 2^24, from
     float64 BLAS when it is below 2^53 (either bound makes every partial
@@ -125,8 +140,9 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
     off is past int64, so memory never grows with off.
     """
     n, k = a.shape
-    amax = int(np.abs(a).max(initial=0))
-    vmax = int(np.abs(v).max(initial=0))
+    # max and -min rather than abs, which would copy the operand
+    amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    vmax = max(int(v.max(initial=0)), -int(v.min(initial=0)))
     bound = k * amax * vmax
     ftype = (np.float32 if bound < _F32_SAFE
              else np.float64 if bound < _F64_SAFE else None)
@@ -139,7 +155,7 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
     bins = 2 * off + 1
     dense = bins <= side * side
     stripes = range(0, n, _BLOCK)
-    workers = min(threads, len(stripes))
+    workers = max(1, min(threads, len(stripes) // _STRIPES_PER_WORKER))
 
     def run(first: int) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
         if ftype is not None:
@@ -222,10 +238,10 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
     if x.count == 0:
         raise SpectrumError("empty vector set")
     v = halve_antipodal(x).coords if x.antipodal else x.coords
-    a = exact_matmul(v, x.gram.entries)
-
+    # a = V cG is handed over, not kept, so _hist_blocks can free it;
     # |scaled product| <= m, the scaled min norm, by Cauchy-Schwarz
-    vals, hist = _hist_blocks(a, v, x.m, threads)
+    vals, hist = _hist_blocks(exact_matmul(v, x.gram.entries), v, x.m,
+                              threads)
     counts = {int(p): int(c) for p, c in zip(vals, hist)}
     if x.antipodal:
         counts = {p: 2 * counts.get(p, 0) + 2 * counts.get(-p, 0)

@@ -157,9 +157,12 @@ def test_zero_sphere_exit_two(tmp_path, capsys, command):
 
 
 def test_t_max_below_one_exit_two(capsys):
-    code, out, err = run(capsys, "verify", "--lattice", "E8", "--t-max", "0")
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1] == "error: t_max must be >= 1"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lattice", "E8", "--t-max", "0"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == ("sphdesign verify: error: argument "
+                                    "--t-max: expected an int >= 1, got '0'")
 
 
 def test_out_file_writing(tmp_path, capsys):
@@ -235,6 +238,33 @@ def test_bad_threads_usage_error(capsys, threads):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert f"argument --threads: expected an int >= 1, got '{threads}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_max", ["0", "-1", "x", "1_1", "+7", " 7"])
+def test_bad_t_max_usage_error(capsys, t_max):
+    # a design strength is written in the digits 0-9 alone, like --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lattice", "A2", "--t-max", t_max])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --t-max: expected an int >= 1, got '{t_max}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("example, message", [
+    (" 1", "expected an int >= 1, got ' 1'"),
+    ("+2", "expected an int >= 1, got '+2'"),
+    ("1_0", "expected an int >= 1, got '1_0'"),
+    ("0", "expected an int >= 1, got '0'"),
+    ("4", "invalid choice: 4 (choose from 1, 2, 3)"),
+])
+def test_bad_example_usage_error(capsys, example, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--example", example])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --example: {message}" in err
     assert "Traceback" not in err
 
 

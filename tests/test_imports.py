@@ -25,14 +25,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sphdesign.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
 
-# runs the CLI on argv[2:] with argv[1] rows per spectrum stripe (so a
-# tiny set can span several workers) and prints, as the last stdout line,
+# runs the CLI on argv[2:] with argv[1] rows per spectrum stripe and one
+# stripe per worker (so a tiny set can span several workers) and prints,
+# as the last stdout line,
 # the exit code, the numpy modules loaded, the pool and logging modules
 # loaded, and the number of threads started
 _PROBE = """
 import json, sys, threading
 from sphdesign import cli, spectrum
 spectrum._BLOCK = int(sys.argv[1])
+spectrum._STRIPES_PER_WORKER = 1
 started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: (started.append(self), start(self))[1]

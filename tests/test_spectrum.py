@@ -189,7 +189,9 @@ def _count_started_threads(monkeypatch) -> list:
 def test_pool_never_outnumbers_stripes(monkeypatch):
     # each worker owns whole row stripes of _BLOCK rows, so more workers
     # than stripes would only idle; the calling thread is worker 0, so
-    # workers - 1 threads are started
+    # workers - 1 threads are started.  One stripe per worker suffices
+    # here, so tiny sets span several workers
+    monkeypatch.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
     started = _count_started_threads(monkeypatch)
     # (_BLOCK, threads, workers); A2 halves to 3 rows, E8 to 120
     cases = {"A2": [(1, 7, 3), (1, 2, 2), (1, 1, 1), (256, 4, 1)],
@@ -205,11 +207,47 @@ def test_pool_never_outnumbers_stripes(monkeypatch):
             assert not any(t.is_alive() for t in started)
 
 
+def test_small_sets_run_on_the_calling_thread(monkeypatch):
+    # a second worker starts only at 2 * _STRIPES_PER_WORKER stripes of
+    # _BLOCK rows: A2, E8 and CT12 halve to 1 and 2 stripes, and the 2240
+    # rows of _three_sparse_signs(16), like the BW16 half-set, make 9
+    started = _count_started_threads(monkeypatch)
+    sets = [lattice_vectors(name) for name in ("A2", "E8", "CT12")]
+    sets.append(_three_sparse_signs(16))
+    for vs in sets:
+        base = pair_spectrum(vs).entries
+        started.clear()
+        assert pair_spectrum(vs, threads=2).entries == base
+        assert started == []
+    # the Leech half-set, 98280 rows in 384 stripes, keeps two workers
+    assert 384 // spectrum._STRIPES_PER_WORKER >= 2
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pool_starts_at_stripes_per_worker(monkeypatch, threads):
+    # one-row stripes: threads * _STRIPES_PER_WORKER rows start
+    # threads - 1 threads, one row fewer starts one thread fewer
+    from sphdesign.spectrum import _hist_blocks
+
+    monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    started = _count_started_threads(monkeypatch)
+    per = spectrum._STRIPES_PER_WORKER
+    v = np.random.default_rng(1).integers(-3, 4, size=(threads * per, 4))
+    for n, pool in ((threads * per, threads - 1),
+                    (threads * per - 1, threads - 2)):
+        base = [x.tolist() for x in _hist_blocks(v[:n], v[:n], 48, 1)]
+        started.clear()
+        assert [x.tolist() for x in
+                _hist_blocks(v[:n], v[:n], 48, threads)] == base
+        assert len(started) == pool
+
+
 def test_failing_worker_reraises_after_join(monkeypatch):
     # two one-row stripes of a set whose blocks run in exact_matmul: after
     # the product a = v G, worker 1 (a thread) or every worker raises
     vs = _skewed_unimodular(2 ** 52)
     monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    monkeypatch.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
     started = _count_started_threads(monkeypatch)
     real = spectrum.exact_matmul
     before = threading.active_count()
@@ -256,17 +294,23 @@ def _three_sparse_signs(n: int) -> VectorSet:
 
 
 def test_pair_spectrum_memory_stays_cache_sized():
-    # 2240 rows: a kernel holding a whole 2048 x 2048 float64 product block
-    # and its int64 copy would peak near 67 MB
+    # 2240 rows in 9 stripes, float32 tier, one worker at threads=2: the
+    # pass holds float32 copies of a = V cG and of V^T, plus one worker's
+    # float32 product block and int64 bin indices; the slack covers the
+    # histograms, bincount outputs and Python objects.  Keeping the int64
+    # a (280 KiB) or a second worker's buffers (768 KiB) would exceed it
     vs = _three_sparse_signs(16)
     assert vs.count == 2240 and not vs.antipodal
+    side = spectrum._BLOCK
+    budget = (2 * vs.count * vs.rank * 4 + side * side * (4 + 8)
+              + 256 * 2 ** 10)
     tracemalloc.start()
     try:
         sp = pair_spectrum(vs, threads=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < budget
     # direct count over the full N x N product matrix
     vals, counts = np.unique(vs.coords @ vs.coords.T, return_counts=True)
     assert dict(sp.entries) == {F(int(p), 3): int(c)
@@ -313,6 +357,7 @@ def _assert_blocks_match_brute_force(vs: VectorSet) -> None:
     assert dict(pair_spectrum(vs).entries) == expect
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectrum, "_BLOCK", 1)
+        mp.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
         assert dict(pair_spectrum(vs, threads=2).entries) == expect
 
 
