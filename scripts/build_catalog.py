@@ -304,7 +304,7 @@ def k10_gram(ct12: GramMatrix) -> GramMatrix | None:
         sub = gram_of(kb, form=form)
         m, w = shortest_norm_and_vectors(sub)
         tried += 1
-        if m == 4 and w.shape[0] == 276:
+        if m == 4 and len(w) == 276:
             return sub
         if tried >= 20:
             break
@@ -319,8 +319,8 @@ def certify(name: str, g: GramMatrix, det: Fraction, min_norm: Fraction,
     assert d == det, f"{name}: det {d} != {det}"
     m, vecs = shortest_norm_and_vectors(g)
     assert m == min_norm, f"{name}: min {m} != {min_norm}"
-    assert vecs.shape[0] == kissing, f"{name}: kissing {vecs.shape[0]} != {kissing}"
-    print(f"  {name}: rank {g.n}, det {d}, min {m}, kissing {vecs.shape[0]}  ok")
+    assert len(vecs) == kissing, f"{name}: kissing {len(vecs)} != {kissing}"
+    print(f"  {name}: rank {g.n}, det {d}, min {m}, kissing {len(vecs)}  ok")
 
 
 def main() -> None:
@@ -357,8 +357,8 @@ def main() -> None:
         expected["k10"] = (d, Fraction(4), 276)
         grams["k10dual"] = invert(k10)
         md, vd = shortest_norm_and_vectors(grams["k10dual"])
-        print(f"  k10 found: det {d}; dual min {md}, dual kissing {vd.shape[0]}")
-        expected["k10dual"] = (1 / d, md, vd.shape[0])
+        print(f"  k10 found: det {d}; dual min {md}, dual kissing {len(vd)}")
+        expected["k10dual"] = (1 / d, md, len(vd))
     else:
         print("  no k10 cross-section found; k10/k10dual stay data-required")
 

@@ -12,14 +12,20 @@ of X alone.  embed returns that spectrum as a plain PairSpectrum on
 S^(D-1), D = d(d+3)/2, so its 3-design property is the antipodal moment
 criterion of designs.venkov_3design, as for any code.
 
-The rank certificate (harmonic_rank) works in Harm_2 itself: each vector
-gets integer coordinates in the (n(n+1)/2)-dimensional space of symmetric
-matrices (harmonic_frame), so the rank of the embedded Gram matrix A is
-that of an (n(n+1)/2)-square integer matrix, whatever N is; A is PSD as
-cG is positive definite.  The float coordinates of export-coords
-(realize_coordinates) factor A of the canonical half-set one row at a
-time, forming its exact entries (embedded_gram) only against the at most
-D rows kept as pivots, never as the N/2 x N/2 block.
+The rank of the embedded Gram matrix A is D = dim Harm_2 whenever the
+embedded 3-design holds, by the frame-potential bound (report.certify),
+so it is computed only for a set that fails it.  That computation
+(harmonic_rank) works in Harm_2 itself: each vector gets integer
+coordinates in the (n(n+1)/2)-dimensional space of symmetric matrices
+(harmonic_frame), so the rank of A is that of an (n(n+1)/2)-square
+integer matrix, whatever N is; A is PSD as cG is positive definite.  The
+float coordinates of export-coords (realize_coordinates) factor A of the
+canonical half-set one row at a time, forming its exact entries
+(embedded_gram) only against the at most D rows kept as pivots, never as
+the N/2 x N/2 block.  These three read the rows as an int64 array
+(VectorSet.array), built once from a set held as Python ints, so embed,
+which reads the spectrum alone, is the only part of this module a small
+lattice's verify runs.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ def harmonic_frame(vs: VectorSet) -> np.ndarray:
         raise EmbeddingError("(cG) E != c s I: the inverse Gram is wrong")
     iu, ju = np.triu_indices(n)
     me = [m * e[i][j] for i, j in zip(iu.tolist(), ju.tolist())]
-    x = vs.coords
+    x = vs.array
     big = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     scn = s * c * n
     dtype = (np.int64 if scn * big * big + max(map(abs, me)) < I64_SAFE
@@ -169,7 +175,7 @@ def embedded_gram(x_halved: VectorSet, rows, cols) -> np.ndarray:
     c0, c2, _ = g2_coefficients(x_halved.sphere_dim)
     m2 = x_halved.m ** 2
     k = gcd(c2, c0 * m2)
-    v = x_halved.coords
+    v = x_halved.array
     p = exact_matmul(v[rows], x_halved.gram.entries, v[cols].T)
     big = int(np.abs(p).max(initial=0))
     if abs(c2) * big * big + abs(c0) * m2 >= I64_SAFE:

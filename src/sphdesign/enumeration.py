@@ -3,25 +3,32 @@
 Enumeration first LLL-reduces the Gram matrix exactly (size_reduce, an
 integral LLL that keeps the unimodular transform), runs Fincke-Pohst in the
 reduced basis, where far fewer search nodes die, and maps the vectors back
-through the transform.  The Fincke-Pohst search runs breadth-first over
-numpy arrays in one of two tiers.  Where an a priori bound eps on every
-float error is certified small (_float_levels), it prunes in float64
-against the bound plus eps, with intervals widened outward by the
-matching center error: a certified filter in the sense of Shewchuk
-(*Adaptive precision floating-point arithmetic*, DCG 18, 1997), which
-keeps every vector of norm <= the bound and maybe a few more.  Otherwise
-every pruning decision is exact: integer pivots and multipliers of the
-fraction-free LDL^T (linalg.ldlt) and integer square roots.  Either way
-the result is decided by exact integer norms (exact_norms), so a rounding
-error can add work but never drop or add a vector.
+through the transform.  The Gaussian-heuristic node count of that search,
+read from the exact LDL^T pivots of the reduced Gram (_estimated_nodes),
+picks one of two searches.  Below _SCALAR_NODES a depth-first search in
+Python ints (_depth_first) visits one node at a time, and the set keeps
+its rows as a sorted tuple of int tuples, so the shipped lattices up to
+CT12 are found without importing numpy.  Above it the search runs
+breadth-first over numpy arrays in one of two tiers.  Where an a priori
+bound eps on every float error is certified small (_float_levels), it
+prunes in float64 against the bound plus eps, with intervals widened
+outward by the matching center error: a certified filter in the sense of
+Shewchuk (*Adaptive precision floating-point arithmetic*, DCG 18, 1997),
+which keeps every vector of norm <= the bound and maybe a few more.
+Otherwise every pruning decision is exact: integer pivots and multipliers
+of the fraction-free LDL^T (linalg.ldlt) and integer square roots, the
+arithmetic the depth-first search runs too.  Either way the result is
+decided by exact integer norms, so a rounding error can add work but
+never drop or add a vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import inf, isqrt, lcm, nextafter, prod
+from functools import cached_property, reduce
+from math import exp, inf, isqrt, lcm, lgamma, log, nextafter, pi, prod
+from operator import mul
 
 from ._numpy import np
 from .linalg import GramMatrix, invert, ldlt, ldlt_row
@@ -39,33 +46,49 @@ class NotAntipodalError(ValueError):
 class VectorSet:
     """Finite set of integer coordinate vectors with constant norm.
 
-    coords is an (N x rank) integer array, rank = gram.n, rows in
-    canonical (lexicographic) order; every row v satisfies
-    v^T gram v == min_norm exactly.  m is the scaled min norm
-    c * min_norm (c = gram.scale), a positive int: every row has
-    v^T (c gram) v == m, and every scaled product lies in [-m, m].
-    antipodal is read from the rows: an even count closed under negation
-    (is_sign_symmetric).
+    coords holds N rows of rank = gram.n integers in canonical
+    (lexicographic) order, in one of two forms: a read-only (N x rank)
+    int64 array, or a tuple of tuples of Python ints, the form of the
+    small sets minimal_vector_set finds by its depth-first search (array
+    gives either as an array).  Every row v satisfies v^T gram v ==
+    min_norm exactly.  m is the scaled min norm c * min_norm
+    (c = gram.scale), a positive int: every row has v^T (c gram) v == m,
+    and every scaled product lies in [-m, m].  antipodal is read from
+    the rows: an even count closed under negation (is_sign_symmetric).
     """
 
     gram: GramMatrix
     min_norm: Fraction
-    coords: np.ndarray
+    coords: np.ndarray | tuple[tuple[int, ...], ...]
     antipodal: bool = field(init=False)
     m: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        # own copy, read-only: the order and sign checks run in chunks,
-        # so the copy is the only full-size array the constructor keeps
-        c = np.array(self.coords, dtype=np.int64)
-        if c.ndim != 2:
-            raise ValueError("coords must be a 2-d integer array")
-        if c.shape[1] != self.gram.n:
-            raise ValueError(f"vectors have rank {c.shape[1]} but the Gram "
+        c = self.coords
+        if isinstance(c, tuple):
+            if not all(type(row) is tuple and all(type(x) is int for x in row)
+                       for row in c):
+                raise ValueError("coords rows must be tuples of ints")
+            widths = {len(row) for row in c} or {self.gram.n}
+        else:
+            # a read-only array that no writable array shares memory with
+            # is kept as it is: the fresh array _both_signs builds and a
+            # slice of one; anything else is copied, so the rows cannot
+            # change under the set
+            if not (_frozen(c) and c.dtype == np.int64):
+                c = np.array(c, dtype=np.int64)
+            if c.ndim != 2:
+                raise ValueError("coords must be a 2-d integer array")
+            widths = {c.shape[1]}
+        if widths != {self.gram.n}:
+            raise ValueError(f"vectors have rank {max(widths)} but the Gram "
                              f"matrix has rank {self.gram.n}")
-        if not _lex_sorted(c):
-            c = c[np.lexsort(c.T[::-1])]
-        c.setflags(write=False)
+        if isinstance(c, tuple):
+            c = c if _lex_sorted(c) else tuple(sorted(c))
+        else:
+            if not _lex_sorted(c):
+                c = c[np.lexsort(c.T[::-1])]
+            c.setflags(write=False)
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "antipodal",
                            len(c) % 2 == 0 and is_sign_symmetric(c))
@@ -80,21 +103,31 @@ class VectorSet:
 
     @property
     def rank(self) -> int:
-        return self.coords.shape[1]
+        return self.gram.n
 
     @property
     def count(self) -> int:
-        return self.coords.shape[0]
+        return len(self.coords)
 
     @property
     def sphere_dim(self) -> int:
         """Dimension d of the sphere S^d the normalized set lives on."""
         return self.rank - 1
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The rows as a read-only (N x rank) int64 array: coords itself,
+        or built once from the Python-int rows."""
+        c = self.coords
+        if isinstance(c, tuple):
+            c = np.array(c, dtype=np.int64).reshape(len(c), self.rank)
+            c.setflags(write=False)
+        return c
+
     def validate(self) -> None:
         """Check the constant-norm and uniqueness invariants exactly,
         _CHECK_ROWS rows at a time."""
-        c = self.coords
+        c = self.array
         for s in range(0, len(c), _CHECK_ROWS):
             norms = exact_norms(self.gram, c[s:s + _CHECK_ROWS])
             if not np.all(norms == self.m):
@@ -104,6 +137,16 @@ class VectorSet:
             hi = c[s + 1:s + 1 + _CHECK_ROWS]
             if np.any(np.all(hi == c[s:s + len(hi)], axis=1)):
                 raise ValueError("duplicate vectors present")
+
+
+def _frozen(a) -> bool:
+    """Whether a is an ndarray that neither it nor any array it views can
+    write."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 # every partial sum of an int64 product certified below this stays in range
@@ -336,6 +379,18 @@ def _float_levels(g: GramMatrix, p, lam, bound: Fraction):
     return step, np.float64, np.zeros(1)
 
 
+def _level_scales(c: int, p: list[int]) -> tuple[list[int], list[int]]:
+    """(w, mscale) of the exact levels of the LDL^T (p, lam) of c * g:
+    w[i] = c p[i-1] p[i] (p[-1] = 1), and mscale[i], the lcm of w[i..],
+    clears the denominators of the levels i.., so a node carries its
+    partial sum T_i as the integer T_i mscale[i]."""
+    w = [c * x * y for x, y in zip([1] + p, p)]
+    mscale = [1] * (len(p) + 1)
+    for i in range(len(p) - 1, -1, -1):
+        mscale[i] = lcm(mscale[i + 1], w[i])
+    return w, mscale
+
+
 def _exact_levels(g: GramMatrix, p, lam, bound: Fraction):
     """The exact sweep step: every pruning decision in integers.
 
@@ -345,11 +400,8 @@ def _exact_levels(g: GramMatrix, p, lam, bound: Fraction):
     an integer, and the interval endpoints come from integer square roots.
     """
     n = len(p)
-    w = [g.scale * x * y for x, y in zip([1] + p, p)]
+    w, mscale = _level_scales(g.scale, p)
     ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
-    mscale = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        mscale[i] = lcm(mscale[i + 1], w[i])
     bn, bd = bound.numerator, bound.denominator
     isqrt_ = np.frompyfunc(isqrt, 1, 1)
 
@@ -423,6 +475,108 @@ def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
     return np.concatenate(out)
 
 
+# the depth-first search runs below this many estimated nodes
+# (_estimated_nodes), the breadth-first sweep from it on.  In ms, depth-first
+# / breadth-first with numpy already imported (medians of 3-5 in-process
+# runs; BW16[:k] is the leading k x k block of the BW16 Gram):
+# E8 (183 nodes) 0.3 / 1.8, CT12 (1 212) 2.8 / 3.2, BW16[:13] (1 606)
+# 3.8 / 3.2, BW16[:14] (2 934) 8.0 / 3.2, BW16[:15] (5 513) 12.0 / 3.9,
+# BW16 (11 615) 25.7 / 5.5.  Below the cut a command on a lattice of
+# that size need never import numpy, which takes 60 ms; the shipped BW16
+# and its skewed bases (10 956 nodes and up) stay on the sweep.
+_SCALAR_NODES = 4096
+
+
+def _estimated_nodes(p: list[int], c: int, bound: Fraction) -> float:
+    """Gaussian-heuristic node count of the search at bound, halved for
+    the sign rule, from the pivots p of the LDL^T of c * g.
+
+    The nodes at depth k number about vol(B_k(sqrt(bound))) / sqrt(D_{n-k}
+    ... D_{n-1}), with D_i = p[i] / (c p[i-1]) the pivots of g, a product
+    that telescopes to p[n-1] / (c^k p[n-k-1]) (p[-1] = 1).  A count
+    past the float range is inf."""
+    n, total = len(p), 0.0
+    for k in range(1, n + 1):
+        log_det = (log(p[-1]) - k * log(c)
+                   - (log(p[n - k - 1]) if k < n else 0.0))
+        try:
+            total += exp(k / 2 * log(pi * bound) - lgamma(k / 2 + 1)
+                         - log_det / 2)
+        except OverflowError:
+            return inf
+    return total / 2
+
+
+def _depth_first(reduced: GramMatrix, p, lam,
+                 bound: Fraction) -> tuple[int, list[tuple[int, ...]]]:
+    """(m, rows): the least scaled norm m = v^T (c reduced) v of a nonzero
+    v with v^T reduced v <= bound, and one row of each +-pair attaining
+    it, as int tuples in the basis of reduced.
+
+    Depth-first in Python ints, one node at a time, with the integer
+    intervals of _exact_levels (every child has T_i <= bound exactly)
+    and the sign rule of _fincke_pohst: x_i >= 0 while every coordinate
+    above is zero, and x_0 >= 1 at level 0.  A leaf's T_0 mscale[0] is
+    its norm times mscale[0] / c.
+    """
+    n, c = len(p), reduced.scale
+    w, ms = _level_scales(c, p)
+    bn, bd = bound.numerator, bound.denominator
+    ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    den = [bd * ms[i + 1] for i in range(n)]
+    q = [p[i] * den[i] for i in range(n)]
+    f = [ms[i] // ms[i + 1] for i in range(n)]
+    g = [ms[i] // w[i] for i in range(n)]
+    x = [0] * n
+    best, rows = bn * ms[0] // bd + 1, []
+
+    def level(i: int, ts: int, free: bool) -> None:
+        # free: every coordinate above level i is zero
+        nonlocal best, rows
+        cen = sum(map(mul, ucol[i], x[i + 1:]))
+        s = isqrt(w[i] * den[i] * (bn * ms[i + 1] - bd * ts))
+        a = -cen * den[i]
+        lo, hi = -((s - a) // q[i]), (a + s) // q[i]
+        if free:
+            lo = max(lo, int(i == 0))
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            u = xi * p[i] + cen
+            t = ts * f[i] + g[i] * u * u
+            if i:
+                level(i - 1, t, free and not xi)
+            elif t <= best:
+                if t < best:
+                    best, rows = t, []
+                rows.append(tuple(x))
+        x[i] = 0
+
+    level(n - 1, 0, True)
+    return c * best // ms[0], rows
+
+
+def _int64_checked(big: int) -> None:
+    if big > I64_MAX:
+        raise EnumerationError(
+            f"vector coordinate of magnitude {big} does not fit in int64")
+
+
+def _int_both_signs(half, trans) -> tuple[tuple[int, ...], ...]:
+    """_both_signs on int tuples: the rows half @ trans, each with its
+    first nonzero coordinate positive, sorted, after their negations in
+    reverse order, as a tuple of int tuples."""
+    cols = list(zip(*trans))
+    out = []
+    for x in half:
+        v = [sum(map(mul, x, col)) for col in cols]
+        if next(filter(None, v)) < 0:
+            v = [-y for y in v]
+        out.append(tuple(v))
+    _int64_checked(max((abs(y) for v in out for y in v), default=0))
+    out.sort()
+    return tuple(tuple(-y for y in v) for v in reversed(out)) + tuple(out)
+
+
 def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
     """Rows half @ trans and their negations, sorted lexicographically.
 
@@ -435,10 +589,7 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
     """
     half = exact_matmul(half, trans)
     if half.dtype == object:
-        big = max((abs(x) for x in half.flat), default=0)
-        if big > I64_MAX:
-            raise EnumerationError(
-                f"vector coordinate of magnitude {big} does not fit in int64")
+        _int64_checked(max((abs(x) for x in half.flat), default=0))
         half = half.astype(np.int64)
     first = half[np.arange(len(half)), np.argmax(half != 0, axis=1)]
     np.negative(half, out=half, where=(first < 0)[:, None])
@@ -447,19 +598,27 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
     # the default mode="raise" would buffer a full-size copy of out
     np.take(half, np.lexsort(half.T[::-1]), axis=0, out=out[n:], mode="clip")
     np.negative(out[n:][::-1], out=out[:n])
+    out.setflags(write=False)     # so a VectorSet keeps it without a copy
     return out
 
 
-def shortest_norm_and_vectors(gram: GramMatrix) -> tuple[Fraction, np.ndarray]:
+def shortest_norm_and_vectors(gram: GramMatrix):
     """Minimal nonzero norm of the lattice and all vectors attaining it.
 
     Reduces once, enumerates at the smallest diagonal entry of the reduced
     Gram (the shortest reduced basis vector's norm, at most 2^(n-1) times
     the minimal norm, so that vector is found), keeps the vectors of the
-    smallest norm found and maps only those back to input coordinates.
+    smallest norm found and maps only those back to input coordinates:
+    below _SCALAR_NODES estimated nodes by _depth_first, as a sorted
+    tuple of int tuples, else by _fincke_pohst, as a read-only int64
+    array.
     """
     reduced, trans = size_reduce(gram)
     bound = min(reduced[i, i] for i in range(reduced.n))
+    p, lam = ldlt(reduced.entries)
+    if _estimated_nodes(p, reduced.scale, bound) < _SCALAR_NODES:
+        m, half = _depth_first(reduced, p, lam, bound)
+        return Fraction(m, reduced.scale), _int_both_signs(half, trans)
     half = _fincke_pohst(reduced, bound)
     norms = exact_norms(reduced, half)
     m = norms.min()
@@ -497,7 +656,9 @@ _CHECK_ROWS = 2**12
 def _lex_sorted(c: np.ndarray) -> bool:
     """Whether the rows are in non-decreasing lexicographic order: each
     adjacent pair is equal or first differs upward.  Checked _CHECK_ROWS
-    pairs at a time."""
+    pairs at a time (tuples compare lexicographically themselves)."""
+    if isinstance(c, tuple):
+        return all(a <= b for a, b in zip(c, c[1:]))
     for s in range(0, len(c) - 1, _CHECK_ROWS):
         hi = c[s + 1:s + 1 + _CHECK_ROWS]
         lo = c[s:s + len(hi)]
@@ -514,6 +675,9 @@ def is_sign_symmetric(coords: np.ndarray) -> bool:
     when coords[::-1] == -coords.  Row i is compared with row N-1-i for
     the first half of the rows, _CHECK_ROWS at a time."""
     n = len(coords)
+    if isinstance(coords, tuple):
+        return all(a == tuple(-x for x in b)
+                   for a, b in zip(coords[:(n + 1) // 2], reversed(coords)))
     for s in range(0, (n + 1) // 2, _CHECK_ROWS):
         e = min(s + _CHECK_ROWS, (n + 1) // 2)
         if not np.array_equal(coords[s:e], -coords[n - e:n - s][::-1]):
@@ -524,7 +688,8 @@ def is_sign_symmetric(coords: np.ndarray) -> bool:
 def _unpaired(coords: np.ndarray) -> tuple[int, ...]:
     """A row with no antipodal partner: one whose negation is absent, else
     the middle row, the zero vector when an odd count passes the identity."""
-    rows = [tuple(row) for row in coords.tolist()]
+    rows = (list(coords) if isinstance(coords, tuple)
+            else [tuple(row) for row in coords.tolist()])
     present = set(rows)
     return next((v for v in rows if tuple(-x for x in v) not in present),
                 rows[len(rows) // 2])

@@ -142,8 +142,9 @@ def read_vector_set(path: str | Path):
 
 def write_vector_set(path: str | Path, rank: int, min_norm: Fraction,
                      vectors) -> None:
-    """vectors: an integer array, or rows of ints, of width rank."""
-    rows = np.asarray(vectors, dtype=np.int64).reshape(-1, rank).tolist()
+    """vectors: an integer array, or rows of Python ints, of width rank;
+    rows of ints are written without numpy."""
+    rows = vectors.tolist() if hasattr(vectors, "tolist") else vectors
     lines = [f"{rank} {len(rows)} {min_norm}"]
     fmt = " ".join(["%d"] * rank)
     lines.extend(fmt % tuple(v) for v in rows)

@@ -45,11 +45,11 @@ class Certificate:
     strength: int | None                      # None when not requested
     embedded: PairSpectrum                    # the code on S^(D-1)
     theorem: tuple[bool, Fraction]            # (is_3design, moment2)
-    rank: int | None                          # None over the matrix cap
+    rank: int | None        # embedded Gram rank; None over the matrix cap
 
     @property
     def passed(self) -> bool:
-        # harmonic_rank raises when the rank exceeds dim Harm
+        # the rank is not read: it is D whenever the 3-design holds
         return (self.kissing_ok is not False and self.min_norm_ok
                 and self.venkov5[0] and self.theorem[0])
 
@@ -63,13 +63,24 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
     spectrum, its 3-design identity, and an exact rank certificate
     when the half-set, N/2 points, fits the matrix cap.  Each stage reads
     the whole set: pair_spectrum halves an antipodal set itself, and
-    harmonic_rank gives the same rank on it as on any half-set."""
+    harmonic_rank gives the same rank on it as on any half-set.
+
+    The rank needs no arithmetic when the embedded 3-design holds.  For
+    the N embedded unit vectors a_x in Harm_2, of dimension D, and
+    S = sum a_x a_x^T (tr S = N), sum (a_x . a_y)^2 = tr S^2 >=
+    (tr S)^2 / rank S, the frame-potential bound (Benedetto and Fickus,
+    *Finite normalized tight frames*, 2003).  The 3-design identity is
+    sum (a_x . a_y)^2 = N^2 / D, so rank S >= D, and rank S <= D as the
+    a_x lie in Harm_2 (Delsarte, Goethals and Seidel 1977): the rank is
+    D.  harmonic_rank computes it only for a set failing the identity."""
     vs = minimal_vector_set(spec.gram) if vectors is None else vectors
     src = pair_spectrum(vs, threads=threads)
     venkov5 = venkov_5design(src)   # first: it rejects non-antipodal sets
     strength = None if t_max is None else design_strength(src, t_max)
     emb = embed(src)
-    rank = harmonic_rank(vs) if vs.count // 2 <= matrix_cap else None
+    theorem = venkov_3design(emb)
+    rank = (None if vs.count // 2 > matrix_cap
+            else emb.d + 1 if theorem[0] else harmonic_rank(vs))
     return Certificate(
         min_norm=vs.min_norm,
         kissing_ok=(None if spec.expected_kissing is None
@@ -77,7 +88,7 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
         min_norm_ok=(spec.expected_min_norm is None
                      or vs.min_norm == spec.expected_min_norm),
         source=src, venkov5=venkov5, strength=strength, embedded=emb,
-        theorem=venkov_3design(emb), rank=rank)
+        theorem=theorem, rank=rank)
 
 
 def embedded_report(emb: PairSpectrum, theorem: tuple[bool, Fraction]) -> dict:

@@ -53,7 +53,7 @@ def lattice_vectors(name: str) -> VectorSet:
 
 def as_tuples(vs: VectorSet) -> list[tuple[int, ...]]:
     """The rows of vs as tuples of Python ints, in canonical order."""
-    return [tuple(row) for row in vs.coords.tolist()]
+    return [tuple(row) for row in vs.array.tolist()]
 
 
 def matmul(a, b):
@@ -157,6 +157,12 @@ def embedded_block(half: VectorSet) -> list[list[int]]:
     return embedded_gram(half, every, every).tolist()
 
 
+def as_array_set(vs: VectorSet) -> VectorSet:
+    """The same set with its rows held as an int64 array, the form the
+    numpy kernels take, whichever form vs holds."""
+    return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=vs.array)
+
+
 def random_half(vs: VectorSet, seed: int) -> VectorSet:
     """A seeded half-set of the antipodal vs: per pair, row i or its
     partner N-1-i (rows are sorted, so negation reverses them), an oracle
@@ -168,12 +174,12 @@ def random_half(vs: VectorSet, seed: int) -> VectorSet:
     n = vs.count
     keep = [i if rng.random() < 0.5 else n - 1 - i for i in range(n // 2)]
     return VectorSet(gram=vs.gram, min_norm=vs.min_norm,
-                     coords=vs.coords[keep])
+                     coords=vs.array[keep])
 
 
 def union_with_negation(vs: VectorSet) -> VectorSet:
     """X union -X as a single antipodal set (inputs must be antipodal-free)."""
-    coords = np.concatenate([vs.coords, -vs.coords])
+    coords = np.concatenate([vs.array, -vs.array])
     if len(np.unique(coords, axis=0)) != coords.shape[0]:
         raise NotAntipodalError("set already contains an antipodal pair")
     return VectorSet(gram=vs.gram, min_norm=vs.min_norm, coords=coords)

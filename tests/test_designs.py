@@ -150,7 +150,7 @@ _D4_HALF = halve_antipodal(lattice_vectors("D4"))
 
 
 def _d4_antipodal_subset(picks) -> VectorSet:
-    rows = _D4_HALF.coords[sorted(picks)]
+    rows = _D4_HALF.array[sorted(picks)]
     return VectorSet(gram=_D4_HALF.gram, min_norm=_D4_HALF.min_norm,
                      coords=np.vstack([rows, -rows]))
 

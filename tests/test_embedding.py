@@ -216,7 +216,7 @@ def test_frame_without_inverse_correction_raises(monkeypatch, name):
     n = half.rank
     scn = invert(half.gram).scale * half.gram.scale * n
     iu, ju = np.triu_indices(n)
-    x = half.coords.astype(object)
+    x = half.array.astype(object)
     bare = scn * x[:, iu] * x[:, ju]
     target = dim_harm(2, half.sphere_dim)
     assert psd_rank(exact_matmul(bare.T, bare).tolist()) == target + 1

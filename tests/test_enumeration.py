@@ -90,7 +90,7 @@ def test_rational_gram_bound():
 def test_shortest_norm_hexagon():
     norm, vecs = shortest_norm_and_vectors(A2)
     assert norm == F(2)
-    assert vecs.shape == (6, 2)
+    assert len(vecs) == 6 and {len(v) for v in vecs} == {2}
 
 
 def test_minimal_vector_set_counts():
@@ -224,17 +224,22 @@ def test_lll_rejects_semidefinite_and_indefinite(rows):
 
 def test_shortest_vectors_from_reduced_basis(monkeypatch):
     # an A2 basis whose shortest vector has norm ~10^4, far above the
-    # minimum 2: the search must run once, at the reduced bound
+    # minimum 2: one search, depth-first or breadth-first, must run once,
+    # at the reduced bound
     u = [[49, 50], [48, 49]]
     assert abs(_det(u)) == 1
     g = _congruent(u, A2)
     assert min(g[0, 0], g[1, 1]) > 5000
     reductions, bounds = [], []
     real_reduce, real_fp = enumeration.size_reduce, enumeration._fincke_pohst
+    real_df = enumeration._depth_first
     monkeypatch.setattr(enumeration, "size_reduce",
                         lambda g: reductions.append(g) or real_reduce(g))
     monkeypatch.setattr(enumeration, "_fincke_pohst",
                         lambda g, b: bounds.append(b) or real_fp(g, b))
+    monkeypatch.setattr(enumeration, "_depth_first",
+                        lambda g, p, lam, b: bounds.append(b)
+                        or real_df(g, p, lam, b))
     norm, vecs = shortest_norm_and_vectors(g)
     assert len(reductions) == 1 and bounds == [2]
     assert norm == 2
@@ -265,8 +270,9 @@ def test_map_back_checked_at_int64(k):
         return
     norm, vecs = shortest_norm_and_vectors(g)
     assert norm == 1
-    assert vecs.dtype == np.int64
-    assert vecs.tolist() == [[-k, 1], [-1, 0], [1, 0], [k, -1]]
+    rows = [[int(x) for x in v] for v in vecs]
+    assert rows == [[-k, 1], [-1, 0], [1, 0], [k, -1]]
+    assert all(-2 ** 63 < x < 2 ** 63 for v in rows for x in v)
 
 
 def test_exact_norms_object_fallback():
@@ -302,8 +308,7 @@ def test_halving_canonical_rule():
     half = halve_antipodal(vs)
     assert half.count == 3
     for row in half.coords:
-        nz = row[np.nonzero(row)[0]]
-        assert nz[0] > 0
+        assert [x for x in row if x][0] > 0
     assert not half.antipodal
 
 
@@ -618,3 +623,115 @@ def test_validate_chunks_keep_messages(chunk):
             bad_norm.validate()
         with pytest.raises(ValueError, match="duplicate vectors"):
             dup.validate()
+
+
+# --- the depth-first search in Python ints, against the breadth-first sweep
+
+_SMALL = ("A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12")
+
+
+def _both_searches(g: GramMatrix):
+    """(m, rows) of _depth_first and of _fincke_pohst, kept by exact norm,
+    on the LLL-reduced g: the least scaled norm and its rows, one per
+    +-pair, sorted."""
+    red, _ = size_reduce(g)
+    bound = min(red[i, i] for i in range(red.n))
+    p, lam = ldlt(red.entries)
+    m, rows = enumeration._depth_first(red, p, lam, bound)
+    half = enumeration._fincke_pohst(red, bound)
+    norms = exact_norms(red, half)
+    least = norms.min()
+    return ((m, sorted(rows)),
+            (int(least), sorted(map(tuple, half[norms == least].tolist()))))
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_depth_first_matches_breadth_first_on_small_lattices(monkeypatch,
+                                                             name):
+    g = catalog(name).gram
+    depth, breadth = _both_searches(g)
+    assert depth == breadth
+    norm, rows = shortest_norm_and_vectors(g)
+    assert isinstance(rows, tuple)
+    monkeypatch.setattr(enumeration, "_SCALAR_NODES", 0)
+    norm_bf, array = shortest_norm_and_vectors(g)
+    assert norm == norm_bf and [list(v) for v in rows] == array.tolist()
+
+
+@given(_lll_inputs())
+@settings(max_examples=80, deadline=None)
+def test_depth_first_matches_breadth_first_on_skewed_forms(g):
+    depth, breadth = _both_searches(g)
+    assert depth == breadth
+
+
+def test_node_estimate_puts_small_lattices_below_the_cut_and_bw16_above():
+    def nodes(name):
+        red, _ = size_reduce(catalog(name).gram)
+        bound = min(red[i, i] for i in range(red.n))
+        return enumeration._estimated_nodes(ldlt(red.entries)[0], red.scale,
+                                            bound)
+    assert [round(nodes(name)) for name in ("A2", "E8", "CT12")] \
+        == [3, 183, 1212]
+    assert max(map(nodes, _SMALL)) < enumeration._SCALAR_NODES \
+        < nodes("BW16")
+
+
+def test_python_int_rows_form():
+    rows = ((1, 0), (0, 1), (0, -1), (-1, 0))
+    vs = VectorSet(gram=GramMatrix.identity(2), min_norm=F(1), coords=rows)
+    assert vs.coords == tuple(sorted(rows)) and vs.antipodal
+    assert vs.count == 4 and vs.rank == 2
+    assert vs.array.tolist() == [list(v) for v in sorted(rows)]
+    assert not vs.array.flags.writeable
+    half = halve_antipodal(vs)
+    assert half.coords == ((0, 1), (1, 0)) and not half.antipodal
+    with pytest.raises(NotAntipodalError, match=r"\(0, 1\)"):
+        halve_antipodal(half)
+    for bad in (([1, 0],), ((1.0, 0),), ((np.int64(1), 0),)):
+        with pytest.raises(ValueError, match="tuples of ints"):
+            VectorSet(gram=vs.gram, min_norm=F(1), coords=bad)
+    with pytest.raises(ValueError, match="rank 3"):
+        VectorSet(gram=vs.gram, min_norm=F(1), coords=((1, 0, 0),))
+
+
+def test_vector_set_copies_an_array_a_caller_can_write():
+    gram = GramMatrix.identity(2)
+    coords = np.array([[0, 1], [1, 0]])
+    vs = VectorSet(gram=gram, min_norm=F(1), coords=coords)
+    coords[0, 0] = 5
+    assert vs.coords.tolist() == [[0, 1], [1, 0]]
+    # a read-only view of a writable array is copied as well
+    coords = np.array([[0, 1], [1, 0]])
+    view = coords.view()
+    view.setflags(write=False)
+    vs = VectorSet(gram=gram, min_norm=F(1), coords=view)
+    coords[0, 0] = 7
+    assert vs.coords.tolist() == [[0, 1], [1, 0]]
+    # a read-only array no writable array shares is kept as it is
+    own = np.array([[0, 1], [1, 0]])
+    own.setflags(write=False)
+    assert VectorSet(gram=gram, min_norm=F(1), coords=own).coords is own
+
+
+def test_minimal_vector_set_keeps_the_array_it_builds(monkeypatch):
+    built, real = [], enumeration._both_signs
+    monkeypatch.setattr(enumeration, "_both_signs",
+                        lambda half, trans: built.append(real(half, trans))
+                        or built[-1])
+    vs = minimal_vector_set(catalog("BW16").gram)
+    assert vs.coords is built[0]
+
+
+def test_halving_bw16_allocates_no_set_sized_array():
+    vs = minimal_vector_set(catalog("BW16").gram)
+    assert isinstance(vs.coords, np.ndarray)
+    tracemalloc.start()
+    try:
+        half = halve_antipodal(vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert half.count == vs.count // 2
+    assert np.shares_memory(half.coords, vs.coords)
+    assert peak < vs.coords.nbytes // 2

@@ -123,12 +123,15 @@ GOLDEN = {
 
 
 # sha256 of the file `minvec --lattice NAME --out F` writes, taken from the
-# program before vector files were written from int64 rows
+# program before vector files were written from int64 rows (BW16, E7dual)
+# and before the small lattices' rows were held as Python ints (E8)
 VECTOR_FILES = {
     "BW16":
         "9716316f78d18f1b9f81b6df711d48145c65f75ca2fc5d68ed6e2d7834c8d44c",
     "E7dual":
         "ab3c8ce1eaa36a45bb24d5b0628470295a34fa52a23f84c0ad0f4c9c4873ef07",
+    "E8":
+        "d7228d070ab9640878ac5cb937e3de6b285b7b3dce8c774df2e128041bb8f3d3",
 }
 
 

@@ -1,5 +1,8 @@
 """Import contract: every package module loads with the CLI, numpy only
-when a command computes, and the spectrum workers need no thread pool.
+when a command computes on arrays, and the spectrum workers need no
+thread pool.  The small lattices, from A2 to CT12, run without numpy:
+every command of the certify-small benchmark workload but `reproduce
+--example 2`, which enumerates BW16.
 Process contract: the CLI process runs without the cyclic collector,
 main() in any other process leaves it as it was.
 
@@ -9,7 +12,9 @@ since imported numpy.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -62,16 +67,24 @@ def _cli(*args: str, block: int = 256) -> tuple[int, list, list, int]:
     return tuple(json.loads(r.stdout.splitlines()[-1]))
 
 
-def _traced_modules() -> set[str]:
+def _perfbench(name: str, monkeypatch):
+    """A module of perfbench/, loaded by path and listed in sys.modules
+    for the test, where its imports and dataclasses look modules up."""
     spec = importlib.util.spec_from_file_location(
-        "traced_cli", ROOT / "perfbench/traced_cli.py")
-    traced_cli = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced_cli)
+        name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_modules(monkeypatch) -> set[str]:
+    traced_cli = _perfbench("traced_cli", monkeypatch)
     return {f"sphdesign.{module}" for module, *_ in traced_cli.LAYERS}
 
 
-def test_cli_import_loads_every_traced_module_and_no_numpy():
-    wanted = _traced_modules()
+def test_cli_import_loads_every_traced_module_and_no_numpy(monkeypatch):
+    wanted = _traced_modules(monkeypatch)
     r = _python("import json, sys, sphdesign.cli; "
                 "print(json.dumps(sorted(sys.modules)))")
     assert r.returncode == 0, r.stderr
@@ -95,13 +108,45 @@ def test_commands_that_compute_nothing_never_load_numpy(args, code):
     assert _cli(*args) == (code, [], [], 0)
 
 
-def test_a_computing_command_loads_numpy_but_no_pool():
-    # one-row stripes split A2's three halved rows between two workers
-    code, numpy, pool, threads = _cli("verify", "--lattice", "A2",
+def test_a_computing_command_loads_numpy_but_no_pool(tmp_path):
+    # a vector file is held as an array; one-row stripes split the twelve
+    # halved rows of the D4 roots +-e_i +- e_j between two workers
+    roots = [v for v in itertools.product((-1, 0, 1), repeat=4)
+             if sum(map(abs, v)) == 2]
+    path = tmp_path / "d4.vecs"
+    path.write_text(f"4 {len(roots)} 2\n"
+                    + "".join(" ".join(map(str, v)) + "\n" for v in roots))
+    code, numpy, pool, threads = _cli("verify", "--vectors", str(path),
                                       "--threads", "2", block=1)
     assert code == 0
     assert "numpy" in numpy
     assert pool == [] and threads == 1
+
+
+def test_certify_small_runs_without_numpy(monkeypatch):
+    # the benchmark's own command lines, read from perfbench/workloads.py
+    checks = _perfbench("checks", monkeypatch)
+    workloads = _perfbench("workloads", monkeypatch)
+    exp = checks.Expectations(checks.load_reference_rows())
+    argvs = [op.argv for op in workloads.certify_small(None, exp, 0)]
+    assert len(argvs) == 10
+    # BW16 is enumerated and counted by numpy
+    heavy = ["reproduce", "--example", "2"]
+    assert sum(argv[:3] == heavy for argv in argvs) == 1
+    for argv in argvs:
+        if argv[:3] != heavy:
+            assert _cli(*argv) == (0, [], [], 0), argv
+
+
+def test_small_lattice_commands_run_without_numpy(tmp_path):
+    from test_golden import VECTOR_FILES
+    out = tmp_path / "E8.vecs"
+    for args in (["minvec", "--lattice", "E8", "--out", str(out)],
+                 ["spectrum", "--lattice", "E8", "--format", "json"],
+                 ["embed", "--lattice", "E8"]):
+        assert _cli(*args) == (0, [], [], 0), args
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == VECTOR_FILES["E8"]
 
 
 def test_first_numpy_use_from_two_threads_at_once():

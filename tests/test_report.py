@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphdesign import embedding, report, spectrum
-from sphdesign.catalog import catalog
-from sphdesign.embedding import embed, harmonic_rank
-from sphdesign.enumeration import halve_antipodal
+from sphdesign.catalog import LatticeSpec, catalog
+from sphdesign.embedding import dim_harm, embed, harmonic_rank
+from sphdesign.enumeration import (
+    VectorSet,
+    halve_antipodal,
+    minimal_vector_set,
+)
+from sphdesign.linalg import GramMatrix
 from sphdesign.report import (
     _reproduce_row,
     report_text,
@@ -237,3 +246,94 @@ def test_any_half_set_mirrors_to_the_full_spectrum(name):
     assert mirror(pair_spectrum(halve_antipodal(vs))) == full
     for seed in (0, 7):
         assert mirror(pair_spectrum(random_half(vs, seed))) == full
+
+
+# --- the rank read from the embedded 3-design, against harmonic_rank
+
+_SMALL = ("A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12")
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_derived_rank_is_harmonic_rank(monkeypatch, name):
+    vs = lattice_vectors(name)
+    calls = []
+    monkeypatch.setattr(report, "harmonic_rank",
+                        lambda x: calls.append(x) or harmonic_rank(x))
+    cert = report.certify(catalog(name), t_max=None)
+    assert cert.theorem[0] and calls == []
+    assert cert.rank == harmonic_rank(vs) == dim_harm(2, vs.sphere_dim)
+
+
+def _skew(g: GramMatrix, seed: int, ops: int) -> GramMatrix:
+    """U g U^T for a seeded product of ops elementary unimodular U."""
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(g.n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    ug = [[sum(a * b for a, b in zip(row, col)) for col in zip(*g.entries)]
+          for row in u]
+    return GramMatrix(g.scale, tuple(
+        tuple(sum(a * b for a, b in zip(row, urow)) for urow in u)
+        for row in ug))
+
+
+_ORBIT_BASES = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1),
+                (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0)]
+
+
+def _signed_orbit(base) -> set[tuple[int, ...]]:
+    return {tuple(s * x for s, x in zip(signs, perm))
+            for perm in itertools.permutations(base)
+            for signs in itertools.product((1, -1), repeat=len(base))}
+
+
+@st.composite
+def _antipodal_sets(draw):
+    """Minimal vectors of a skewed small lattice, where the embedded
+    3-design holds, or a union of signed-permutation orbits of vectors of
+    one norm in R^4 (among them the 24-cell), which mostly fail it."""
+    if draw(st.booleans()):
+        g = _skew(catalog(draw(st.sampled_from(_SMALL[:-1]))).gram,
+                  draw(st.integers(0, 2**16)), draw(st.integers(0, 12)))
+        return minimal_vector_set(g)
+    norm = draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
+    bases = [b for b in _ORBIT_BASES if sum(x * x for x in b) == norm]
+    picked = draw(st.sets(st.sampled_from(bases), min_size=1))
+    rows = set().union(*map(_signed_orbit, picked))
+    return VectorSet(gram=GramMatrix.identity(4), min_norm=F(norm),
+                     coords=tuple(sorted(rows)))
+
+
+@given(_antipodal_sets())
+@settings(max_examples=60, deadline=None)
+def test_derived_rank_is_harmonic_rank_on_antipodal_sets(vs):
+    spec = LatticeSpec(name="x", gram=vs.gram)
+    cert = report.certify(spec, t_max=None, vectors=vs)
+    assert cert.rank == harmonic_rank(vs)
+
+
+def test_24_cell_rank_is_derived(monkeypatch):
+    rows = _signed_orbit((2, 0, 0, 0)) | _signed_orbit((1, 1, 1, 1))
+    vs = VectorSet(gram=GramMatrix.identity(4), min_norm=F(4),
+                   coords=tuple(sorted(rows)))
+    monkeypatch.setattr(report, "harmonic_rank", None)
+    cert = report.certify(LatticeSpec(name="24-cell", gram=vs.gram),
+                          t_max=None, vectors=vs)
+    assert cert.theorem[0] and cert.rank == 9
+
+
+@pytest.mark.parametrize("gram, rows, norm", [
+    ([[1, 0], [0, 1]], ((-1, 0), (0, -1), (0, 1), (1, 0)), 1),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ((-1, -1, 0), (1, 1, 0)), 2),
+], ids=["Z2", "pm110"])
+def test_failing_sets_under_the_cap_compute_their_rank(gram, rows, norm):
+    # the embedded 3-design fails, so the rank is harmonic_rank's, not D
+    vs = VectorSet(gram=GramMatrix.from_rows(gram), min_norm=F(norm),
+                   coords=rows)
+    cert = report.certify(LatticeSpec(name="x", gram=vs.gram), t_max=None,
+                          vectors=vs)
+    assert not cert.theorem[0]
+    assert cert.rank == harmonic_rank(vs) == 1
+    assert cert.rank < cert.embedded.d + 1

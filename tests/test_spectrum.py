@@ -24,6 +24,7 @@ from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
 
 from conftest import (
+    as_array_set,
     as_tuples,
     lattice_vectors,
     random_half,
@@ -193,11 +194,12 @@ def test_pool_never_outnumbers_stripes(monkeypatch):
     # here, so tiny sets span several workers
     monkeypatch.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
     started = _count_started_threads(monkeypatch)
-    # (_BLOCK, threads, workers); A2 halves to 3 rows, E8 to 120
+    # (_BLOCK, threads, workers); A2 halves to 3 rows, E8 to 120, both
+    # held as arrays, which _hist_blocks counts
     cases = {"A2": [(1, 7, 3), (1, 2, 2), (1, 1, 1), (256, 4, 1)],
              "E8": [(16, 20, 8), (16, 3, 3), (256, 4, 1)]}
     for name, runs in cases.items():
-        vs = lattice_vectors(name)
+        vs = as_array_set(lattice_vectors(name))
         base = pair_spectrum(vs).entries
         for block, threads, workers in runs:
             monkeypatch.setattr(spectrum, "_BLOCK", block)
@@ -467,3 +469,81 @@ def test_antipodal_flags_agree_with_brute_force(subset):
     want = {tuple(-x for x in v) for v in rows} == set(rows)
     assert vs.antipodal == pair_spectrum(vs).antipodal == want
     assert dict(pair_spectrum(vs).entries) == brute_spectrum(vs)
+
+
+# --- the Python-int kernel of sets held as int tuples, against _hist_blocks
+
+@st.composite
+def _int_kernel_cases(draw):
+    """Rows of Python ints, any symmetric integer g and an offset at or
+    above every |product| (the kernels' one requirement)."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                         min_size=1, max_size=12))
+    big = max(abs(sum(x * gij * y for gi, x in zip(g, v)
+                      for gij, y in zip(gi, w)))
+              for v in rows for w in rows)
+    return tuple(rows), g, big + draw(st.sampled_from([0, 1, 200, 2**20]))
+
+
+@given(_int_kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_int_hist_matches_hist_blocks(case):
+    rows, g, off = case
+    v = np.array(rows, dtype=np.int64)
+    a = spectrum.exact_matmul(v, g)
+    want = [x.tolist() for x in spectrum._hist_blocks(a, v, off, 1)]
+    assert list(spectrum._int_hist(rows, g, off)) == want
+
+
+@st.composite
+def _orbit_sets(draw):
+    """Subsets of the signed permutations of one integer vector under
+    the form I / den: constant norm, rational min norm sum(x^2) / den,
+    and antipodal or not."""
+    n = draw(st.integers(2, 4))
+    base = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                .filter(any))
+    orbit = sorted({tuple(s * x for s, x in zip(signs, perm))
+                    for perm in itertools.permutations(base)
+                    for signs in itertools.product((1, -1), repeat=n)})
+    rows = draw(st.sets(st.sampled_from(orbit), min_size=1))
+    if draw(st.booleans()):
+        rows |= {tuple(-x for x in v) for v in rows}
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    gram = GramMatrix.from_rows([[F(int(i == j), den) for j in range(n)]
+                                 for i in range(n)])
+    return VectorSet(gram=gram, min_norm=F(sum(x * x for x in base), den),
+                     coords=tuple(sorted(rows)))
+
+
+@given(_orbit_sets())
+@settings(max_examples=100, deadline=None)
+def test_python_int_sets_count_as_arrays_do(vs):
+    twin = as_array_set(vs)
+    assert vs.antipodal == twin.antipodal
+    assert pair_spectrum(vs).entries == pair_spectrum(twin).entries
+    half = halve_antipodal(vs) if vs.antipodal else vs
+    assert (pair_spectrum(half).entries
+            == pair_spectrum(as_array_set(half)).entries)
+
+
+@pytest.mark.parametrize("m", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31,
+                               2**63 - 1, 2**63])
+def test_int_hist_field_width_edges(m):
+    # under diag(m, m) the self pairs of +-e1, +-e2 sit at 2m in their
+    # field; 2m = 2^8, 2^16 and 2^32 need the next field width, and from
+    # m = 2^63 on the set is counted by _hist_blocks
+    gram = GramMatrix.from_rows([[m, 0], [0, m]])
+    rows = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    vs = VectorSet(gram=gram, min_norm=F(m), coords=rows)
+    want = {F(1): 4, F(0): 8, F(-1): 4}
+    assert dict(pair_spectrum(vs).entries) == want
+    assert dict(pair_spectrum(as_array_set(vs)).entries) == want
+    if m < 2**63:
+        assert spectrum._int_hist(rows[2:], gram.entries, m) \
+            == ([0, m], [2, 2])
