@@ -3,22 +3,22 @@
 Enumeration first LLL-reduces the Gram matrix exactly (size_reduce, an
 integral LLL that keeps the unimodular transform), runs Fincke-Pohst in the
 reduced basis, where far fewer search nodes die, and maps the vectors back
-through the transform.  The Gaussian-heuristic node count of that search,
-read from the exact LDL^T pivots of the reduced Gram (_estimated_nodes),
-picks one of two searches.  Below _SCALAR_NODES a depth-first search in
-Python ints (_depth_first) visits one node at a time, and the set keeps
-its rows as a sorted tuple of int tuples, so the shipped lattices up to
-CT12 are found without importing numpy.  Above it the search runs
-breadth-first over numpy arrays in one of two tiers.  Where an a priori
-bound eps on every float error is certified small (_float_levels), it
-prunes in float64 against the bound plus eps, with intervals widened
-outward by the matching center error: a certified filter in the sense of
-Shewchuk (*Adaptive precision floating-point arithmetic*, DCG 18, 1997),
-which keeps every vector of norm <= the bound and maybe a few more.
-Otherwise every pruning decision is exact: integer pivots and multipliers
-of the fraction-free LDL^T (linalg.ldlt) and integer square roots, the
-arithmetic the depth-first search runs too.  Either way the result is
-decided by exact integer norms, so a rounding error can add work but
+through the transform.  It runs one of two searches.  The depth-first
+search (_depth_first) visits one node at a time in Python ints, and every
+pruning decision is exact: integer pivots and multipliers of the
+fraction-free LDL^T (linalg.ldlt) and integer square roots.  The set it
+finds keeps its rows as a sorted tuple of int tuples, so the shipped
+lattices up to CT12 are found without importing numpy.  From _SCALAR_NODES
+on, by the Gaussian-heuristic node count read from the exact LDL^T pivots
+of the reduced Gram (_estimated_nodes), a breadth-first sweep over numpy
+arrays (_fincke_pohst) runs instead, wherever an a priori bound eps on
+every float error is certified small (_float_certificate).  It prunes in
+float64 against the bound plus eps, with intervals widened outward by the
+matching center error: a certified filter in the sense of Shewchuk
+(*Adaptive precision floating-point arithmetic*, DCG 18, 1997), which
+keeps every vector of norm <= the bound and maybe a few more.  A form the
+certificate refuses runs the depth-first search.  Either way the result
+is decided by exact integer norms, so a rounding error can add work but
 never drop or add a vector.
 """
 
@@ -320,7 +320,8 @@ def _float_certificate(g: GramMatrix, p: list[int], lam, bound: Fraction):
       operation has relative error at most u, and coordinates are exact;
     - every eta_i <= 1, which the endpoint bound assumes;
     - eps <= 2^-20 B.  Not needed for completeness: past it the slack
-      lets through more nodes above the bound, and the exact tier is used.
+      lets through more nodes above the bound, and the form runs the
+      depth-first search instead.
     """
     n, c = len(p), g.scale
     d = [Fraction(p[i], c * (p[i - 1] if i else 1)) for i in range(n)]
@@ -351,100 +352,37 @@ def _float_certificate(g: GramMatrix, p: list[int], lam, bound: Fraction):
     return xmax, eta, big_e
 
 
-def _float_levels(g: GramMatrix, p, lam, bound: Fraction):
-    """The float64 sweep step where _float_certificate certifies it."""
-    cert = _float_certificate(g, p, lam, bound)
-    if cert is None:
-        return None
+def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
+                  cert) -> np.ndarray:
+    """One vector of each +-pair with v^T reduced v <= bound, and possibly
+    a few of larger norm, as unsorted int64 rows in the basis of
+    ``reduced`` (the LLL-reduced Gram, with integer LDL^T (p, lam));
+    callers filter by exact norm.
+
+    Breadth-first in float64: each level fixes x_i for every live row of a
+    piece at once, with cert = (X, eta, eps) from _float_certificate (a
+    form it refuses runs _depth_first instead): the interval is widened
+    outward by eta_i and clipped to [-X_i, X_i], and a child is kept while
+    its partial sum is at most the bound plus eps.  Pieces wait on a
+    stack, so the sweep is depth-first over pieces and holds only the
+    pieces not yet expanded.  The sign rule keeps x_i >= 0 while every
+    coordinate above is zero, and x_0 >= 1 at level 0.
+    """
     xmax, eta, eps = cert
-    n, c = len(p), g.scale
+    n, c = len(p), reduced.scale
     mu = np.array([[lam[j][i] / p[i] if j > i else 0.0 for i in range(n)]
                    for j in range(n)])
     d = [p[i] / (c * (p[i - 1] if i else 1)) for i in range(n)]
     eta = [_float_up(x) for x in eta]
     b_up, b_eps = _float_up(bound), _float_up(bound + eps)
-
-    def step(i, x, t):
+    out = []
+    stack = [(n - 1, np.zeros((1, 0)), np.zeros(1), np.zeros(1, bool))]
+    while stack:
+        i, x, t, nonzero = stack.pop()
         cen = x @ mu[i + 1:, i]
         r = np.sqrt(np.maximum((b_up - t) / d[i], 0.0))
-        lo = np.ceil(np.maximum(-cen - r - eta[i], -xmax[i]))
-        hi = np.floor(np.minimum(-cen + r + eta[i], xmax[i]))
-
-        def child(idx, xi):
-            y = xi + cen[idx]
-            t_child = t[idx] + d[i] * (y * y)
-            return t_child, t_child <= b_eps
-        return lo.astype(np.int64), hi.astype(np.int64), child
-
-    return step, np.float64, np.zeros(1)
-
-
-def _level_scales(c: int, p: list[int]) -> tuple[list[int], list[int]]:
-    """(w, mscale) of the exact levels of the LDL^T (p, lam) of c * g:
-    w[i] = c p[i-1] p[i] (p[-1] = 1), and mscale[i], the lcm of w[i..],
-    clears the denominators of the levels i.., so a node carries its
-    partial sum T_i as the integer T_i mscale[i]."""
-    w = [c * x * y for x, y in zip([1] + p, p)]
-    mscale = [1] * (len(p) + 1)
-    for i in range(len(p) - 1, -1, -1):
-        mscale[i] = lcm(mscale[i + 1], w[i])
-    return w, mscale
-
-
-def _exact_levels(g: GramMatrix, p, lam, bound: Fraction):
-    """The exact sweep step: every pruning decision in integers.
-
-    With w[i] = c p[i-1] p[i], Q(x) = sum_i (p[i] x_i + C_i)^2 / w[i]
-    with C_i = sum_{j>i} lam[j][i] x_j.  mscale[i] clears the
-    denominators of levels i.., so a row carries T_{i+1} mscale[i+1] as
-    an integer, and the interval endpoints come from integer square roots.
-    """
-    n = len(p)
-    w, mscale = _level_scales(g.scale, p)
-    ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
-    bn, bd = bound.numerator, bound.denominator
-    isqrt_ = np.frompyfunc(isqrt, 1, 1)
-
-    def step(i, x, ts):
-        # (q x_i + C)^2 / w_i <= bound - T_{i+1}, q = p_i; every live row
-        # has T_{i+1} <= bound, so the radicand is never negative
-        cen = exact_matmul(x, ucol[i]).astype(object)
-        den = bd * mscale[i + 1]
-        s = isqrt_(w[i] * den * (bn * mscale[i + 1] - bd * ts))
-        a, q = -cen * den, p[i] * den
-        hi = (a + s) // q
-        lo = -((s - a) // q)
-        f_i, g_i = mscale[i] // mscale[i + 1], mscale[i] // w[i]
-
-        def child(idx, xi):
-            t = xi.astype(object) * p[i] + cen[idx]
-            return ts[idx] * f_i + g_i * t * t, None
-        return lo.astype(np.int64), hi.astype(np.int64), child
-
-    return step, np.int64, np.zeros(1, dtype=object)
-
-
-def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
-    """One vector of each +-pair with v^T reduced v <= bound, and possibly
-    a few of larger norm, as unsorted int64 rows in the basis of
-    ``reduced`` (the LLL-reduced Gram); callers filter by exact norm.
-
-    Breadth-first: each level fixes x_i for every live row of a piece at
-    once, in the float64 tier where _float_levels certifies it, else in
-    the exact tier.  Pieces wait on a stack, so the sweep is depth-first
-    over pieces and holds only the pieces not yet expanded.  The sign rule
-    keeps x_i >= 0 while every coordinate above is zero, and x_0 >= 1 at
-    level 0.
-    """
-    n = reduced.n
-    p, lam = ldlt(reduced.entries)
-    args = (reduced, p, lam, bound)
-    step, dtype, root = _float_levels(*args) or _exact_levels(*args)
-    out = []
-    stack = [(n - 1, np.zeros((1, 0), dtype), root, np.zeros(1, bool))]
-    while stack:
-        i, x, state, nonzero = stack.pop()
-        lo, hi, child = step(i, x, state)
+        lo = np.ceil(np.maximum(-cen - r - eta[i], -xmax[i])).astype(np.int64)
+        hi = np.floor(np.minimum(-cen + r + eta[i], xmax[i])).astype(np.int64)
         lo = np.where(nonzero, lo, np.maximum(lo, int(i == 0)))
         counts = np.maximum(hi - lo + 1, 0)
         ends = np.cumsum(counts)
@@ -454,31 +392,33 @@ def _fincke_pohst(reduced: GramMatrix, bound: Fraction) -> np.ndarray:
             # expanded when popped, the first one first
             cuts = np.flatnonzero(np.diff((ends - counts) // _CHUNK)) + 1
             cuts = [0, *(cuts.tolist() or [len(x) // 2]), len(x)]
-            stack += [(i, x[a:b], state[a:b], nonzero[a:b])
+            stack += [(i, x[a:b], t[a:b], nonzero[a:b])
                       for a, b in zip(cuts[-2::-1], cuts[:0:-1])]
             continue
         idx = np.repeat(np.arange(len(x)), counts)
         xi = lo[idx] + (np.arange(idx.size) - (ends - counts)[idx])
-        state, keep = child(idx, xi)
-        xc = np.empty((idx.size, n - i), dtype)
+        y = xi + cen[idx]
+        t = t[idx] + d[i] * (y * y)
+        keep = t <= b_eps
+        xc = np.empty((idx.size, n - i))
         xc[:, 0] = xi
         xc[:, 1:] = x[idx]
         nz = nonzero[idx] | (xi != 0)
-        if keep is not None:
-            xc, state, nz = xc[keep], state[keep], nz[keep]
+        xc, t, nz = xc[keep], t[keep], nz[keep]
         if not i:
-            out.append(xc.astype(np.int64, copy=False))
+            out.append(xc.astype(np.int64))
         elif len(xc):
-            stack.append((i - 1, xc, state, nz))
+            stack.append((i - 1, xc, t, nz))
     if not out:
         return np.zeros((0, n), np.int64)
     return np.concatenate(out)
 
 
 # the depth-first search runs below this many estimated nodes
-# (_estimated_nodes), the breadth-first sweep from it on.  In ms, depth-first
-# / breadth-first with numpy already imported (medians of 3-5 in-process
-# runs; BW16[:k] is the leading k x k block of the BW16 Gram):
+# (_estimated_nodes), the breadth-first sweep from it on where the float
+# certificate holds.  In ms, depth-first / breadth-first with numpy
+# already imported (medians of 3-5 in-process runs; BW16[:k] is the
+# leading k x k block of the BW16 Gram):
 # E8 (183 nodes) 0.3 / 1.8, CT12 (1 212) 2.8 / 3.2, BW16[:13] (1 606)
 # 3.8 / 3.2, BW16[:14] (2 934) 8.0 / 3.2, BW16[:15] (5 513) 12.0 / 3.9,
 # BW16 (11 615) 25.7 / 5.5.  Below the cut a command on a lattice of
@@ -513,14 +453,23 @@ def _depth_first(reduced: GramMatrix, p, lam,
     v with v^T reduced v <= bound, and one row of each +-pair attaining
     it, as int tuples in the basis of reduced.
 
-    Depth-first in Python ints, one node at a time, with the integer
-    intervals of _exact_levels (every child has T_i <= bound exactly)
-    and the sign rule of _fincke_pohst: x_i >= 0 while every coordinate
-    above is zero, and x_0 >= 1 at level 0.  A leaf's T_0 mscale[0] is
-    its norm times mscale[0] / c.
+    Depth-first in Python ints, one node at a time, with every pruning
+    decision exact.  With w[i] = c p[i-1] p[i] (p[-1] = 1),
+    Q(x) = sum_i (p[i] x_i + C_i)^2 / w[i], C_i = sum_{j>i} lam[j][i] x_j.
+    ms[i], the lcm of w[i..], clears the denominators of levels i.., so a
+    node at level i carries its partial sum T_{i+1} as the integer
+    T_{i+1} ms[i+1], and the interval of x_i, where every child has
+    T_i <= bound exactly, comes from an integer square root.  A leaf's
+    T_0 ms[0] is its norm times ms[0] / c.  The sign rule keeps x_i >= 0
+    while every coordinate above is zero, and x_0 >= 1 at level 0.  The
+    open levels are held in a list, not on the call stack, so any rank
+    runs.
     """
     n, c = len(p), reduced.scale
-    w, ms = _level_scales(c, p)
+    w = [c * x * y for x, y in zip([1] + p, p)]
+    ms = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        ms[i] = lcm(ms[i + 1], w[i])
     bn, bd = bound.numerator, bound.denominator
     ucol = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     den = [bd * ms[i + 1] for i in range(n)]
@@ -530,28 +479,34 @@ def _depth_first(reduced: GramMatrix, p, lam,
     x = [0] * n
     best, rows = bn * ms[0] // bd + 1, []
 
-    def level(i: int, ts: int, free: bool) -> None:
-        # free: every coordinate above level i is zero
-        nonlocal best, rows
+    def level(i: int, ts: int, free: bool):
+        # the open level i: its x_i still to visit, C_i, and what it got
+        # from above (T_{i+1} ms[i+1]; free: every coordinate above is 0)
         cen = sum(map(mul, ucol[i], x[i + 1:]))
         s = isqrt(w[i] * den[i] * (bn * ms[i + 1] - bd * ts))
         a = -cen * den[i]
         lo, hi = -((s - a) // q[i]), (a + s) // q[i]
         if free:
             lo = max(lo, int(i == 0))
-        for xi in range(lo, hi + 1):
+        return i, iter(range(lo, hi + 1)), cen, ts, free
+
+    levels = [level(n - 1, 0, True)]
+    while levels:
+        i, todo, cen, ts, free = levels[-1]
+        for xi in todo:
             x[i] = xi
             u = xi * p[i] + cen
             t = ts * f[i] + g[i] * u * u
             if i:
-                level(i - 1, t, free and not xi)
-            elif t <= best:
+                # descend; this level's iterator resumes when i - 1 closes
+                levels.append(level(i - 1, t, free and not xi))
+                break
+            if t <= best:
                 if t < best:
                     best, rows = t, []
                 rows.append(tuple(x))
-        x[i] = 0
-
-    level(n - 1, 0, True)
+        else:
+            levels.pop()
     return c * best // ms[0], rows
 
 
@@ -609,17 +564,20 @@ def shortest_norm_and_vectors(gram: GramMatrix):
     Gram (the shortest reduced basis vector's norm, at most 2^(n-1) times
     the minimal norm, so that vector is found), keeps the vectors of the
     smallest norm found and maps only those back to input coordinates:
-    below _SCALAR_NODES estimated nodes by _depth_first, as a sorted
-    tuple of int tuples, else by _fincke_pohst, as a read-only int64
-    array.
+    by _depth_first, as a sorted tuple of int tuples, below _SCALAR_NODES
+    estimated nodes or where _float_certificate refuses the form, else by
+    _fincke_pohst, as a read-only int64 array.
     """
     reduced, trans = size_reduce(gram)
     bound = min(reduced[i, i] for i in range(reduced.n))
     p, lam = ldlt(reduced.entries)
-    if _estimated_nodes(p, reduced.scale, bound) < _SCALAR_NODES:
+    cert = None
+    if _estimated_nodes(p, reduced.scale, bound) >= _SCALAR_NODES:
+        cert = _float_certificate(reduced, p, lam, bound)
+    if cert is None:
         m, half = _depth_first(reduced, p, lam, bound)
         return Fraction(m, reduced.scale), _int_both_signs(half, trans)
-    half = _fincke_pohst(reduced, bound)
+    half = _fincke_pohst(reduced, p, lam, bound, cert)
     norms = exact_norms(reduced, half)
     m = norms.min()
     half = half[norms == m]     # drops the larger array before the map back

@@ -33,11 +33,18 @@ from sphdesign.enumeration import (
     VectorSet,
     _both_signs,
     _fincke_pohst,
+    _float_certificate,
     exact_norms,
     minimal_vector_set,
     size_reduce,
 )
-from sphdesign.linalg import GramMatrix, LinalgError, PivotError, invert
+from sphdesign.linalg import (
+    GramMatrix,
+    LinalgError,
+    PivotError,
+    invert,
+    ldlt,
+)
 from sphdesign.spectrum import PairSpectrum, pair_spectrum
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -214,15 +221,26 @@ def spectrum_from_counts(d: int, counts: dict) -> PairSpectrum:
                         entries=tuple(counts.items()))
 
 
+def certified_sweep(g: GramMatrix, bound) -> np.ndarray:
+    """_fincke_pohst on g itself at bound, one row per +-pair, unsorted;
+    the float certificate must accept the form and bound."""
+    bound = Fraction(bound)
+    p, lam = ldlt(g.entries)
+    cert = _float_certificate(g, p, lam, bound)
+    assert cert is not None, "the float certificate refuses this bound"
+    return _fincke_pohst(g, p, lam, bound, cert)
+
+
 def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
     """All nonzero integer vectors v with v^T gram v <= bound, both signs,
-    sorted lexicographically: the enumeration pipeline of
-    minimal_vector_set at a given bound."""
+    sorted lexicographically: the breadth-first pipeline of
+    minimal_vector_set at a given bound, for bounds the float certificate
+    accepts."""
     bound = Fraction(bound)
     if bound <= 0:
         raise EnumerationError("bound must be positive")
     reduced, trans = size_reduce(gram)
-    half = _fincke_pohst(reduced, bound)
+    half = certified_sweep(reduced, bound)
     # norms are integers, so <= bound * c exactly when <= its floor
     keep = exact_norms(reduced, half) <= int(bound * reduced.scale)
     return _both_signs(half[keep], trans)

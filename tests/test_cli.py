@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sphdesign
+from sphdesign.catalog import catalog
 from sphdesign.cli import _decimal_str, build_parser, main
 from fractions import Fraction as F
 
@@ -367,6 +368,28 @@ def test_minimal_vector_past_int64_exit_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "int64" in err
+
+
+@pytest.mark.slow
+def test_minvec_uncertified_form_writes_bw16_rows(tmp_path, capsys):
+    # BW16 with every entry times 2^70 is past the float certificate and
+    # runs the depth-first search: the rows are BW16's, the norm 2^70 times
+    g = catalog("BW16").gram
+    gram = tmp_path / "big.gram"
+    gram.write_text(f"{g.n}\n" + "".join(
+        " ".join(str(g[i, j] * 2**70) for j in range(g.n)) + "\n"
+        for i in range(g.n)))
+    big, small = tmp_path / "big.vecs", tmp_path / "bw16.vecs"
+    code, out, _ = run(capsys, "minvec", "--gram-file", str(gram),
+                       "--out", str(big))
+    assert code == 0
+    assert out.splitlines()[0] == f"min_norm {4 * 2**70}, 4320 vectors"
+    code, _, _ = run(capsys, "minvec", "--lattice", "BW16", "--out",
+                     str(small))
+    assert code == 0
+    big, small = big.read_text().splitlines(), small.read_text().splitlines()
+    assert (big[0], small[0]) == (f"16 4320 {4 * 2**70}", "16 4320 4")
+    assert big[1:] == small[1:]
 
 
 @pytest.mark.parametrize("command",

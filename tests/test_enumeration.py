@@ -3,8 +3,10 @@ antipodal halving contract."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from math import isqrt
@@ -31,6 +33,7 @@ from sphdesign.linalg import GramMatrix, PivotError, invert, ldlt
 
 from conftest import (
     as_tuples,
+    certified_sweep,
     enumerate_short_vectors,
     matmul,
     quadratic_form,
@@ -236,7 +239,8 @@ def test_shortest_vectors_from_reduced_basis(monkeypatch):
     monkeypatch.setattr(enumeration, "size_reduce",
                         lambda g: reductions.append(g) or real_reduce(g))
     monkeypatch.setattr(enumeration, "_fincke_pohst",
-                        lambda g, b: bounds.append(b) or real_fp(g, b))
+                        lambda g, p, lam, b, cert: bounds.append(b)
+                        or real_fp(g, p, lam, b, cert))
     monkeypatch.setattr(enumeration, "_depth_first",
                         lambda g, p, lam, b: bounds.append(b)
                         or real_df(g, p, lam, b))
@@ -384,7 +388,7 @@ def test_halve_union_random_forms(g):
     assert as_tuples(back) == as_tuples(vs)
 
 
-# --- the breadth-first sweep: float tier, exact tier and a box oracle ----
+# --- the breadth-first sweep against a box oracle and the depth-first search
 
 def _certified(g: GramMatrix, bound) -> bool:
     p, lam = ldlt(g.entries)
@@ -410,7 +414,7 @@ def _box_oracle(g: GramMatrix, bound) -> set[tuple[int, ...]]:
 def _sweep_set(g: GramMatrix, bound) -> set[tuple[int, ...]]:
     """_fincke_pohst on g itself (no reduction), kept by exact norm, with
     the negations of its one-per-pair rows."""
-    half = enumeration._fincke_pohst(g, F(bound))
+    half = certified_sweep(g, bound)
     half = half[exact_norms(g, half) <= int(bound * g.scale)]
     rows = {tuple(v) for v in half.tolist()}
     negated = {tuple(-x for x in v) for v in rows}
@@ -448,36 +452,48 @@ def _skewed_cases(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
-    # the same lattice scaled by 2^70 has every D_i above 2^64, past the
-    # float certificate, so it runs the exact tier on the same problem
+    # the float sweep on g must find the box oracle's set.  The same
+    # lattice scaled by 2^70 has every D_i above 2^64, past the float
+    # certificate, so with the node cut at 0, where only the certificate
+    # picks the search, it runs the exact depth-first search, which must
+    # find the oracle's minimum-norm shell
     monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    monkeypatch.setattr(enumeration, "_SCALAR_NODES", 0)
     g, bound = case
     assume(np.prod([2 * r + 1 for r in _box_radii(g, bound)]) <= 20000)
     big = _scaled(g, 2**70)
     assert _certified(g, bound) and not _certified(big, bound * 2**70)
     want = _box_oracle(g, bound)
     assert _sweep_set(g, bound) == want
-    assert _sweep_set(big, bound * 2**70) == want
+    norm, rows = shortest_norm_and_vectors(big)
+    assert isinstance(rows, tuple)
+    norms = {v: quadratic_form(g, v) for v in want}
+    if not want:
+        assert norm > bound * 2**70
+        return
+    least = min(norms.values())
+    assert norm == least * 2**70
+    assert set(rows) == {v for v in want if norms[v] == least}
 
 
 @pytest.mark.parametrize("name, chunks", [
     ("E6dual", (1, None)), ("E7dual", (1, None)), ("E8", (1, None)),
-    ("CT12", (None,)), ("BW16", (None,))])
+    ("CT12", (1, None)), ("BW16", (1, None))])
 def test_float_tier_matches_exact_tier(monkeypatch, name, chunks):
+    # the float sweep, at one row per piece and at the default _CHUNK,
+    # against the exact depth-first search on the same reduced form
     spec = catalog(name)
     red, _ = size_reduce(spec.gram)
     bound = min(red[i, i] for i in range(red.n))
-    assert _certified(red, bound)
-    sets = []
-    for exact in (False, True):
-        if exact:
-            monkeypatch.setattr(enumeration, "_float_levels", lambda *a: None)
-        for chunk in chunks:
-            monkeypatch.setattr(enumeration, "_CHUNK",
-                                chunk or enumeration._CHUNK)
-            sets.append(_sweep_set(red, bound))
-    assert all(s == sets[0] for s in sets)
-    assert len(sets[0]) == spec.expected_kissing
+    p, lam = ldlt(red.entries)
+    m, rows = enumeration._depth_first(red, p, lam, bound)
+    assert m == bound * red.scale
+    want = set(rows) | {tuple(-x for x in v) for v in rows}
+    assert len(want) == spec.expected_kissing
+    default = enumeration._CHUNK
+    for chunk in chunks:
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk or default)
+        assert _sweep_set(red, bound) == want
 
 
 def test_float_superset_is_cut_by_exact_norms():
@@ -485,7 +501,7 @@ def test_float_superset_is_cut_by_exact_norms():
     # 2; only the exact norms remove them
     bound = 2 - F(1, 10**18)
     assert _certified(A2, bound)
-    assert len(enumeration._fincke_pohst(A2, bound)) == 3
+    assert len(certified_sweep(A2, bound)) == 3
     assert enumerate_short_vectors(A2, bound).shape == (0, 2)
     assert box_scan(A2, bound, 3) == set()
 
@@ -638,7 +654,7 @@ def _both_searches(g: GramMatrix):
     bound = min(red[i, i] for i in range(red.n))
     p, lam = ldlt(red.entries)
     m, rows = enumeration._depth_first(red, p, lam, bound)
-    half = enumeration._fincke_pohst(red, bound)
+    half = certified_sweep(red, bound)
     norms = exact_norms(red, half)
     least = norms.min()
     return ((m, sorted(rows)),
@@ -663,6 +679,42 @@ def test_depth_first_matches_breadth_first_on_small_lattices(monkeypatch,
 def test_depth_first_matches_breadth_first_on_skewed_forms(g):
     depth, breadth = _both_searches(g)
     assert depth == breadth
+
+
+def test_depth_first_runs_past_the_recursion_limit():
+    # the search holds its levels in a list, not on the call stack, so
+    # rank 200 runs with room for only about 100 more frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        norm, rows = shortest_norm_and_vectors(GramMatrix.identity(200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert norm == 1 and len(rows) == 400
+    assert set(rows) == {tuple(s * int(i == j) for j in range(200))
+                         for i in range(200) for s in (1, -1)}
+
+
+@pytest.mark.slow
+def test_uncertified_form_runs_depth_first(monkeypatch):
+    # BW16 with every entry times 2^70 is above the node cut, but every
+    # D_i is past the float certificate's 2^64, so the depth-first search
+    # runs, and the sweep never does
+    g = catalog("BW16").gram
+    big = _scaled(g, 2**70)
+    red, _ = size_reduce(big)
+    bound = min(red[i, i] for i in range(red.n))
+    nodes = enumeration._estimated_nodes(ldlt(red.entries)[0], red.scale,
+                                         bound)
+    assert nodes >= enumeration._SCALAR_NODES and not _certified(red, bound)
+    norm, want = shortest_norm_and_vectors(g)
+
+    def sweep(*args):
+        raise AssertionError("the breadth-first sweep ran")
+    monkeypatch.setattr(enumeration, "_fincke_pohst", sweep)
+    big_norm, rows = shortest_norm_and_vectors(big)
+    assert big_norm == norm * 2**70 and len(rows) == 4320
+    assert [list(v) for v in rows] == want.tolist()
 
 
 def test_node_estimate_puts_small_lattices_below_the_cut_and_bw16_above():
