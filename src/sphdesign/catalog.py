@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from ._record import Record
 from .gramfile import read_gram, parse_gram
 from .linalg import GramMatrix, PivotError
 
@@ -20,12 +20,16 @@ class CatalogDataMissing(CatalogError):
     """A known name whose Gram data file is not shipped."""
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    name: str
-    gram: GramMatrix
-    expected_kissing: int | None = None
-    expected_min_norm: Fraction | None = None
+class LatticeSpec(Record):
+    __slots__ = ("name", "gram", "expected_kissing", "expected_min_norm")
+
+    def __init__(self, name: str, gram: GramMatrix,
+                 expected_kissing: int | None = None,
+                 expected_min_norm: Fraction | None = None):
+        self._set("name", name)
+        self._set("gram", gram)
+        self._set("expected_kissing", expected_kissing)
+        self._set("expected_min_norm", expected_min_norm)
 
 
 # name -> expected min norm, None where none is claimed; the Gram data

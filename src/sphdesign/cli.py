@@ -29,7 +29,7 @@ from .catalog import (
     from_gram_file,
 )
 from .designs import moment_target, venkov_3design
-from .embedding import MATRIX_CAP, embed, realize_coordinates
+from .embedding import MATRIX_CAP, embed
 from .enumeration import VectorSet, minimal_vector_set
 from .gramfile import read_vector_set, write_vector_set
 from .report import (
@@ -119,6 +119,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 # input resolution
 
 def _load_vector_file(path: str, gram=None) -> VectorSet:
+    # the set is held as an array, so the array code will run: compiled
+    # before numpy's import, its transient memory stays off the peak RSS
+    from . import _arrays   # noqa: F401
     rank, _, min_norm, coords = read_vector_set(path)
     if gram is None:
         from .linalg import GramMatrix
@@ -275,6 +278,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_export_coords(args) -> int:
+    from ._arrays import realize_coordinates    # imported on first use
     spec, vs = _vector_set(args)
     precision = args.decimal
     coords = realize_coordinates(vs, precision=precision,

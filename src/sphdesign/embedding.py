@@ -17,31 +17,26 @@ embedded 3-design holds, by the frame-potential bound (report.certify),
 so it is computed only for a set that fails it.  That computation
 (harmonic_rank) works in Harm_2 itself: each vector gets integer
 coordinates in the (n(n+1)/2)-dimensional space of symmetric matrices
-(harmonic_frame), so the rank of A is that of an (n(n+1)/2)-square
-integer matrix, whatever N is; A is PSD as cG is positive definite.  The
-float coordinates of export-coords (realize_coordinates) factor A of the
-canonical half-set one row at a time, forming its exact entries
-(embedded_gram) only against the at most D rows kept as pivots, never as
-the N/2 x N/2 block.  These three read the rows as an int64 array
-(VectorSet.array), built once from a set held as Python ints, so embed,
-which reads the spectrum alone, is the only part of this module a small
-lattice's verify runs.
+(_arrays.harmonic_frame), so the rank of A is that of an
+(n(n+1)/2)-square integer matrix, whatever N is; A is PSD as cG is
+positive definite.  The float coordinates of export-coords
+(_arrays.realize_coordinates) factor A of the canonical half-set one row
+at a time, forming its exact entries (embedded_gram) only against the at
+most D rows kept as pivots, never as the N/2 x N/2 block.  These read
+the rows as an int64 array (VectorSet.array), built once from a set held
+as Python ints; the frame and the export live in sphdesign._arrays,
+imported on first use.  embed, which reads the spectrum alone, is the
+only part of this module a small lattice's verify runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, sqrt
+from math import comb, gcd
 
 from ._numpy import np
-from .enumeration import (
-    I64_SAFE,
-    NotAntipodalError,
-    VectorSet,
-    exact_matmul,
-    halve_antipodal,
-)
-from .linalg import invert, ldlt_row, psd_rank
+from .enumeration import I64_SAFE, NotAntipodalError, VectorSet, exact_matmul
+from .linalg import psd_rank
 from .spectrum import PairSpectrum
 
 
@@ -91,45 +86,6 @@ def embed(spec: PairSpectrum) -> PairSpectrum:
                         entries=tuple(out.items()))
 
 
-def harmonic_frame(vs: VectorSet) -> np.ndarray:
-    """Integer Harm_2 coordinates Psi of the rows of vs.
-
-    With c*G = vs.gram.entries, m = vs.m, n = vs.rank and
-    G^-1 = E / s (linalg.invert), row x maps to the symmetric integer
-    matrix Psi_x = s c n x x^T - m E, the image of x x^T - (m/cn) G^-1
-    scaled by s c n.  Psi holds its upper triangle, one row per vector and
-    n(n+1)/2 columns, ordered as numpy.triu_indices(n); (cG) E = c s I is
-    checked exactly (EmbeddingError otherwise).  On symmetric matrices
-    take <S, T> = tr(cG S cG T).  Because x^T (cG) x = m for every row,
-        <Psi_x, Psi_y> = s^2 c^2 n (n - 1) m^2 g(P_xy / m),
-    with P = V (cG) V^T the integer products and g the normalized
-    degree-2 Gegenbauer polynomial: a positive multiple of the embedded
-    Gram matrix A (embedded_gram), entrywise.  Every Psi_x has
-    tr(cG Psi_x) = 0, so rank Psi <= n(n+1)/2 - 1 = dim Harm_2.
-
-    Psi is int64 when s c n max|x|^2 + m max|E| < 2**62 proves every
-    entry and every intermediate in range, else Python ints (object
-    dtype).
-    """
-    g = vs.gram
-    n, c, m = vs.rank, g.scale, vs.m
-    inv = invert(g)
-    s, e = inv.scale, inv.entries
-    ge = exact_matmul(g.entries, e).tolist()
-    if any(x != (c * s if i == j else 0)
-           for i, row in enumerate(ge) for j, x in enumerate(row)):
-        raise EmbeddingError("(cG) E != c s I: the inverse Gram is wrong")
-    iu, ju = np.triu_indices(n)
-    me = [m * e[i][j] for i, j in zip(iu.tolist(), ju.tolist())]
-    x = vs.array
-    big = max(int(x.max(initial=0)), -int(x.min(initial=0)))
-    scn = s * c * n
-    dtype = (np.int64 if scn * big * big + max(map(abs, me)) < I64_SAFE
-             else object)
-    x = x.astype(dtype)
-    return scn * x[:, iu] * x[:, ju] - np.array(me, dtype=dtype)
-
-
 def harmonic_rank(vs: VectorSet) -> int:
     """Rank of the embedded Gram matrix A of the rows of vs.
 
@@ -147,7 +103,8 @@ def harmonic_rank(vs: VectorSet) -> int:
     Psi^T Psi, not of the N-square A.  A rank above dim Harm_2
     contradicts the trace identity and raises EmbeddingError.
     """
-    psi = harmonic_frame(vs)
+    from . import _arrays   # imported on first use
+    psi = _arrays.harmonic_frame(vs)
     ptp = exact_matmul(psi.T, psi).tolist()
     k = gcd(*(x for row in ptp for x in row)) or 1
     rank = psd_rank([[x // k for x in row] for row in ptp])
@@ -181,62 +138,3 @@ def embedded_gram(x_halved: VectorSet, rows, cols) -> np.ndarray:
     if abs(c2) * big * big + abs(c0) * m2 >= I64_SAFE:
         p = p.astype(object)
     return c2 // k * p * p + c0 * m2 // k
-
-
-def realize_coordinates(vs: VectorSet, precision: int = 12,
-                        cap: int = MATRIX_CAP) -> list[tuple[float, ...]]:
-    """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
-
-    Exactness lives in A (embedded_gram); this is a float export of the
-    rows of its unpivoted LDL^T scaled by sqrt(D), checked against the
-    exact products on blocks of at most D columns.  Rows are the images of
-    the canonical half X' of the antipodal vs (enumeration.halve_antipodal,
-    which refuses any other set) followed by their negatives, the rows
-    LDL^T of [[A, -A], [-A, A]] gives.  cG is positive
-    definite, so A is PSD (harmonic_rank) and a zero pivot has a zero
-    column below it.  A is factored one row at a time (linalg.ldlt_row),
-    each row formed only against the kept rows, at most D = dim Harm_2
-    since rank A <= D; the rows after the D-th kept one are dependent and
-    form one batch.
-    """
-    half = halve_antipodal(vs)
-    npts = half.count
-    if npts > cap:
-        raise EmbeddingError(
-            f"{npts} points exceed the matrix cap {cap}; use the "
-            f"spectrum-only embedding (sphdesign embed) instead")
-    dim = dim_harm(2, half.sphere_dim)
-    kept, d, lam, mult = [], [1], [], []    # d[1] = A[0][0], the scale
-    while len(mult) < npts and len(kept) < dim:
-        i = len(mult)
-        a = embedded_gram(half, [i], kept + [i])[0].tolist()
-        *u, pivot = ldlt_row(a, lam, d)
-        mult.append(u)
-        if pivot:
-            kept.append(i)
-            d.append(pivot)
-            lam.append(u)
-    if len(mult) < npts:
-        rest = embedded_gram(half, np.arange(len(mult), npts), kept)
-        *u, pivot = ldlt_row([*rest.astype(object).T, d[1]], lam, d)
-        if any(pivot):
-            raise EmbeddingError("rank factorization wider than dim Harm")
-        mult += np.array(u).T.tolist()
-    # L[i][s] = u[s] / d[s + 1] and D[s] = d[s + 1] / (d[s] d[1]); these
-    # rationals, and so the floats, do not depend on the scale of A
-    top = np.zeros((npts, dim))
-    for i, u in enumerate(mult):
-        top[i, :len(u)] = [x / p for x, p in zip(u, d[1:])]
-    top[kept, range(len(kept))] = 1.0
-    top[:, :len(kept)] *= [sqrt(p / (q * d[1])) for q, p in zip(d, d[1:])]
-    err = 0.0
-    for j in range(0, npts, dim):
-        cols = np.arange(j, min(j + dim, npts))
-        want = embedded_gram(half, slice(None), cols) / d[1]
-        err = max(err, float(np.abs(top @ top[cols].T - want).max()))
-    if err > 10.0 ** (-precision):
-        raise EmbeddingError(
-            f"float realization error {err:.3e} exceeds 1e-{precision}; "
-            f"lower the precision requirement")
-    # negate exactly, so a zero stays +0.0
-    return [tuple(row) for row in np.vstack([top, 0.0 - top]).tolist()]

@@ -6,32 +6,35 @@ reduced basis, where far fewer search nodes die, and maps the vectors back
 through the transform.  It runs one of two searches.  The depth-first
 search (_depth_first) visits one node at a time in Python ints, and every
 pruning decision is exact: integer pivots and multipliers of the
-fraction-free LDL^T (linalg.ldlt) and integer square roots.  The set it
-finds keeps its rows as a sorted tuple of int tuples, so the shipped
-lattices up to CT12 are found without importing numpy.  From _SCALAR_NODES
-on, by the Gaussian-heuristic node count read from the exact LDL^T pivots
-of the reduced Gram (_estimated_nodes), a breadth-first sweep over numpy
-arrays (_fincke_pohst) runs instead, wherever an a priori bound eps on
-every float error is certified small (_float_certificate).  It prunes in
-float64 against the bound plus eps, with intervals widened outward by the
-matching center error: a certified filter in the sense of Shewchuk
-(*Adaptive precision floating-point arithmetic*, DCG 18, 1997), which
-keeps every vector of norm <= the bound and maybe a few more.  A form the
-certificate refuses runs the depth-first search.  Either way the result
-is decided by exact integer norms, so a rounding error can add work but
-never drop or add a vector.
+fraction-free LDL^T of the reduced Gram, which the integral LLL leaves
+behind, and integer square roots.  The set it finds keeps its rows as a
+sorted tuple of int tuples, so the shipped lattices up to CT12 are found
+without importing numpy.  From _SCALAR_NODES on, by the Gaussian-heuristic
+node count read from the exact LDL^T pivots of the reduced Gram
+(_estimated_nodes), a breadth-first sweep over numpy arrays
+(_arrays._fincke_pohst) runs instead, wherever an a priori bound eps on
+every float error is certified small (_arrays._float_certificate).  It
+prunes in float64 against the bound plus eps, with intervals widened
+outward by the matching center error: a certified filter in the sense of
+Shewchuk (*Adaptive precision floating-point arithmetic*, DCG 18, 1997),
+which keeps every vector of norm <= the bound and maybe a few more.  A
+form the certificate refuses runs the depth-first search.  Either way the
+result is decided by exact integer norms, so a rounding error can add
+work but never drop or add a vector.  The sweep, its certificate and its
+map back (_arrays._both_signs) live in sphdesign._arrays, imported on
+first use, so a small lattice's command neither compiles nor loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import exp, inf, isqrt, lcm, lgamma, log, nextafter, pi, prod
+from functools import reduce
+from math import exp, inf, isqrt, lcm, lgamma, log, pi, prod
 from operator import mul
 
 from ._numpy import np
-from .linalg import GramMatrix, invert, ldlt, ldlt_row
+from ._record import Record
+from .linalg import GramMatrix, ldlt_row
 
 
 class EnumerationError(ValueError):
@@ -42,8 +45,7 @@ class NotAntipodalError(ValueError):
     """Raised when an operation requires a sign-symmetric set."""
 
 
-@dataclass(frozen=True)
-class VectorSet:
+class VectorSet(Record):
     """Finite set of integer coordinate vectors with constant norm.
 
     coords holds N rows of rank = gram.n integers in canonical
@@ -57,19 +59,16 @@ class VectorSet:
     the rows: an even count closed under negation (is_sign_symmetric).
     """
 
-    gram: GramMatrix
-    min_norm: Fraction
-    coords: np.ndarray | tuple[tuple[int, ...], ...]
-    antipodal: bool = field(init=False)
-    m: int = field(init=False, repr=False)
+    __slots__ = ("gram", "min_norm", "coords", "antipodal", "m", "_array")
 
-    def __post_init__(self):
-        c = self.coords
+    def __init__(self, gram: GramMatrix, min_norm: Fraction,
+                 coords: np.ndarray | tuple[tuple[int, ...], ...]):
+        c = coords
         if isinstance(c, tuple):
             if not all(type(row) is tuple and all(type(x) is int for x in row)
                        for row in c):
                 raise ValueError("coords rows must be tuples of ints")
-            widths = {len(row) for row in c} or {self.gram.n}
+            widths = {len(row) for row in c} or {gram.n}
         else:
             # a read-only array that no writable array shares memory with
             # is kept as it is: the fresh array _both_signs builds and a
@@ -80,26 +79,27 @@ class VectorSet:
             if c.ndim != 2:
                 raise ValueError("coords must be a 2-d integer array")
             widths = {c.shape[1]}
-        if widths != {self.gram.n}:
+        if widths != {gram.n}:
             raise ValueError(f"vectors have rank {max(widths)} but the Gram "
-                             f"matrix has rank {self.gram.n}")
+                             f"matrix has rank {gram.n}")
         if isinstance(c, tuple):
             c = c if _lex_sorted(c) else tuple(sorted(c))
         else:
             if not _lex_sorted(c):
                 c = c[np.lexsort(c.T[::-1])]
             c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "antipodal",
-                           len(c) % 2 == 0 and is_sign_symmetric(c))
-        min_norm = Fraction(self.min_norm)
-        m = min_norm * self.gram.scale
+        min_norm = Fraction(min_norm)
+        m = min_norm * gram.scale
         if m.denominator != 1 or m <= 0:
             raise ValueError(
                 f"min_norm {min_norm} is not a positive multiple of "
-                f"1/{self.gram.scale}, the Gram matrix's scale")
-        object.__setattr__(self, "min_norm", min_norm)
-        object.__setattr__(self, "m", int(m))
+                f"1/{gram.scale}, the Gram matrix's scale")
+        self._set("gram", gram)
+        self._set("min_norm", min_norm)
+        self._set("coords", c)
+        self._set("antipodal", len(c) % 2 == 0 and is_sign_symmetric(c))
+        self._set("m", int(m))
+        self._set("_array", None if isinstance(c, tuple) else c)
 
     @property
     def rank(self) -> int:
@@ -114,15 +114,16 @@ class VectorSet:
         """Dimension d of the sphere S^d the normalized set lives on."""
         return self.rank - 1
 
-    @cached_property
+    @property
     def array(self) -> np.ndarray:
         """The rows as a read-only (N x rank) int64 array: coords itself,
-        or built once from the Python-int rows."""
-        c = self.coords
-        if isinstance(c, tuple):
-            c = np.array(c, dtype=np.int64).reshape(len(c), self.rank)
+        or built on first read from the Python-int rows and kept."""
+        if self._array is None:
+            c = np.array(self.coords, dtype=np.int64).reshape(self.count,
+                                                              self.rank)
             c.setflags(write=False)
-        return c
+            self._set("_array", c)
+        return self._array
 
     def validate(self) -> None:
         """Check the constant-norm and uniqueness invariants exactly,
@@ -177,7 +178,7 @@ def exact_norms(gram: GramMatrix, coords: np.ndarray) -> np.ndarray:
     return exact_matmul(v[:, None, :], gram.entries, v[:, :, None])[:, 0, 0]
 
 
-def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
+def size_reduce(g: GramMatrix):
     """Exact integral LLL reduction (delta = 3/4) at Gram level.
 
     LLL includes size reduction, hence the name.  This is the integral LLL
@@ -187,12 +188,15 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
     Gram determinant of the first i basis vectors) and
     lam[k][j] = d[j + 1] * mu_kj, so no Fraction and no float enters it.
 
-    Returns (reduced_gram, transform) with transform unimodular and
-    reduced_gram == T * g * T^T exactly, at the scale c of g: a unimodular
-    T keeps the Z-span of the Gram entries, so c stays minimal.  The
-    Gram-Schmidt coefficients of the result satisfy |mu_kj| <= 1/2 and the
-    Lovasz condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.
-    g is positive definite, so every d[k] is positive.
+    Returns (reduced_gram, transform, p, lam) with transform unimodular
+    and reduced_gram == T * g * T^T exactly, at the scale c of g: a
+    unimodular T keeps the Z-span of the Gram entries, so c stays minimal.
+    The Gram-Schmidt coefficients of the result satisfy |mu_kj| <= 1/2 and
+    the Lovasz condition |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.
+    g is positive definite, so every d[k] is positive.  (p, lam) are the
+    final d[1:] and lam, the Gram determinants and scaled multipliers of
+    the reduced basis: exactly linalg.ldlt(reduced_gram.entries), which
+    the search then need not compute again.
     """
     n = g.n
     a = [list(row) for row in g.entries]
@@ -251,167 +255,8 @@ def size_reduce(g: GramMatrix) -> tuple[GramMatrix, list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 reduce_pair(k, l)
             k += 1
-    return GramMatrix(g.scale, a), t
-
-
-# frontier rows expanded at once: a piece of parents with more than
-# 2 _CHUNK children is split where the count passes multiples of _CHUNK.
-# On Leech, minimal_vector_set took 1.2-1.3 s and 159-166 MB peak RSS at
-# 2^14, against 1.3 s and 177 MB at 2^12 and 2.1 s and 160 MB at 2^16
-_CHUNK = 2**14
-
-_U = Fraction(1, 2**53)     # unit roundoff of float64
-
-
-def _gamma(k: int) -> Fraction:
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _U / (1 - k * _U)
-
-
-def _sqrt_up(q: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(q), q >= 0, within 2^-64."""
-    return Fraction(isqrt(-(-q.numerator * 4**64 // q.denominator)) + 1,
-                    2**64)
-
-
-def _float_up(q: Fraction) -> float:
-    """The least float64 >= q."""
-    f = float(q)
-    return f if Fraction(f) >= q else nextafter(f, inf)
-
-
-def _float_certificate(g: GramMatrix, p: list[int], lam, bound: Fraction):
-    """(X, eta, eps) certifying the float64 sweep step, or None, for the
-    integer LDL^T (p, lam) of c * g, c = g.scale.
-
-    The step finds, per live row, the x_i with T_{i+1} + D_i (x_i + c_i)^2
-    <= B (B the bound, c_i = sum_{j>i} mu_ji x_j, T_i the partial sum of
-    the levels >= i), in float64 with unit roundoff u = 2^-53.  A node is
-    *valid* when its exact T_i <= B.  On a valid node |x_j| <= X_j =
-    isqrt(floor(B (g^-1)_jj)) (a real vector extending the node has norm
-    T_i, and x^T g x <= B bounds |x_j| by sqrt(B (g^-1)_jj)),
-    |y_i| = |x_i + c_i| <= Y_i >= sqrt(B / D_i) and |c_i| <= M_i =
-    sum_{j>i} |mu_ji| X_j.  With Higham's gamma_k (*Accuracy and Stability
-    of Numerical Algorithms*, 2002, section 3.1; the dot-product bound
-    holds in any summation order, so for any BLAS), on a valid node:
-
-    - the center, a dot product of n-1-i rounded mu with exact x, errs
-      by at most delta_i = gamma_{n-i} M_i;
-    - y = fl(x + center) by e_i = delta_i + u (Y_i + delta_i);
-    - the term fl(D fl(y y)) by tau_i = D_i (e_i (2 Y_i + e_i)
-      + gamma_3 (Y_i + e_i)^2);
-    - the partial sum fl(T_{i+1} + term) by E_i = E_{i+1} + tau_i
-      + u (B + E_{i+1} + tau_i), E_n = 0; eps = E_0 bounds every E_i.
-
-    The radius r = sqrt(fl(fl(B+ - T_{i+1}) / D_i)) (B+ the least float
-    >= B) is at most 2 Y_i and short of the exact one by at most
-    gamma_4 r + sqrt(E_{i+1} / D_i) (sqrt is subadditive), and the two
-    endpoint additions err by gamma_3 (2 Y_i + M_i + delta_i + 1).  So
-    widening both endpoints outward by eta_i = delta_i + 2 gamma_4 Y_i
-    + sqrt(E_{i+1} / D_i) + gamma_3 (2 Y_i + M_i + delta_i + 1) keeps
-    every valid child, and so does the filter T_i <= fl_up(B + eps).
-    Clipping to [-X_i, X_i] drops no valid child and bounds every node.
-    The sweep thus returns every vector of norm <= B and maybe a few more.
-
-    Certified (else None) when:
-    - B, every D_i and every nonzero |mu_ji| lie in [2^-64, 2^64] and
-      every X_j < 2^31.  Then every value on a valid node is 0 or a
-      normal float (between 2^-412 and 2^400 in magnitude), so every
-      operation has relative error at most u, and coordinates are exact;
-    - every eta_i <= 1, which the endpoint bound assumes;
-    - eps <= 2^-20 B.  Not needed for completeness: past it the slack
-      lets through more nodes above the bound, and the form runs the
-      depth-first search instead.
-    """
-    n, c = len(p), g.scale
-    d = [Fraction(p[i], c * (p[i - 1] if i else 1)) for i in range(n)]
-    lo, hi = Fraction(1, 2**64), Fraction(2**64)
-    if not all(lo <= x <= hi for x in [bound, *d]) or not all(
-            p[i] <= abs(lam[j][i]) << 64 and abs(lam[j][i]) <= p[i] << 64
-            for j in range(n) for i in range(j) if lam[j][i]):
-        return None
-    inv = invert(g)
-    xmax = [isqrt(bound.numerator * inv.entries[j][j]
-                  // (bound.denominator * inv.scale)) for j in range(n)]
-    if max(xmax) >= 2**31:
-        return None
-    u, g3, g4 = _U, _gamma(3), _gamma(4)
-    big_e, eta = Fraction(0), [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        m_i = Fraction(sum(abs(lam[j][i]) * xmax[j] for j in range(i + 1, n)),
-                       p[i])
-        y_i = _sqrt_up(bound / d[i])
-        delta = _gamma(n - i) * m_i
-        e = delta + u * (y_i + delta)
-        tau = d[i] * (e * (2 * y_i + e) + g3 * (y_i + e) ** 2)
-        eta[i] = (delta + 2 * g4 * y_i + _sqrt_up(big_e / d[i])
-                  + g3 * (2 * y_i + m_i + delta + 1))
-        big_e += tau + u * (bound + big_e + tau)
-    if max(eta) > 1 or big_e > bound / 2**20:
-        return None
-    return xmax, eta, big_e
-
-
-def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
-                  cert) -> np.ndarray:
-    """One vector of each +-pair with v^T reduced v <= bound, and possibly
-    a few of larger norm, as unsorted int64 rows in the basis of
-    ``reduced`` (the LLL-reduced Gram, with integer LDL^T (p, lam));
-    callers filter by exact norm.
-
-    Breadth-first in float64: each level fixes x_i for every live row of a
-    piece at once, with cert = (X, eta, eps) from _float_certificate (a
-    form it refuses runs _depth_first instead): the interval is widened
-    outward by eta_i and clipped to [-X_i, X_i], and a child is kept while
-    its partial sum is at most the bound plus eps.  Pieces wait on a
-    stack, so the sweep is depth-first over pieces and holds only the
-    pieces not yet expanded.  The sign rule keeps x_i >= 0 while every
-    coordinate above is zero, and x_0 >= 1 at level 0.
-    """
-    xmax, eta, eps = cert
-    n, c = len(p), reduced.scale
-    mu = np.array([[lam[j][i] / p[i] if j > i else 0.0 for i in range(n)]
-                   for j in range(n)])
-    d = [p[i] / (c * (p[i - 1] if i else 1)) for i in range(n)]
-    eta = [_float_up(x) for x in eta]
-    b_up, b_eps = _float_up(bound), _float_up(bound + eps)
-    out = []
-    stack = [(n - 1, np.zeros((1, 0)), np.zeros(1), np.zeros(1, bool))]
-    while stack:
-        i, x, t, nonzero = stack.pop()
-        cen = x @ mu[i + 1:, i]
-        r = np.sqrt(np.maximum((b_up - t) / d[i], 0.0))
-        lo = np.ceil(np.maximum(-cen - r - eta[i], -xmax[i])).astype(np.int64)
-        hi = np.floor(np.minimum(-cen + r + eta[i], xmax[i])).astype(np.int64)
-        lo = np.where(nonzero, lo, np.maximum(lo, int(i == 0)))
-        counts = np.maximum(hi - lo + 1, 0)
-        ends = np.cumsum(counts)
-        if len(x) > 1 and ends[-1] > 2 * _CHUNK:
-            # split the parents where the children count passes a multiple
-            # of _CHUNK (else in half), into at least two pieces that are
-            # expanded when popped, the first one first
-            cuts = np.flatnonzero(np.diff((ends - counts) // _CHUNK)) + 1
-            cuts = [0, *(cuts.tolist() or [len(x) // 2]), len(x)]
-            stack += [(i, x[a:b], t[a:b], nonzero[a:b])
-                      for a, b in zip(cuts[-2::-1], cuts[:0:-1])]
-            continue
-        idx = np.repeat(np.arange(len(x)), counts)
-        xi = lo[idx] + (np.arange(idx.size) - (ends - counts)[idx])
-        y = xi + cen[idx]
-        t = t[idx] + d[i] * (y * y)
-        keep = t <= b_eps
-        xc = np.empty((idx.size, n - i))
-        xc[:, 0] = xi
-        xc[:, 1:] = x[idx]
-        nz = nonzero[idx] | (xi != 0)
-        xc, t, nz = xc[keep], t[keep], nz[keep]
-        if not i:
-            out.append(xc.astype(np.int64))
-        elif len(xc):
-            stack.append((i - 1, xc, t, nz))
-    if not out:
-        return np.zeros((0, n), np.int64)
-    return np.concatenate(out)
+    return (GramMatrix(g.scale, a), t, d[1:],
+            [row[:k] for k, row in enumerate(lam)])
 
 
 # the depth-first search runs below this many estimated nodes
@@ -532,31 +377,6 @@ def _int_both_signs(half, trans) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(-y for y in v) for v in reversed(out)) + tuple(out)
 
 
-def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
-    """Rows half @ trans and their negations, sorted lexicographically.
-
-    The map back to input coordinates is an exact_matmul; a coordinate
-    that does not fit in int64 (with its negation) raises EnumerationError.
-    Each row takes the sign that makes its first nonzero coordinate
-    positive, and only that half is sorted: negation reverses the order
-    and puts every such row last, so the set is -half[::-1], then half,
-    both written straight into the output.
-    """
-    half = exact_matmul(half, trans)
-    if half.dtype == object:
-        _int64_checked(max((abs(x) for x in half.flat), default=0))
-        half = half.astype(np.int64)
-    first = half[np.arange(len(half)), np.argmax(half != 0, axis=1)]
-    np.negative(half, out=half, where=(first < 0)[:, None])
-    n = len(half)
-    out = np.empty((2 * n, half.shape[1]), np.int64)
-    # the default mode="raise" would buffer a full-size copy of out
-    np.take(half, np.lexsort(half.T[::-1]), axis=0, out=out[n:], mode="clip")
-    np.negative(out[n:][::-1], out=out[:n])
-    out.setflags(write=False)     # so a VectorSet keeps it without a copy
-    return out
-
-
 def shortest_norm_and_vectors(gram: GramMatrix):
     """Minimal nonzero norm of the lattice and all vectors attaining it.
 
@@ -565,23 +385,19 @@ def shortest_norm_and_vectors(gram: GramMatrix):
     the minimal norm, so that vector is found), keeps the vectors of the
     smallest norm found and maps only those back to input coordinates:
     by _depth_first, as a sorted tuple of int tuples, below _SCALAR_NODES
-    estimated nodes or where _float_certificate refuses the form, else by
-    _fincke_pohst, as a read-only int64 array.
+    estimated nodes or where the float certificate refuses the form, else
+    by the breadth-first sweep (_arrays.shortest_by_sweep), as a read-only
+    int64 array.
     """
-    reduced, trans = size_reduce(gram)
+    reduced, trans, p, lam = size_reduce(gram)
     bound = min(reduced[i, i] for i in range(reduced.n))
-    p, lam = ldlt(reduced.entries)
-    cert = None
     if _estimated_nodes(p, reduced.scale, bound) >= _SCALAR_NODES:
-        cert = _float_certificate(reduced, p, lam, bound)
-    if cert is None:
-        m, half = _depth_first(reduced, p, lam, bound)
-        return Fraction(m, reduced.scale), _int_both_signs(half, trans)
-    half = _fincke_pohst(reduced, p, lam, bound, cert)
-    norms = exact_norms(reduced, half)
-    m = norms.min()
-    half = half[norms == m]     # drops the larger array before the map back
-    return Fraction(int(m), reduced.scale), _both_signs(half, trans)
+        from . import _arrays   # imported on first use, before numpy is
+        found = _arrays.shortest_by_sweep(reduced, trans, p, lam, bound)
+        if found is not None:
+            return found
+    m, half = _depth_first(reduced, p, lam, bound)
+    return Fraction(m, reduced.scale), _int_both_signs(half, trans)
 
 
 def minimal_vector_set(gram: GramMatrix) -> VectorSet:

@@ -5,19 +5,20 @@ with c the smallest scale clearing its denominators; Fraction appears
 only where rationals come in (from_rows) or a single entry is read out.
 There is one symmetric elimination, the fraction-free (Bareiss) LDL^T,
 one row at a time (ldlt_row): ldlt, for the positive-definiteness check
-every GramMatrix passes and the Fincke-Pohst level data, psd_rank, the
-integral LLL and the float coordinate export all run it.  invert runs
-the fraction-free Gauss-Jordan.  No rounding; floating point never
-enters this module.
+every GramMatrix passes, psd_rank, the integral LLL (which leaves the
+Fincke-Pohst level data) and the float coordinate export all run it.
+invert runs the fraction-free Gauss-Jordan.  No rounding; floating point
+never enters this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 
 class LinalgError(ValueError):
@@ -28,8 +29,7 @@ class PivotError(LinalgError):
     """LDL^T hit a pivot <= 0: the matrix is not positive definite."""
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Positive definite rational matrix G held as integers: scale is the
     smallest c > 0 with c*G integral and entries are the int rows of c*G.
 
@@ -39,14 +39,13 @@ class GramMatrix:
     that is not positive definite; from_rows builds one from rationals.
     """
 
-    scale: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("scale", "entries")
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, scale: int, entries: Iterable[Iterable[int]]):
+        rows = tuple(tuple(row) for row in entries)
         n = len(rows)
-        if not isinstance(self.scale, int) or self.scale <= 0:
-            raise LinalgError(f"scale must be a positive int, got {self.scale!r}")
+        if not isinstance(scale, int) or scale <= 0:
+            raise LinalgError(f"scale must be a positive int, got {scale!r}")
         for row in rows:
             if len(row) != n:
                 raise LinalgError("matrix is not square")
@@ -56,10 +55,11 @@ class GramMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise LinalgError(f"matrix is not symmetric at ({i},{j})")
-        if gcd(self.scale, *(x for row in rows for x in row)) != 1:
-            raise LinalgError(f"scale {self.scale} is not minimal")
+        if gcd(scale, *(x for row in rows for x in row)) != 1:
+            raise LinalgError(f"scale {scale} is not minimal")
         ldlt(rows)
-        object.__setattr__(self, "entries", rows)
+        self._set("scale", scale)
+        self._set("entries", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "GramMatrix":
@@ -137,7 +137,7 @@ def psd_rank(a: Sequence[Sequence[int]]) -> int:
 
     Raises LinalgError unless a is square and symmetric.  Each row is
     eliminated against the rows kept so far (ldlt_row), the loop of
-    embedding.realize_coordinates: a row of a PSD matrix with a zero
+    _arrays.realize_coordinates: a row of a PSD matrix with a zero
     pivot depends on the kept rows, so the rank is the number of rows
     kept.  A caller keeps the Bareiss minors small by dividing a by the
     gcd of its entries first, which does not change the rank.  The

@@ -12,9 +12,10 @@ DATA-REQUIRED when a catalog Gram file is not shipped).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .catalog import CatalogDataMissing, LatticeSpec, catalog
 from .designs import (
     design_strength,
@@ -24,8 +25,10 @@ from .designs import (
 )
 from .embedding import MATRIX_CAP, embed, harmonic_rank
 from .enumeration import VectorSet, minimal_vector_set
-from .reference_tables import ReferenceRow, rows_for_example
 from .spectrum import PairSpectrum, pair_spectrum
+
+if TYPE_CHECKING:
+    from .reference_tables import ReferenceRow
 
 
 def code_str(ambient, size, a) -> str:
@@ -33,19 +36,32 @@ def code_str(ambient, size, a) -> str:
     return f"({ambient}, {size}, {a})"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Exact results of the certify pipeline for one lattice."""
+class Certificate(Record):
+    """Exact results of the certify pipeline for one lattice.
 
-    min_norm: Fraction
-    kissing_ok: bool | None                   # None when no count is expected
-    min_norm_ok: bool
-    source: PairSpectrum
-    venkov5: tuple[bool, Fraction, Fraction]  # (holds, moment2, moment4)
-    strength: int | None                      # None when not requested
-    embedded: PairSpectrum                    # the code on S^(D-1)
-    theorem: tuple[bool, Fraction]            # (is_3design, moment2)
-    rank: int | None        # embedded Gram rank; None over the matrix cap
+    kissing_ok is None when no count is expected; venkov5 is (holds,
+    moment2, moment4); strength is None when not requested; embedded is
+    the code on S^(D-1) and theorem its (is_3design, moment2); rank is
+    the embedded Gram rank, None over the matrix cap.
+    """
+
+    __slots__ = ("min_norm", "kissing_ok", "min_norm_ok", "source",
+                 "venkov5", "strength", "embedded", "theorem", "rank")
+
+    def __init__(self, min_norm: Fraction, kissing_ok: bool | None,
+                 min_norm_ok: bool, source: PairSpectrum,
+                 venkov5: tuple[bool, Fraction, Fraction],
+                 strength: int | None, embedded: PairSpectrum,
+                 theorem: tuple[bool, Fraction], rank: int | None):
+        self._set("min_norm", min_norm)
+        self._set("kissing_ok", kissing_ok)
+        self._set("min_norm_ok", min_norm_ok)
+        self._set("source", source)
+        self._set("venkov5", venkov5)
+        self._set("strength", strength)
+        self._set("embedded", embedded)
+        self._set("theorem", theorem)
+        self._set("rank", rank)
 
     @property
     def passed(self) -> bool:
@@ -141,12 +157,18 @@ def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
     }
 
 
-@dataclass(frozen=True)
-class TableRow:
-    status: str                      # PASS | FAIL | DATA-REQUIRED
-    expected: ReferenceRow
-    certificate: Certificate | None = None    # None when DATA-REQUIRED
-    detail: str = ""
+class TableRow(Record):
+    """One reproduced reference row: status is PASS, FAIL or DATA-REQUIRED,
+    and certificate is None when DATA-REQUIRED."""
+
+    __slots__ = ("status", "expected", "certificate", "detail")
+
+    def __init__(self, status: str, expected: ReferenceRow,
+                 certificate: Certificate | None = None, detail: str = ""):
+        self._set("status", status)
+        self._set("expected", expected)
+        self._set("certificate", certificate)
+        self._set("detail", detail)
 
 
 def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
@@ -192,6 +214,9 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
 
 def reproduce_table(example: int, threads: int = 1) -> list[TableRow]:
     """Recompute one published table; exact comparison per row."""
+    # imported on first use, as by catalog.expectations: verify loads no
+    # reference rows
+    from .reference_tables import rows_for_example
     return [_reproduce_row(ref, threads) for ref in rows_for_example(example)]
 
 

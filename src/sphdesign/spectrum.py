@@ -9,7 +9,9 @@ A set of Python-int rows whose half (the set, if not antipodal) has at
 most _INT_ROWS rows is counted by _int_hist in Python ints alone: each
 row's products with every later row are the fields of one packed
 integer, and numpy is never imported.  Every other set goes to
-_hist_blocks on int64 arrays, in three tiers: float32 or float64 BLAS
+_arrays._hist_blocks (in sphdesign._arrays, imported on first use, so a
+small set's count neither compiles nor loads it) on int64 arrays, in
+three tiers: float32 or float64 BLAS
 where a proven bound makes every partial sum an exactly represented
 integer, else exact integer products (int64 under a proven bound, else
 Python integers).  That pass streams cache-sized blocks of products into
@@ -26,13 +28,11 @@ operation (see _numpy), not when this module is.
 from __future__ import annotations
 
 import sys
-import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._numpy import np
+from ._record import Record
 from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 
 # half-set rows up to which a set in Python-int form is counted by
@@ -41,29 +41,12 @@ from .enumeration import I64_MAX, VectorSet, exact_matmul, halve_antipodal
 # (medians of 7 in-process runs): r = 256: 2.5 / 0.4, 512: 9.5 / 0.7,
 # 768: 22.4 / 1.6, 1024: 39.8 / 2.2, 1536: 85.5 / 6.0, 2048: 207 / 10.2
 _INT_ROWS = 1024
-# rows per product block: a float32 block, its int64 bin indices and the
-# row and column stripes it multiplies stay inside a core's L2 cache
-_BLOCK = 256
-# row stripes per worker: np.bincount holds the interpreter lock, so a
-# second worker pays only from 64 stripes on and below that just adds its
-# block buffers.  The pass of `sphdesign spectrum --threads 2` over the
-# first 256 s rows of the Leech half-set took, in ms with one worker /
-# two (medians of 11-15 runs):
-# s = 9: 13.1 / 14.1, 32: 119 / 117, 48: 312 / 314, 56: 417 / 415,
-# 64: 528 / 367, 80: 881 / 535, 96: 1134 / 752
-_STRIPES_PER_WORKER = 32
-# any partial sum of a dot product below these is an exactly represented
-# float32 / float64 integer, so BLAS matmul is bit-exact
-_F32_SAFE = 2**24
-_F64_SAFE = 2**53
-
 
 class SpectrumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PairSpectrum:
+class PairSpectrum(Record):
     """Ordered-pair counts by normalized inner product s = (v,w)/min_norm.
 
     entries is stored as a tuple of (s, count) pairs sorted by s
@@ -73,14 +56,15 @@ class PairSpectrum:
     both are checked.
     """
 
-    d: int
-    size: int
-    entries: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("d", "size", "entries")
 
-    def __post_init__(self):
-        ent = tuple(sorted(((Fraction(s), int(c)) for s, c in self.entries),
+    def __init__(self, d: int, size: int,
+                 entries: tuple[tuple[Fraction, int], ...]):
+        self._set("d", d)
+        self._set("size", size)
+        ent = tuple(sorted(((Fraction(s), int(c)) for s, c in entries),
                            key=lambda e: e[0], reverse=True))
-        object.__setattr__(self, "entries", ent)
+        self._set("entries", ent)
         n2 = sum(c for _, c in ent)
         if n2 != self.size * self.size:
             raise SpectrumError(f"counts sum to {n2}, expected N^2 = {self.size**2}")
@@ -123,121 +107,6 @@ class PairSpectrum:
     def to_triples(self) -> list[list[int]]:
         """[s_numerator, s_denominator, count] rows, s descending."""
         return [[s.numerator, s.denominator, c] for s, c in self.entries]
-
-
-def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
-                 threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of all pairwise products a[i] . v[j] (a = V G precomputed)
-    as (products, counts), products ascending and counts positive.
-
-    Counts ordered pairs one way only; caller owns any doubling.  The rows
-    are cut into stripes of _BLOCK rows, and one product block pairs a row
-    stripe with a column stripe at or right of it, so it stays cache-sized
-    and is reused for every block a worker computes.  Each of the
-    max(1, min(threads, stripes // _STRIPES_PER_WORKER)) workers owns
-    every workers-th row stripe (the triangle of blocks then splits about
-    evenly) and counts into its own histogram, with off-diagonal blocks
-    counted twice; the worker histograms are summed once at the end.  The
-    calling thread runs worker 0 and one plain threading.Thread runs each
-    other worker; once every worker is joined, the exception of the
-    lowest-numbered failing worker, if any, is re-raised.
-
-    a is rebound to its float copy, so an a the caller no longer holds is
-    freed before any block is computed.
-
-    Products come from float32 BLAS when k max|a| max|v| < 2^24, from
-    float64 BLAS when it is below 2^53 (either bound makes every partial
-    sum an exactly represented integer, so the product is bit-exact), and
-    else from exact_matmul on each block.  Every product p has |p| <= off.
-    When the 2 off + 1 possible values are no more than a block's
-    products, a worker bincounts p + off into a dense int64 histogram;
-    otherwise it sorts the values each block realizes, as Python ints once
-    off is past int64, so memory never grows with off.
-    """
-    n, k = a.shape
-    # max and -min rather than abs, which would copy the operand
-    amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    vmax = max(int(v.max(initial=0)), -int(v.min(initial=0)))
-    bound = k * amax * vmax
-    ftype = (np.float32 if bound < _F32_SAFE
-             else np.float64 if bound < _F64_SAFE else None)
-    if ftype is not None:
-        a = a.astype(ftype)
-        vt = np.ascontiguousarray(v.T, dtype=ftype)
-    else:
-        vt = v.T
-    side = min(_BLOCK, n)
-    bins = 2 * off + 1
-    dense = bins <= side * side
-    stripes = range(0, n, _BLOCK)
-    workers = max(1, min(threads, len(stripes) // _STRIPES_PER_WORKER))
-
-    def run(first: int) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
-        if ftype is not None:
-            buf = np.empty(side * side, dtype=ftype)
-        if dense:
-            index = np.empty(side * side, dtype=np.int64)
-            hist = np.zeros(bins, dtype=np.int64)
-        else:
-            parts = []
-        for i in stripes[first::workers]:
-            rows = a[i:i + _BLOCK]
-            for j in range(i, n, _BLOCK):
-                cols = vt[:, j:j + _BLOCK]
-                size = rows.shape[0] * cols.shape[1]
-                if ftype is not None:
-                    p = np.matmul(rows, cols, out=buf[:size].reshape(
-                        rows.shape[0], cols.shape[1])).ravel()
-                else:
-                    p = exact_matmul(rows, cols).ravel()
-                if dense:
-                    h = np.bincount(np.add(p, off, out=index[:size],
-                                           dtype=np.int64, casting="unsafe"),
-                                    minlength=bins)
-                    hist += h
-                    if i != j:
-                        # mirror block: products are symmetric
-                        hist += h
-                else:
-                    vals, cnt = np.unique(
-                        p.astype(np.int64 if off <= I64_MAX else object,
-                                 copy=False),
-                        return_counts=True)
-                    parts.append((vals, cnt if i == j else 2 * cnt))
-        return hist if dense else parts
-
-    results: list = [None] * workers
-    errors: list = [None] * workers
-
-    def work(first: int) -> None:
-        try:
-            results[first] = run(first)
-        except BaseException as exc:
-            errors[first] = exc
-
-    pool = [threading.Thread(target=work, args=(first,))
-            for first in range(1, workers)]
-    try:
-        for thread in pool:
-            thread.start()
-        work(0)
-    finally:
-        for thread in pool:
-            if thread.ident is not None:
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    if dense:
-        hist = sum(results)
-        vals = np.flatnonzero(hist)
-        return vals - off, hist[vals]
-    parts = [part for worker in results for part in worker]
-    vals, where = np.unique(np.concatenate([p for p, _ in parts]),
-                            return_inverse=True)
-    total = np.zeros(len(vals), dtype=np.int64)
-    np.add.at(total, where, np.concatenate([c for _, c in parts]))
-    return vals, total
 
 
 def _int_hist(v, g, off: int) -> tuple[list[int], list[int]]:
@@ -302,10 +171,11 @@ def pair_spectrum(x: VectorSet, threads: int = 1) -> PairSpectrum:
             and x.m <= I64_MAX):
         vals, hist = _int_hist(v.coords, x.gram.entries, x.m)
     else:
+        from . import _arrays   # imported on first use
         v = v.array
         # a = V cG is handed over, not kept, so _hist_blocks can free it
-        vals, hist = _hist_blocks(exact_matmul(v, x.gram.entries), v, x.m,
-                                  threads)
+        vals, hist = _arrays._hist_blocks(exact_matmul(v, x.gram.entries),
+                                          v, x.m, threads)
     counts = {int(p): int(c) for p, c in zip(vals, hist)}
     if x.antipodal:
         counts = {p: 2 * counts.get(p, 0) + 2 * counts.get(-p, 0)

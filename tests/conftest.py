@@ -26,14 +26,12 @@ from sphdesign.catalog import (
     catalog_names,
     expectations,
 )
+from sphdesign._arrays import _both_signs, _fincke_pohst, _float_certificate
 from sphdesign.embedding import embedded_gram
 from sphdesign.enumeration import (
     EnumerationError,
     NotAntipodalError,
     VectorSet,
-    _both_signs,
-    _fincke_pohst,
-    _float_certificate,
     exact_norms,
     minimal_vector_set,
     size_reduce,
@@ -239,7 +237,7 @@ def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
     bound = Fraction(bound)
     if bound <= 0:
         raise EnumerationError("bound must be positive")
-    reduced, trans = size_reduce(gram)
+    reduced, trans, _, _ = size_reduce(gram)
     half = certified_sweep(reduced, bound)
     # norms are integers, so <= bound * c exactly when <= its floor
     keep = exact_norms(reduced, half) <= int(bound * reduced.scale)

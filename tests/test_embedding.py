@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign import embedding
+from sphdesign import _arrays
+from sphdesign._arrays import harmonic_frame, realize_coordinates
 from sphdesign.designs import moment_target, venkov_3design
 from sphdesign.embedding import (
     EmbeddingError,
@@ -21,9 +22,7 @@ from sphdesign.embedding import (
     embed,
     embedded_gram,
     g2_coefficients,
-    harmonic_frame,
     harmonic_rank,
-    realize_coordinates,
 )
 from sphdesign.enumeration import (
     NotAntipodalError,
@@ -220,14 +219,14 @@ def test_frame_without_inverse_correction_raises(monkeypatch, name):
     bare = scn * x[:, iu] * x[:, ju]
     target = dim_harm(2, half.sphere_dim)
     assert psd_rank(exact_matmul(bare.T, bare).tolist()) == target + 1
-    monkeypatch.setattr(embedding, "harmonic_frame", lambda h: bare)
+    monkeypatch.setattr(_arrays, "harmonic_frame", lambda h: bare)
     with pytest.raises(EmbeddingError, match="exceeds dim Harm"):
         harmonic_rank(half)
 
 
 def test_frame_rejects_wrong_inverse(monkeypatch):
     half = _half("D4", None)
-    monkeypatch.setattr(embedding, "invert",
+    monkeypatch.setattr(_arrays, "invert",
                         lambda g: GramMatrix.identity(g.n))
     with pytest.raises(EmbeddingError, match="inverse"):
         harmonic_rank(half)
@@ -469,7 +468,7 @@ def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
     dim = dim_harm(2, vs.sphere_dim)
     want = realize_coordinates(vs)
     widths = []
-    real_gram, real_row = embedding.embedded_gram, embedding.ldlt_row
+    real_gram, real_row = _arrays.embedded_gram, _arrays.ldlt_row
 
     def gram(h, rows, cols):
         block = real_gram(h, rows, cols)
@@ -480,8 +479,8 @@ def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
         widths.append(len(a) - 1)
         return real_row(a, lam, d)
 
-    monkeypatch.setattr(embedding, "embedded_gram", gram)
-    monkeypatch.setattr(embedding, "ldlt_row", row)
+    monkeypatch.setattr(_arrays, "embedded_gram", gram)
+    monkeypatch.setattr(_arrays, "ldlt_row", row)
     assert realize_coordinates(vs) == want
     assert max(widths) == dim == 77
 

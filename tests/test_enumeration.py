@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sphdesign import enumeration
+from sphdesign import _arrays, enumeration
 from sphdesign.catalog import catalog
 from sphdesign.enumeration import (
     EnumerationError,
@@ -150,7 +150,7 @@ def assert_lll_reduced(g: GramMatrix) -> None:
 def test_size_reduce_preserves_form():
     # a badly skewed basis for the square lattice
     g = GramMatrix.from_rows([[1, 7], [7, 50]])
-    red, t = size_reduce(g)
+    red, t, _, _ = size_reduce(g)
     assert max(abs(red[i, j]) for i in range(2) for j in range(2)) <= 2
     # T g T^t == reduced
     rows = [[sum(t[i][a] * g[a, b] * t[j][b] for a in range(2) for b in range(2))
@@ -188,11 +188,27 @@ def _lll_inputs(draw):
 @given(_lll_inputs())
 @settings(max_examples=80, deadline=None)
 def test_lll_properties(g):
-    red, t = size_reduce(g)
+    red, t, _, _ = size_reduce(g)
     assert red.scale == g.scale
     assert _congruent(t, g) == red
     assert abs(_det(t)) == 1
     assert_lll_reduced(red)
+
+
+@given(_lll_inputs())
+@settings(max_examples=80, deadline=None)
+def test_lll_returns_the_ldlt_of_the_reduced_gram(g):
+    # the search reads the LDL^T of the reduced Gram from size_reduce: the
+    # final Gram determinants and scaled multipliers of the integral LLL
+    red, _, p, lam = size_reduce(g)
+    assert (p, lam) == ldlt(red.entries)
+
+
+@pytest.mark.parametrize("name", ["A2", "E6dual", "E8", "CT12", "BW16",
+                                  "Leech"])
+def test_lll_returns_the_ldlt_of_a_shipped_reduced_gram(name):
+    red, _, p, lam = size_reduce(catalog(name).gram)
+    assert (p, lam) == ldlt(red.entries)
 
 
 @st.composite
@@ -234,11 +250,11 @@ def test_shortest_vectors_from_reduced_basis(monkeypatch):
     g = _congruent(u, A2)
     assert min(g[0, 0], g[1, 1]) > 5000
     reductions, bounds = [], []
-    real_reduce, real_fp = enumeration.size_reduce, enumeration._fincke_pohst
+    real_reduce, real_fp = enumeration.size_reduce, _arrays._fincke_pohst
     real_df = enumeration._depth_first
     monkeypatch.setattr(enumeration, "size_reduce",
                         lambda g: reductions.append(g) or real_reduce(g))
-    monkeypatch.setattr(enumeration, "_fincke_pohst",
+    monkeypatch.setattr(_arrays, "_fincke_pohst",
                         lambda g, p, lam, b, cert: bounds.append(b)
                         or real_fp(g, p, lam, b, cert))
     monkeypatch.setattr(enumeration, "_depth_first",
@@ -392,7 +408,7 @@ def test_halve_union_random_forms(g):
 
 def _certified(g: GramMatrix, bound) -> bool:
     p, lam = ldlt(g.entries)
-    cert = enumeration._float_certificate(g, p, lam, F(bound))
+    cert = _arrays._float_certificate(g, p, lam, F(bound))
     return cert is not None
 
 
@@ -447,7 +463,7 @@ def _skewed_cases(draw):
     return g, bound
 
 
-@pytest.mark.parametrize("chunk", [1, enumeration._CHUNK])
+@pytest.mark.parametrize("chunk", [1, _arrays._CHUNK])
 @given(case=_skewed_cases())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -457,7 +473,7 @@ def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
     # certificate, so with the node cut at 0, where only the certificate
     # picks the search, it runs the exact depth-first search, which must
     # find the oracle's minimum-norm shell
-    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    monkeypatch.setattr(_arrays, "_CHUNK", chunk)
     monkeypatch.setattr(enumeration, "_SCALAR_NODES", 0)
     g, bound = case
     assume(np.prod([2 * r + 1 for r in _box_radii(g, bound)]) <= 20000)
@@ -483,16 +499,16 @@ def test_float_tier_matches_exact_tier(monkeypatch, name, chunks):
     # the float sweep, at one row per piece and at the default _CHUNK,
     # against the exact depth-first search on the same reduced form
     spec = catalog(name)
-    red, _ = size_reduce(spec.gram)
+    red, *_ = size_reduce(spec.gram)
     bound = min(red[i, i] for i in range(red.n))
     p, lam = ldlt(red.entries)
     m, rows = enumeration._depth_first(red, p, lam, bound)
     assert m == bound * red.scale
     want = set(rows) | {tuple(-x for x in v) for v in rows}
     assert len(want) == spec.expected_kissing
-    default = enumeration._CHUNK
+    default = _arrays._CHUNK
     for chunk in chunks:
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk or default)
+        monkeypatch.setattr(_arrays, "_CHUNK", chunk or default)
         assert _sweep_set(red, bound) == want
 
 
@@ -519,12 +535,12 @@ def _oracle_certificate(g: GramMatrix, bound: F):
     e_next, eta = F(0), [F(0)] * n
     for i in reversed(range(n)):
         m = sum(abs(mu[j][i]) * xs[j] for j in range(i + 1, n))
-        y = enumeration._sqrt_up(bound / bstar[i])
+        y = _arrays._sqrt_up(bound / bstar[i])
         delta = gamma(n - i) * m
         e = delta + u * (y + delta)
         tau = bstar[i] * (e * (2 * y + e) + gamma(3) * (y + e) ** 2)
         eta[i] = (delta + 2 * gamma(4) * y
-                  + enumeration._sqrt_up(e_next / bstar[i])
+                  + _arrays._sqrt_up(e_next / bstar[i])
                   + gamma(3) * (2 * y + m + delta + 1))
         e_next = e_next + tau + u * (bound + e_next + tau)
     return xs, eta, e_next
@@ -532,10 +548,10 @@ def _oracle_certificate(g: GramMatrix, bound: F):
 
 @pytest.mark.parametrize("name", ["A2", "E6dual", "E7dual", "E8", "CT12"])
 def test_float_certificate_matches_its_formula(name):
-    red, _ = size_reduce(catalog(name).gram)
+    red, *_ = size_reduce(catalog(name).gram)
     bound = min(red[i, i] for i in range(red.n))
     p, lam = ldlt(red.entries)
-    got = enumeration._float_certificate(red, p, lam, bound)
+    got = _arrays._float_certificate(red, p, lam, bound)
     assert got == _oracle_certificate(red, bound)
     assert got[2] > 0
 
@@ -543,7 +559,7 @@ def test_float_certificate_matches_its_formula(name):
 @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
 @settings(max_examples=100)
 def test_sqrt_up_is_a_tight_upper_bound(q):
-    s = enumeration._sqrt_up(q)
+    s = _arrays._sqrt_up(q)
     assert s * s >= q and (s - F(1, 2**64)) ** 2 <= q or s <= F(1, 2**64)
 
 
@@ -650,7 +666,7 @@ def _both_searches(g: GramMatrix):
     """(m, rows) of _depth_first and of _fincke_pohst, kept by exact norm,
     on the LLL-reduced g: the least scaled norm and its rows, one per
     +-pair, sorted."""
-    red, _ = size_reduce(g)
+    red, *_ = size_reduce(g)
     bound = min(red[i, i] for i in range(red.n))
     p, lam = ldlt(red.entries)
     m, rows = enumeration._depth_first(red, p, lam, bound)
@@ -702,7 +718,7 @@ def test_uncertified_form_runs_depth_first(monkeypatch):
     # runs, and the sweep never does
     g = catalog("BW16").gram
     big = _scaled(g, 2**70)
-    red, _ = size_reduce(big)
+    red, *_ = size_reduce(big)
     bound = min(red[i, i] for i in range(red.n))
     nodes = enumeration._estimated_nodes(ldlt(red.entries)[0], red.scale,
                                          bound)
@@ -711,7 +727,7 @@ def test_uncertified_form_runs_depth_first(monkeypatch):
 
     def sweep(*args):
         raise AssertionError("the breadth-first sweep ran")
-    monkeypatch.setattr(enumeration, "_fincke_pohst", sweep)
+    monkeypatch.setattr(_arrays, "_fincke_pohst", sweep)
     big_norm, rows = shortest_norm_and_vectors(big)
     assert big_norm == norm * 2**70 and len(rows) == 4320
     assert [list(v) for v in rows] == want.tolist()
@@ -719,7 +735,7 @@ def test_uncertified_form_runs_depth_first(monkeypatch):
 
 def test_node_estimate_puts_small_lattices_below_the_cut_and_bw16_above():
     def nodes(name):
-        red, _ = size_reduce(catalog(name).gram)
+        red, *_ = size_reduce(catalog(name).gram)
         bound = min(red[i, i] for i in range(red.n))
         return enumeration._estimated_nodes(ldlt(red.entries)[0], red.scale,
                                             bound)
@@ -767,8 +783,8 @@ def test_vector_set_copies_an_array_a_caller_can_write():
 
 
 def test_minimal_vector_set_keeps_the_array_it_builds(monkeypatch):
-    built, real = [], enumeration._both_signs
-    monkeypatch.setattr(enumeration, "_both_signs",
+    built, real = [], _arrays._both_signs
+    monkeypatch.setattr(_arrays, "_both_signs",
                         lambda half, trans: built.append(real(half, trans))
                         or built[-1])
     vs = minimal_vector_set(catalog("BW16").gram)

@@ -1,8 +1,10 @@
-"""Import contract: every package module loads with the CLI, numpy only
-when a command computes on arrays, and the spectrum workers need no
-thread pool.  The small lattices, from A2 to CT12, run without numpy:
-every command of the certify-small benchmark workload but `reproduce
---example 2`, which enumerates BW16.
+"""Import contract: the CLI loads every traced package module but no
+array-only code (sphdesign._arrays), no reference rows and no
+dataclasses; numpy and the array module load only when a command
+computes on arrays, and the spectrum workers need no thread pool.  The
+small lattices, from A2 to CT12, run without either: every command of
+the certify-small benchmark workload but `reproduce --example 2`, which
+enumerates BW16.
 Process contract: the CLI process runs without the cyclic collector,
 main() in any other process leaves it as it was.
 
@@ -12,6 +14,7 @@ since imported numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -30,16 +33,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sphdesign.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
 
-# runs the CLI on argv[2:] with argv[1] rows per spectrum stripe and one
-# stripe per worker (so a tiny set can span several workers) and prints,
-# as the last stdout line,
-# the exit code, the numpy modules loaded, the pool and logging modules
-# loaded, and the number of threads started
+# runs the CLI on argv[2:] and prints, as the last stdout line, the exit
+# code, the numpy modules loaded, the pool and logging modules loaded, the
+# number of threads started and whether the array module was loaded.
+# argv[1] is "-", or the rows per spectrum stripe, set with one stripe per
+# worker (so a tiny set can span several workers), which loads the array
+# module first
 _PROBE = """
 import json, sys, threading
-from sphdesign import cli, spectrum
-spectrum._BLOCK = int(sys.argv[1])
-spectrum._STRIPES_PER_WORKER = 1
+from sphdesign import cli
+if sys.argv[1] != "-":
+    from sphdesign import _arrays
+    _arrays._BLOCK = int(sys.argv[1])
+    _arrays._STRIPES_PER_WORKER = 1
 started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: (started.append(self), start(self))[1]
@@ -51,8 +57,13 @@ loaded = lambda name: sorted(m for m in sys.modules
                              if m == name or m.startswith(name + "."))
 print(json.dumps([code, loaded("numpy"),
                   loaded("concurrent.futures") + loaded("logging"),
-                  len(started)]))
+                  len(started), loaded("sphdesign._arrays")]))
 """
+
+# modules a small command has no use for: dataclasses (and the inspect
+# module it imports), the reference rows, and the array-only code
+_SMALL_UNUSED = ("dataclasses", "inspect", "sphdesign.reference_tables",
+                 "sphdesign._arrays")
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -61,8 +72,9 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def _cli(*args: str, block: int = 256) -> tuple[int, list, list, int]:
-    r = _python(_PROBE, str(block), *args)
+def _cli(*args: str,
+         block: int | None = None) -> tuple[int, list, list, int, list]:
+    r = _python(_PROBE, "-" if block is None else str(block), *args)
     assert r.returncode == 0, r.stderr
     return tuple(json.loads(r.stdout.splitlines()[-1]))
 
@@ -105,7 +117,7 @@ def test_cli_import_loads_every_traced_module_and_no_numpy(monkeypatch):
 ], ids=["lattices", "lattices-json", "help", "verify-no-input",
         "verify-unknown-lattice"])
 def test_commands_that_compute_nothing_never_load_numpy(args, code):
-    assert _cli(*args) == (code, [], [], 0)
+    assert _cli(*args) == (code, [], [], 0, [])
 
 
 def test_a_computing_command_loads_numpy_but_no_pool(tmp_path):
@@ -116,8 +128,8 @@ def test_a_computing_command_loads_numpy_but_no_pool(tmp_path):
     path = tmp_path / "d4.vecs"
     path.write_text(f"4 {len(roots)} 2\n"
                     + "".join(" ".join(map(str, v)) + "\n" for v in roots))
-    code, numpy, pool, threads = _cli("verify", "--vectors", str(path),
-                                      "--threads", "2", block=1)
+    code, numpy, pool, threads, _ = _cli("verify", "--vectors", str(path),
+                                         "--threads", "2", block=1)
     assert code == 0
     assert "numpy" in numpy
     assert pool == [] and threads == 1
@@ -135,7 +147,9 @@ def test_certify_small_runs_without_numpy(monkeypatch):
     assert sum(argv[:3] == heavy for argv in argvs) == 1
     for argv in argvs:
         if argv[:3] != heavy:
-            assert _cli(*argv) == (0, [], [], 0), argv
+            assert _cli(*argv) == (0, [], [], 0, []), argv
+        else:
+            assert _cli(*argv)[4] == ["sphdesign._arrays"]
 
 
 def test_small_lattice_commands_run_without_numpy(tmp_path):
@@ -144,9 +158,43 @@ def test_small_lattice_commands_run_without_numpy(tmp_path):
     for args in (["minvec", "--lattice", "E8", "--out", str(out)],
                  ["spectrum", "--lattice", "E8", "--format", "json"],
                  ["embed", "--lattice", "E8"]):
-        assert _cli(*args) == (0, [], [], 0), args
+        assert _cli(*args) == (0, [], [], 0, []), args
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == VECTOR_FILES["E8"]
+
+
+def test_cli_import_loads_no_dataclasses_reference_rows_or_array_code():
+    r = _python("import json, sys, sphdesign.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+    assert r.returncode == 0, r.stderr
+    assert set(_SMALL_UNUSED).isdisjoint(json.loads(r.stdout))
+
+
+def test_gram_file_verify_loads_no_dataclasses(tmp_path):
+    # a Gram file carries no reference row, so nothing loads dataclasses
+    path = tmp_path / "a2.gram"
+    path.write_text("2\n2 -1\n-1 2\n")
+    r = _python("""
+import json, sys
+from sphdesign import cli
+code = cli.main(["verify", "--gram-file", sys.argv[1]])
+print(json.dumps([code, sorted(set(sys.argv[2:]) & set(sys.modules))]))
+""", str(path), *_SMALL_UNUSED)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_reference_rows_load_standalone_and_take_replace(monkeypatch):
+    # perfbench/checks.py loads reference_tables.py as a plain file, and
+    # the self-test of perfbench/run.py builds a corrupted row with
+    # dataclasses.replace: both need ReferenceRow to stay a dataclass
+    checks = _perfbench("checks", monkeypatch)
+    rows = checks.load_reference_rows()
+    a2 = rows[0]
+    assert type(a2).__module__ == "_reference_tables"
+    assert (a2.lattice, a2.size) == ("A2", 6)
+    bad = dataclasses.replace(a2, size=a2.size + 1)
+    assert (bad.lattice, bad.size) == ("A2", 7) and bad != a2
 
 
 def test_first_numpy_use_from_two_threads_at_once():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign import embedding, report, spectrum
+from sphdesign import _arrays, embedding, report, spectrum
 from sphdesign.catalog import LatticeSpec, catalog
 from sphdesign.embedding import dim_harm, embed, harmonic_rank
 from sphdesign.enumeration import (
@@ -66,6 +66,7 @@ def test_certify_never_builds_the_half_set_block(monkeypatch):
         raise AssertionError("embedded_gram called by certify")
 
     monkeypatch.setattr(embedding, "embedded_gram", forbidden)
+    monkeypatch.setattr(_arrays, "embedded_gram", forbidden)
     monkeypatch.setattr(report, "embedded_gram", forbidden, raising=False)
     cert = report.certify(catalog("CT12"))
     assert cert.rank == 77

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign import spectrum
+from sphdesign import _arrays, spectrum
 from sphdesign.enumeration import VectorSet, halve_antipodal, minimal_vector_set
 from sphdesign.linalg import GramMatrix
 from sphdesign.spectrum import PairSpectrum, SpectrumError, pair_spectrum
@@ -132,7 +132,7 @@ def test_blocked_tiers_match_brute_force(monkeypatch, k):
     # k max|a| max|v| = 2 k^2 passes the float64 bound at 2^21 only; at
     # 2^30 every block is certified in int64, at 2^52 the off-diagonal
     # block runs in Python ints and the diagonal ones in int64
-    monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    monkeypatch.setattr(_arrays, "_BLOCK", 1)
     vs = _skewed_unimodular(k)
     assert dict(pair_spectrum(vs).entries) == brute_spectrum(vs)
 
@@ -148,7 +148,7 @@ def test_min_norm_off_gram_scale():
 def test_hist_blocks_int64_branch_cancellation():
     # a float64 pass would round 1 - 2**54 to -2**54 and report product 0;
     # the integer tier must see the true product 1
-    from sphdesign.spectrum import _hist_blocks
+    from sphdesign._arrays import _hist_blocks
 
     a = np.array([[2 ** 54, 1 - 2 ** 54]], dtype=np.int64)
     v = np.array([[1, 1]], dtype=np.int64)
@@ -160,7 +160,7 @@ def test_hist_blocks_counting_independent_of_offset():
     # a small offset bincounts each block, a huge one (2 off + 1 bins, more
     # than the block's products) sorts the products it has, and one past
     # int64 sorts them as Python ints: same histogram
-    from sphdesign.spectrum import _hist_blocks
+    from sphdesign._arrays import _hist_blocks
 
     rng = np.random.default_rng(0)
     v = rng.integers(-3, 4, size=(2100, 4))   # two blocks of rows
@@ -174,7 +174,8 @@ def test_hist_blocks_counting_independent_of_offset():
 
 
 def _count_started_threads(monkeypatch) -> list:
-    """Route spectrum's threads through a subclass that records each start."""
+    """Route the spectrum pass's threads through a subclass that records
+    each start."""
     started = []
 
     class Counted(threading.Thread):
@@ -182,7 +183,7 @@ def _count_started_threads(monkeypatch) -> list:
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(spectrum, "threading",
+    monkeypatch.setattr(_arrays, "threading",
                         SimpleNamespace(Thread=Counted))
     return started
 
@@ -192,7 +193,7 @@ def test_pool_never_outnumbers_stripes(monkeypatch):
     # than stripes would only idle; the calling thread is worker 0, so
     # workers - 1 threads are started.  One stripe per worker suffices
     # here, so tiny sets span several workers
-    monkeypatch.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
+    monkeypatch.setattr(_arrays, "_STRIPES_PER_WORKER", 1)
     started = _count_started_threads(monkeypatch)
     # (_BLOCK, threads, workers); A2 halves to 3 rows, E8 to 120, both
     # held as arrays, which _hist_blocks counts
@@ -202,7 +203,7 @@ def test_pool_never_outnumbers_stripes(monkeypatch):
         vs = as_array_set(lattice_vectors(name))
         base = pair_spectrum(vs).entries
         for block, threads, workers in runs:
-            monkeypatch.setattr(spectrum, "_BLOCK", block)
+            monkeypatch.setattr(_arrays, "_BLOCK", block)
             started.clear()
             assert pair_spectrum(vs, threads=threads).entries == base
             assert len(started) == workers - 1
@@ -222,18 +223,18 @@ def test_small_sets_run_on_the_calling_thread(monkeypatch):
         assert pair_spectrum(vs, threads=2).entries == base
         assert started == []
     # the Leech half-set, 98280 rows in 384 stripes, keeps two workers
-    assert 384 // spectrum._STRIPES_PER_WORKER >= 2
+    assert 384 // _arrays._STRIPES_PER_WORKER >= 2
 
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_pool_starts_at_stripes_per_worker(monkeypatch, threads):
     # one-row stripes: threads * _STRIPES_PER_WORKER rows start
     # threads - 1 threads, one row fewer starts one thread fewer
-    from sphdesign.spectrum import _hist_blocks
+    from sphdesign._arrays import _hist_blocks
 
-    monkeypatch.setattr(spectrum, "_BLOCK", 1)
+    monkeypatch.setattr(_arrays, "_BLOCK", 1)
     started = _count_started_threads(monkeypatch)
-    per = spectrum._STRIPES_PER_WORKER
+    per = _arrays._STRIPES_PER_WORKER
     v = np.random.default_rng(1).integers(-3, 4, size=(threads * per, 4))
     for n, pool in ((threads * per, threads - 1),
                     (threads * per - 1, threads - 2)):
@@ -248,8 +249,8 @@ def test_failing_worker_reraises_after_join(monkeypatch):
     # two one-row stripes of a set whose blocks run in exact_matmul: after
     # the product a = v G, worker 1 (a thread) or every worker raises
     vs = _skewed_unimodular(2 ** 52)
-    monkeypatch.setattr(spectrum, "_BLOCK", 1)
-    monkeypatch.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
+    monkeypatch.setattr(_arrays, "_BLOCK", 1)
+    monkeypatch.setattr(_arrays, "_STRIPES_PER_WORKER", 1)
     started = _count_started_threads(monkeypatch)
     real = spectrum.exact_matmul
     before = threading.active_count()
@@ -261,6 +262,7 @@ def test_failing_worker_reraises_after_join(monkeypatch):
         return real(*factors)
 
     monkeypatch.setattr(spectrum, "exact_matmul", in_thread)
+    monkeypatch.setattr(_arrays, "exact_matmul", in_thread)
     with pytest.raises(RuntimeError) as err:
         pair_spectrum(vs, threads=2)
     assert err.value is boom
@@ -275,6 +277,7 @@ def test_failing_worker_reraises_after_join(monkeypatch):
         return real(*factors)
 
     monkeypatch.setattr(spectrum, "exact_matmul", everywhere)
+    monkeypatch.setattr(_arrays, "exact_matmul", everywhere)
     with pytest.raises(ValueError, match="^MainThread$"):
         pair_spectrum(vs, threads=2)
     assert threading.active_count() == before
@@ -303,7 +306,7 @@ def test_pair_spectrum_memory_stays_cache_sized():
     # a (280 KiB) or a second worker's buffers (768 KiB) would exceed it
     vs = _three_sparse_signs(16)
     assert vs.count == 2240 and not vs.antipodal
-    side = spectrum._BLOCK
+    side = _arrays._BLOCK
     budget = (2 * vs.count * vs.rank * 4 + side * side * (4 + 8)
               + 256 * 2 ** 10)
     tracemalloc.start()
@@ -358,8 +361,8 @@ def _assert_blocks_match_brute_force(vs: VectorSet) -> None:
     expect = brute_spectrum(vs)
     assert dict(pair_spectrum(vs).entries) == expect
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_BLOCK", 1)
-        mp.setattr(spectrum, "_STRIPES_PER_WORKER", 1)
+        mp.setattr(_arrays, "_BLOCK", 1)
+        mp.setattr(_arrays, "_STRIPES_PER_WORKER", 1)
         assert dict(pair_spectrum(vs, threads=2).entries) == expect
 
 
@@ -496,7 +499,7 @@ def test_int_hist_matches_hist_blocks(case):
     rows, g, off = case
     v = np.array(rows, dtype=np.int64)
     a = spectrum.exact_matmul(v, g)
-    want = [x.tolist() for x in spectrum._hist_blocks(a, v, off, 1)]
+    want = [x.tolist() for x in _arrays._hist_blocks(a, v, off, 1)]
     assert list(spectrum._int_hist(rows, g, off)) == want
 
 
