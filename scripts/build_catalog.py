@@ -2,11 +2,14 @@
 """Offline generator for the shipped lattice Gram files.
 
 Every matrix is constructed from first principles (Cartan matrices, exact
-inverses, code-based constructions) and then certified before writing:
-positive definiteness (checked by every GramMatrix as it is built),
-determinant, minimal norm, and kissing number are all checked in exact
-arithmetic.  A construction slip fails loudly here instead of shipping a
-wrong catalog.
+inverses, code-based constructions) and then certified before any file is
+written: positive definiteness (checked by every GramMatrix as it is
+built), determinant, minimal norm and kissing number are all checked in
+exact arithmetic.  The script states only the determinants; each minimal
+norm and kissing number is read from `sphdesign.catalog.expectations`,
+the facts `verify` checks a lattice against.  A construction slip or a
+wrong fact exits 1 with one line naming the lattice, and nothing is
+written.  K10 and K10dual have no construction here and ship no file.
 
 Run from the repository root:  python3 scripts/build_catalog.py
 """
@@ -20,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sphdesign.catalog import expectations  # noqa: E402
 from sphdesign.enumeration import shortest_norm_and_vectors  # noqa: E402
 from sphdesign.gramfile import write_gram  # noqa: E402
 from sphdesign.linalg import GramMatrix, invert, ldlt  # noqa: E402
@@ -27,17 +31,23 @@ from sphdesign.linalg import GramMatrix, invert, ldlt  # noqa: E402
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "sphdesign" / "data"
 
 
+class BuildError(Exception):
+    """A construction or a certified fact came out wrong."""
+
+
+def require(ok: bool, message: str) -> None:
+    # raised explicitly, so `python -O` never skips a certification
+    if not ok:
+        raise BuildError(message)
+
+
 # ---------------------------------------------------------------- integer HNF
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form basis of the lattice spanned by rows."""
     rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis: list[list[int]] = []
     r = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         while True:
             nz = [i for i in range(r, len(rows)) if rows[i][col] != 0]
             if not nz:
@@ -56,38 +66,7 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
             if done:
                 r += 1
                 break
-    basis = [row for row in rows if any(row)]
-    return basis
-
-
-def kernel_basis(a: list[list[int]]) -> list[list[int]]:
-    """Basis of {x integer : x . row = 0 for every row of a} (saturated)."""
-    m = len(a)
-    n = len(a[0])
-    # track a unimodular transform while reducing the n x m matrix a^T
-    work = [[a[j][i] for j in range(m)] for i in range(n)]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(m):
-        while True:
-            nz = [i for i in range(r, n) if work[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(work[i][col]))
-            work[r], work[i0] = work[i0], work[r]
-            u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, n):
-                if work[i][col]:
-                    q = work[i][col] // work[r][col]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if work[i][col]:
-                        done = False
-            if done:
-                r += 1
-                break
-    return [u[i] for i in range(n) if not any(work[i])]
+    return [row for row in rows if any(row)]
 
 
 def gram_of(basis: list[list[int]], form: list[list[Fraction]] | None = None,
@@ -125,37 +104,28 @@ def root_lattices() -> dict[str, GramMatrix]:
     e6 = cartan([(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)], 6)
     e7 = cartan([(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)], 7)
     e8 = cartan([(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)], 8)
-    return {"a2": a2, "d4": d4, "e6": e6, "e7": e7, "e8": e8}
+    return {"A2": a2, "D4": d4, "E6": e6, "E7": e7, "E8": e8}
 
 
 # ----------------------------------------------------------------- BW16
 
-def reed_muller_1_4() -> list[list[int]]:
-    """Generator rows of RM(1,4): all-ones plus the four coordinate forms."""
-    rows = [[1] * 16]
-    for bit in range(4):
-        rows.append([(i >> bit) & 1 for i in range(16)])
-    return rows
-
-
 def bw16_gram() -> GramMatrix:
-    # v in Z^16 with v mod 2 in RM(1,4) and sum(v) = 0 mod 4; Gram halved
-    gens = [row[:] for row in reed_muller_1_4()]
+    # v in Z^16 with v mod 2 in RM(1,4) and sum(v) = 0 mod 4; Gram halved.
+    # RM(1,4) is spanned by all-ones and the four coordinate forms
+    gens = [[1] * 16] + [[(i >> bit) & 1 for i in range(16)]
+                         for bit in range(4)]
     gens += [[2 if j == i else 0 for j in range(16)] for i in range(16)]
     basis_a = hnf_rows(gens)
-    assert len(basis_a) == 16
+    require(len(basis_a) == 16, f"BW16: {len(basis_a)} basis rows, not 16")
     phi = [sum(row) % 4 for row in basis_a]
-    pivots = [i for i, p in enumerate(phi) if p == 2]
-    if pivots:
-        r = pivots[0]
-        gens_b = [row for row, p in zip(basis_a, phi) if p == 0]
-        gens_b += [[x - y for x, y in zip(basis_a[i], basis_a[r])]
-                   for i in pivots[1:]]
-        gens_b.append([2 * x for x in basis_a[r]])
-        basis = hnf_rows(gens_b)
-    else:
-        basis = basis_a
-    assert len(basis) == 16
+    # the 2e_i give rows of sum 2 mod 4: keep differences of two such rows,
+    # and twice one of them
+    r, *rest = [i for i, p in enumerate(phi) if p == 2]
+    gens_b = [row for row, p in zip(basis_a, phi) if p == 0]
+    gens_b += [[x - y for x, y in zip(basis_a[i], basis_a[r])] for i in rest]
+    gens_b.append([2 * x for x in basis_a[r]])
+    basis = hnf_rows(gens_b)
+    require(len(basis) == 16, f"BW16: {len(basis)} basis rows, not 16")
     return gram_of(basis, scale=Fraction(1, 2))
 
 
@@ -180,29 +150,25 @@ def golay_generators() -> list[list[int]]:
     words = {tuple([0] * 24)}
     for g in gens:
         words |= {tuple((a + b) % 2 for a, b in zip(w, g)) for w in words}
-    assert len(words) == 4096, "generator polynomial did not span a [24,12] code"
+    require(len(words) == 4096,
+            "Leech: the Golay polynomial did not span a [24,12] code")
     weights: dict[int, int] = {}
     for w in words:
         weights[sum(w)] = weights.get(sum(w), 0) + 1
-    assert weights == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}, weights
+    require(weights == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1},
+            f"Leech: Golay weight enumerator {weights}")
     return gens
 
 
 def leech_gram() -> GramMatrix:
-    gens: list[list[int]] = []
-    for c in golay_generators():
-        gens.append([2 * x for x in c])
+    gens = [[2 * x for x in c] for c in golay_generators()]
     for i in range(1, 24):
-        e = [0] * 24
-        e[0] = 4
-        e[i] = 4
-        gens.append(e[:])
-        e[i] = -4
-        gens.append(e[:])
+        for e_i in (4, -4):
+            gens.append([4] + [e_i if j == i else 0 for j in range(1, 24)])
     gens.append([8] + [0] * 23)
     gens.append([-3] + [1] * 23)
     basis = hnf_rows(gens)
-    assert len(basis) == 24
+    require(len(basis) == 24, f"Leech: {len(basis)} basis rows, not 24")
     return gram_of(basis, scale=Fraction(1, 8))
 
 
@@ -246,7 +212,7 @@ def hexacode() -> list[list[int]]:
                 [0, 0, 1, m[6], m[7], m[8]]]
         if self_dual(gens) and weight_ok(gens):
             return gens
-    raise AssertionError("no hexacode generator of the searched shape")
+    raise BuildError("CT12: no hexacode generator of the searched shape")
 
 
 # integer pair (a, b) encodes a + b*w, w a primitive cube root of unity
@@ -264,16 +230,10 @@ def ct12_gram() -> GramMatrix:
     for word in hexacode():
         lift = [F4_LIFT[x] for x in word]
         for vec in (lift, [_times_w(ab) for ab in lift]):
-            row = []
-            for a, b in vec:
-                row += [a, b]
-            gens.append(row)
-    for i in range(12):
-        e = [0] * 12
-        e[i] = 2
-        gens.append(e)
+            gens.append([x for ab in vec for x in ab])
+    gens += [[2 if j == i else 0 for j in range(12)] for i in range(12)]
     basis = hnf_rows(gens)
-    assert len(basis) == 12
+    require(len(basis) == 12, f"CT12: {len(basis)} basis rows, not 12")
     # |a + bw|^2 = a^2 - ab + b^2 per complex coordinate
     form = [[Fraction(0)] * 12 for _ in range(12)]
     for i in range(6):
@@ -284,92 +244,65 @@ def ct12_gram() -> GramMatrix:
     return gram_of(basis, form=form)
 
 
-def k10_gram(ct12: GramMatrix) -> GramMatrix | None:
-    """Search for a 10-dim cross-section of CT12 with 276 minimal vectors."""
-    min_norm, vecs = shortest_norm_and_vectors(ct12)
-    gi = [[int(ct12[i, j]) for j in range(12)] for i in range(12)]
-    form = [[Fraction(x) for x in row] for row in gi]
-    vlist = [list(map(int, v)) for v in vecs]
-    u = vlist[0]
-    gu = [sum(gi[i][j] * u[j] for j in range(12)) for i in range(12)]
-    tried = 0
-    for v in vlist:
-        prod = sum(a * b for a, b in zip(gu, v))
-        if prod != -2:
-            continue
-        gv = [sum(gi[i][j] * v[j] for j in range(12)) for i in range(12)]
-        kb = kernel_basis([gu, gv])
-        if len(kb) != 10:
-            continue
-        sub = gram_of(kb, form=form)
-        m, w = shortest_norm_and_vectors(sub)
-        tried += 1
-        if m == 4 and len(w) == 276:
-            return sub
-        if tried >= 20:
-            break
-    return None
-
-
 # ----------------------------------------------------------------- driver
+
+# the determinant of each shipped form; its minimal norm and kissing number
+# are the catalog's own, the facts `verify` checks a lattice against
+DETERMINANTS = {
+    "A2": Fraction(3), "D4": Fraction(4), "E6": Fraction(3),
+    "E6dual": Fraction(1, 3), "E7": Fraction(2), "E7dual": Fraction(1, 2),
+    "E8": Fraction(1), "CT12": Fraction(3**6), "BW16": Fraction(2**8),
+    "Leech": Fraction(1),
+}
+
+
+def facts(name: str) -> tuple[Fraction, Fraction, int]:
+    """(determinant, minimal norm, kissing number) of a shipped form."""
+    kissing, min_norm = expectations(name)
+    return DETERMINANTS[name], min_norm, kissing
+
 
 def certify(name: str, g: GramMatrix, det: Fraction, min_norm: Fraction,
             kissing: int) -> None:
     d = determinant(g)
-    assert d == det, f"{name}: det {d} != {det}"
+    require(d == det, f"{name}: determinant {d}, expected {det}")
     m, vecs = shortest_norm_and_vectors(g)
-    assert m == min_norm, f"{name}: min {m} != {min_norm}"
-    assert len(vecs) == kissing, f"{name}: kissing {len(vecs)} != {kissing}"
+    require(m == min_norm, f"{name}: minimal norm {m}, expected {min_norm}")
+    require(len(vecs) == kissing,
+            f"{name}: kissing number {len(vecs)}, expected {kissing}")
     print(f"  {name}: rank {g.n}, det {d}, min {m}, kissing {len(vecs)}  ok")
 
 
-def main() -> None:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    roots = root_lattices()
-    expected = {
-        "a2": (Fraction(3), Fraction(2), 6),
-        "d4": (Fraction(4), Fraction(2), 24),
-        "e6": (Fraction(3), Fraction(2), 72),
-        "e7": (Fraction(2), Fraction(2), 126),
-        "e8": (Fraction(1), Fraction(2), 240),
-    }
-    grams: dict[str, GramMatrix] = dict(roots)
-    grams["e6dual"] = invert(roots["e6"])
-    grams["e7dual"] = invert(roots["e7"])
-    expected["e6dual"] = (Fraction(1, 3), Fraction(4, 3), 54)
-    expected["e7dual"] = (Fraction(1, 2), Fraction(3, 2), 56)
-
-    print("building bw16 ...")
-    grams["bw16"] = bw16_gram()
-    expected["bw16"] = (Fraction(2**8), Fraction(4), 4320)
-    print("building ct12 ...")
-    grams["ct12"] = ct12_gram()
-    expected["ct12"] = (Fraction(3**6), Fraction(4), 756)
-    print("building leech ...")
-    grams["leech"] = leech_gram()
-    expected["leech"] = (Fraction(1), Fraction(4), 196560)
-
-    print("searching k10 cross-section ...")
-    k10 = k10_gram(grams["ct12"])
-    if k10 is not None:
-        grams["k10"] = k10
-        d = determinant(k10)
-        expected["k10"] = (d, Fraction(4), 276)
-        grams["k10dual"] = invert(k10)
-        md, vd = shortest_norm_and_vectors(grams["k10dual"])
-        print(f"  k10 found: det {d}; dual min {md}, dual kissing {len(vd)}")
-        expected["k10dual"] = (1 / d, md, len(vd))
-    else:
-        print("  no k10 cross-section found; k10/k10dual stay data-required")
-
+def build() -> dict[str, tuple[GramMatrix, str]]:
+    """Each shipped form by catalog name, with the header of its file."""
+    grams = root_lattices()
+    grams["E6dual"] = invert(grams["E6"])
+    grams["E7dual"] = invert(grams["E7"])
+    grams["CT12"] = ct12_gram()
+    grams["BW16"] = bw16_gram()
+    grams["Leech"] = leech_gram()
+    built = {}
     for name, g in grams.items():
-        det, mn, kiss = expected[name]
-        certify(name, g, det, mn, kiss)
-        write_gram(DATA_DIR / f"{name}.gram", g,
-                   header=f"{name}: rank {g.n}, det {det}, min norm {mn}, "
-                          f"kissing number {kiss}")
-    print(f"wrote {len(grams)} gram files to {DATA_DIR}")
+        det, min_norm, kissing = facts(name)
+        built[name] = (g, f"{name.lower()}: rank {g.n}, det {det}, "
+                          f"min norm {min_norm}, kissing number {kissing}")
+    return built
+
+
+def main() -> int:
+    try:
+        built = build()
+        for name, (g, _) in built.items():
+            certify(name, g, *facts(name))
+    except BuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    DATA_DIR.mkdir(parents=True, exist_ok=True)
+    for name, (g, header) in built.items():
+        write_gram(DATA_DIR / f"{name.lower()}.gram", g, header=header)
+    print(f"wrote {len(built)} gram files to {DATA_DIR}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

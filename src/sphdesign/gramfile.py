@@ -5,6 +5,11 @@ n whitespace-separated rationals ("p/q" or integer).  Parsing is bit-exact:
 decimal floats are rejected.
 
 Vector-set file: header line "rank N min_norm"; then N lines of rank integers.
+rank and N are positive and unsigned.
+
+Every number is written in the ASCII digits 0-9, with an optional sign
+where one is allowed: other Unicode digits, underscores and spaces inside
+a number are refused.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from pathlib import Path
 from ._numpy import np
 from .linalg import GramMatrix
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_COUNT_RE = re.compile(r"0*[1-9][0-9]*")
 # a data line of ASCII integers of at most 18 digits (|x| < 10^18 < 2^63),
 # which numpy's text parser reads exactly; such lines are parsed _BATCH
 # at a time
@@ -115,10 +121,11 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
     header = lines[0].split()
     if len(header) != 3:
         raise FormatError('header must be "rank N min_norm"')
-    rank, count = int(header[0]), int(header[1])
-    if rank < 1 or count < 1:
+    if not all(_COUNT_RE.fullmatch(t) for t in header[:2]):
         raise FormatError(
-            f"rank and vector count must be positive, got {rank} and {count}")
+            "rank and vector count must be positive, in the digits 0-9, "
+            f"got {header[0]!r} and {header[1]!r}")
+    rank, count = int(header[0]), int(header[1])
     min_norm = parse_rational(header[2])
     if len(lines) != count + 1:
         raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")

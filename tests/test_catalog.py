@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,8 +15,10 @@ from sphdesign.catalog import (
     available_names,
     catalog,
     catalog_names,
+    expectations,
     from_gram_file,
 )
+from sphdesign.enumeration import shortest_norm_and_vectors
 from sphdesign.linalg import GramMatrix, PivotError, ldlt
 
 from conftest import dual
@@ -114,14 +118,72 @@ def test_latticespec_rejects_indefinite(tmp_path):
 
 
 BUILD_SCRIPT = Path(__file__).resolve().parents[1] / "scripts/build_catalog.py"
+DATA_DIR = Path(__file__).resolve().parents[1] / "src/sphdesign/data"
 
 
-def test_build_catalog_determinant():
-    # load the generator without running main(), which rewrites the
-    # shipped data files
+@pytest.fixture(scope="module")
+def build_catalog():
+    # the generator as a module, without running main(), which rewrites
+    # the shipped data files
     spec = importlib.util.spec_from_file_location("build_catalog",
                                                   BUILD_SCRIPT)
-    build_catalog = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(build_catalog)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def built(build_catalog):
+    return build_catalog.build()
+
+
+def test_build_catalog_determinant(build_catalog):
     for name, (expected_det, _) in SHIPPED.items():
         assert build_catalog.determinant(catalog(name).gram) == expected_det
+
+
+def test_build_reproduces_shipped_files(build_catalog, built, tmp_path):
+    assert sorted(built) == sorted(SHIPPED)
+    for name, (g, header) in built.items():
+        out = tmp_path / f"{name.lower()}.gram"
+        build_catalog.write_gram(out, g, header=header)
+        assert out.read_bytes() == (DATA_DIR / out.name).read_bytes()
+    assert sorted(p.name for p in DATA_DIR.glob("*.gram")) == sorted(
+        f"{name.lower()}.gram" for name in built)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_built_form_certifies_against_catalog(built, name):
+    g, _ = built[name]
+    kissing, min_norm = expectations(name)
+    assert det(g) == SHIPPED[name][0]
+    m, vecs = shortest_norm_and_vectors(g)
+    assert (m, len(vecs)) == (min_norm, kissing)
+
+
+def test_certify_raises_under_optimization(tmp_path):
+    # python -O strips assert statements: a wrong determinant or kissing
+    # number must still stop the build
+    probe = tmp_path / "probe.py"
+    probe.write_text(f"""
+import importlib.util
+import subprocess
+import sys
+from fractions import Fraction
+
+spec = importlib.util.spec_from_file_location("build_catalog",
+                                              {str(BUILD_SCRIPT)!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+a2 = module.GramMatrix.from_rows([[2, 1], [1, 2]])
+for det, kissing in ((Fraction(4), 6), (Fraction(3), 7)):
+    try:
+        module.certify("A2", a2, det, Fraction(2), kissing)
+    except Exception as exc:
+        print(exc)
+""")
+    proc = subprocess.run([sys.executable, "-O", str(probe)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["A2: determinant 3, expected 4",
+                                        "A2: kissing number 6, expected 7"]

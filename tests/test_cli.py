@@ -405,6 +405,32 @@ def test_bad_vector_header_exit_two(tmp_path, capsys, header, command):
     assert "must be positive" in err
 
 
+# each file was read as a valid input: the header as rank 10, the row as
+# (1, 0), the Gram as A2's
+_NON_ASCII_DIGITS = {
+    "rank.vecs": ("spectrum", "1_0 1 1\n1 0 0 0 0 0 0 0 0 0\n",
+                  "rank and vector count must be positive, in the digits "
+                  "0-9, got '1_0' and '1'"),
+    "count.vecs": ("spectrum", "2 +2 1\n1 0\n-1 0\n",
+                   "rank and vector count must be positive, in the digits "
+                   "0-9, got '2' and '+2'"),
+    "row.vecs": ("spectrum", "2 2 1\n١ 0\n-1 0\n",
+                 "vector coordinates must be integers: '١ 0'"),
+    "a2.gram": ("minvec", "2\n٢ 1\n1 2\n",
+                "not an exact rational: '٢'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_ASCII_DIGITS))
+def test_numbers_in_ascii_digits_only_exit_two(tmp_path, capsys, name):
+    command, text, message = _NON_ASCII_DIGITS[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    flag = "--gram-file" if name.endswith(".gram") else "--vectors"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_huge_vector_count_exit_two(tmp_path, capsys):
     # the header's count is checked against the rows read, not allocated
     vecs = tmp_path / "count.vecs"

@@ -23,7 +23,8 @@ from sphdesign.linalg import GramMatrix
 def test_parse_rational_forms():
     assert parse_rational("3") == F(3)
     assert parse_rational("-4/6") == F(-2, 3)
-    for bad in ("1.5", "1e3", "", "x", "1/0"):
+    # Fraction() itself reads "1_0" and any Unicode decimal digit
+    for bad in ("1.5", "1e3", "", "x", "1/0", "1_0", "٣", "1/２"):
         with pytest.raises(FormatError):
             parse_rational(bad)
 
@@ -111,6 +112,12 @@ def test_vector_coordinates_must_fit_int64():
     # a bad row after good ones; a count mismatch is reported first
     ("2 2 1\n1 0\n0 x\n", "vector coordinates must be integers: '0 x'"),
     ("2 3 1\n1 0\n0 x\n", "expected 3 vectors, found 2"),
+    # numbers in the ASCII digits alone, the header's rank and count unsigned
+    ("1 1 1\n١\n", "vector coordinates must be integers: '١'"),
+    ("٢ 1 1\n1 0\n", "rank and vector count must be positive, in the "
+                     "digits 0-9, got '٢' and '1'"),
+    ("1 +1 1\n1\n", "rank and vector count must be positive, in the "
+                    "digits 0-9, got '1' and '+1'"),
 ])
 def test_vector_set_hostile_rows(text, message):
     with pytest.raises(FormatError) as exc:
