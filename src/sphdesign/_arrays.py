@@ -26,12 +26,7 @@ from fractions import Fraction
 from math import inf, isqrt, nextafter, sqrt
 
 from ._numpy import np
-from .embedding import (
-    MATRIX_CAP,
-    EmbeddingError,
-    dim_harm,
-    embedded_gram,
-)
+from .embedding import EmbeddingError, dim_harm, embedded_gram
 from .enumeration import (
     I64_MAX,
     I64_SAFE,
@@ -389,6 +384,11 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
 # ---------------------------------------------------------------------------
 # embedding: the Harm_2 frame and the float coordinate export
 
+# the largest half-set exported: BW16's 2 160 points took 6.6 s on a 2-vCPU
+# VM, 85% of it in ldlt_row, and the float check alone grows as N^2 D,
+# about 3e12 flops for Leech's 98 280
+_EXPORT_MAX = 2160
+
 def harmonic_frame(vs: VectorSet) -> np.ndarray:
     """Integer Harm_2 coordinates Psi of the rows of vs.
 
@@ -428,8 +428,8 @@ def harmonic_frame(vs: VectorSet) -> np.ndarray:
     return scn * x[:, iu] * x[:, ju] - np.array(me, dtype=dtype)
 
 
-def realize_coordinates(vs: VectorSet, precision: int = 12,
-                        cap: int = MATRIX_CAP) -> list[tuple[float, ...]]:
+def realize_coordinates(vs: VectorSet,
+                        precision: int = 12) -> list[tuple[float, ...]]:
     """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
 
     Exactness lives in A (embedded_gram); this is a float export of the
@@ -442,13 +442,13 @@ def realize_coordinates(vs: VectorSet, precision: int = 12,
     column below it.  A is factored one row at a time (linalg.ldlt_row),
     each row formed only against the kept rows, at most D = dim Harm_2
     since rank A <= D; the rows after the D-th kept one are dependent and
-    form one batch.
+    form one batch.  A half-set over _EXPORT_MAX points is refused first.
     """
     half = halve_antipodal(vs)
     npts = half.count
-    if npts > cap:
+    if npts > _EXPORT_MAX:
         raise EmbeddingError(
-            f"{npts} points exceed the matrix cap {cap}; use the "
+            f"{npts} points exceed the export limit {_EXPORT_MAX}; use the "
             f"spectrum-only embedding (sphdesign embed) instead")
     dim = dim_harm(2, half.sphere_dim)
     kept, d, lam, mult = [], [1], [], []    # d[1] = A[0][0], the scale

@@ -6,6 +6,7 @@ export-coords.  Exit codes: 0 success or PASS, 1 verification FAIL,
 traceback).  All numeric output is exact rational notation
 unless --decimal is given.  Output is deterministic: the same flags
 produce byte-identical output, and --threads never changes results.
+Every setting is a flag; the CLI reads no environment variable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +29,7 @@ from .catalog import (
     from_gram_file,
 )
 from .designs import moment_target, venkov_3design
-from .embedding import MATRIX_CAP, embed
+from .embedding import embed
 from .enumeration import VectorSet, minimal_vector_set
 from .gramfile import read_vector_set, write_vector_set
 from .report import (
@@ -43,18 +43,6 @@ from .report import (
 )
 from .spectrum import pair_spectrum
 
-_THREADS_ENV = "SPHDESIGN_THREADS"
-
-
-def _default_threads() -> int:
-    """The --threads default: SPHDESIGN_THREADS read as --threads reads
-    its value, and 1 when it is unset or --threads would refuse it."""
-    try:
-        return _int_at_least(1)(os.environ.get(_THREADS_ENV, ""))
-    except argparse.ArgumentTypeError:
-        return 1
-
-
 # --decimal bounds the output: K digits per rendered number
 MAX_PLACES = 10_000
 # digits per int-to-str conversion, under the interpreter's smallest
@@ -65,9 +53,8 @@ _DIGIT_CHUNK = 600
 def _int_at_least(lo: int, hi: int | None = None):
     """Type of an int flag written in the digits 0-9 alone: --threads
     N >= 1 (a worker count), --t-max T >= 1 (a design strength),
-    --example N >= 1 (a table, then checked against its choices),
-    --matrix-cap M >= 0 (a half-set size) and --decimal K, lo <= K <= hi
-    (a count of places)."""
+    --example N >= 1 (a table, then checked against its choices) and
+    --decimal K, lo <= K <= hi (a count of places)."""
     def parse(text: str) -> int:
         digits = text.isascii() and text.isdecimal()
         # int() of a digit string past the interpreter's str-to-int limit
@@ -241,7 +228,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     spec, vs = _resolve_input(args)
     report = verify_lattice(spec, t_max=args.t_max, threads=args.threads,
-                            matrix_cap=args.matrix_cap, vectors=vs)
+                            vectors=vs)
     if args.format == "json":
         _write_or_print(json.dumps(report, indent=2), args.out)
     else:
@@ -281,8 +268,7 @@ def _cmd_export_coords(args) -> int:
     from ._arrays import realize_coordinates    # imported on first use
     spec, vs = _vector_set(args)
     precision = args.decimal
-    coords = realize_coordinates(vs, precision=precision,
-                                 cap=args.matrix_cap)
+    coords = realize_coordinates(vs, precision=precision)
     dim = len(coords[0]) if coords else 0
     lines = [f"{dim} {len(coords)}"]
     lines += [" ".join(f"{x:.{precision}f}" for x in row) for row in coords]
@@ -306,16 +292,11 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
                                                "implies the identity form"),
         "--format": dict(choices=("text", "json"), default="text"),
         "--out": dict(metavar="PATH", help="write output to a file"),
-        "--threads": dict(type=_int_at_least(1), metavar="N",
-                          default=_default_threads(),
-                          help=f"worker threads (env {_THREADS_ENV})"),
+        "--threads": dict(type=_int_at_least(1), metavar="N", default=1,
+                          help="worker threads (default 1)"),
         "--decimal": dict(type=_int_at_least(0, MAX_PLACES), metavar="K",
                           help="render decimals with K places instead of "
                                "rationals"),
-        "--matrix-cap": dict(type=_int_at_least(0), default=MATRIX_CAP,
-                             metavar="M",
-                             help="max half-set size for exact Gram-level "
-                                  f"work (default {MATRIX_CAP})"),
     }
     for flag in flags:
         p.add_argument(flag, **defs[flag])
@@ -348,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="full design certification report")
-    _add_flags(p, *_INPUT, *_REPORT, "--matrix-cap")
+    _add_flags(p, *_INPUT, *_REPORT)
     p.add_argument("--t-max", type=_int_at_least(1), default=11, metavar="T",
                    help="largest design strength to test (default 11)")
     p.set_defaults(func=_cmd_verify)
@@ -366,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-coords",
                        help="write verified unit-vector coordinates for the "
                             "embedded code")
-    _add_flags(p, *_INPUT, "--out", "--matrix-cap")
+    _add_flags(p, *_INPUT, "--out")
     p.add_argument("--decimal", type=_int_at_least(0, MAX_PLACES),
                    metavar="K", default=12,
                    help="places per coordinate, and the realization "

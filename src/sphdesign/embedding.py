@@ -115,9 +115,6 @@ def harmonic_rank(vs: VectorSet) -> int:
     return rank
 
 
-MATRIX_CAP = 512
-
-
 def embedded_gram(x_halved: VectorSet, rows, cols) -> np.ndarray:
     """Exact integer block scale * A[rows, cols] of the Gram matrix
     A = (g((x, y)))_{x, y in X'} of the half-set image; rows and cols

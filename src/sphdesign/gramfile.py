@@ -9,12 +9,14 @@ rank and N are positive and unsigned.
 
 Every number is written in the ASCII digits 0-9, with an optional sign
 where one is allowed: other Unicode digits, underscores and spaces inside
-a number are refused.
+a number are refused, and so is one past the interpreter's str-to-int
+limit (4300 digits by default), by an error naming its field.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +48,14 @@ def parse_rational(token: str) -> Fraction:
         raise FormatError(f"zero denominator: {token!r}") from None
 
 
+def _checked(token: str, field: str) -> str:
+    """token, unless int() would refuse a digit run of it, naming no field."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, token.lstrip("+-").split("/"))) > limit:
+        raise FormatError(f"{field} has more than {limit} digits")
+    return token
+
+
 def _data_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -61,7 +71,7 @@ def parse_gram(text: str) -> GramMatrix:
         raise FormatError("empty Gram file")
     if not _INT_RE.match(lines[0]):
         raise FormatError(f"first data line must be the dimension, got {lines[0]!r}")
-    n = int(lines[0])
+    n = int(_checked(lines[0], "Gram dimension"))
     if n <= 0:
         raise FormatError("dimension must be positive")
     if len(lines) != n + 1:
@@ -71,7 +81,8 @@ def parse_gram(text: str) -> GramMatrix:
         tokens = line.split()
         if len(tokens) != n:
             raise FormatError(f"expected {n} entries per row, got {len(tokens)}")
-        rows.append(tuple(parse_rational(t) for t in tokens))
+        rows.append(tuple(parse_rational(_checked(t, "Gram entry"))
+                          for t in tokens))
     return GramMatrix.from_rows(rows)
 
 
@@ -97,9 +108,10 @@ def _vector_row(line: str, rank: int) -> list[int]:
         raise FormatError(f"expected {rank} coordinates per vector")
     if not all(_INT_RE.match(t) for t in tokens):
         raise FormatError(f"vector coordinates must be integers: {line!r}")
-    vec = [int(t) for t in tokens]
-    # vector sets are stored as int64, with |x| representable too
-    if max(map(abs, vec), default=0) >= 2**63:
+    # vector sets are stored as int64, with |x| representable too: a
+    # coordinate of 20 digits or more is out of range before int() reads it
+    vec = [int(t) for t in tokens if len(t.lstrip("+-0")) < 20]
+    if len(vec) < rank or max(map(abs, vec), default=0) >= 2**63:
         raise FormatError(
             f"vector coordinate out of range (|x| < 2^63): {line!r}")
     return vec
@@ -125,8 +137,9 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
         raise FormatError(
             "rank and vector count must be positive, in the digits 0-9, "
             f"got {header[0]!r} and {header[1]!r}")
-    rank, count = int(header[0]), int(header[1])
-    min_norm = parse_rational(header[2])
+    rank = int(_checked(header[0], "rank"))
+    count = int(_checked(header[1], "vector count"))
+    min_norm = parse_rational(_checked(header[2], "min_norm"))
     if len(lines) != count + 1:
         raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")
     buf = array("q")

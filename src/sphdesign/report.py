@@ -4,8 +4,8 @@ certify() runs every stage once per lattice and returns exact quantities
 only; the embedded code is a plain PairSpectrum, whose code (D, N, a) and
 moment criterion are read as the source's are.  The verification report
 renders them, with JSON writing every rational as a "p/q" string so
-nothing is rounded on the way out.  Table reproduction compares them to
-the stored reference rows with exact equality and emits PASS/FAIL (or
+nothing is rounded on the way out; a min-norm check shows only when it
+fails.  Table reproduction compares them to the stored reference rows with exact equality and emits PASS/FAIL (or
 DATA-REQUIRED when a catalog Gram file is not shipped).
 """
 
@@ -23,12 +23,14 @@ from .designs import (
     venkov_3design,
     venkov_5design,
 )
-from .embedding import MATRIX_CAP, embed, harmonic_rank
+from .embedding import embed, harmonic_rank
 from .enumeration import VectorSet, minimal_vector_set
 from .spectrum import PairSpectrum, pair_spectrum
 
 if TYPE_CHECKING:
     from .reference_tables import ReferenceRow
+
+_RANK_LINE_MAX = 512    # the largest half-set whose report has the rank
 
 
 def code_str(ambient, size, a) -> str:
@@ -42,7 +44,7 @@ class Certificate(Record):
     kissing_ok is None when no count is expected; venkov5 is (holds,
     moment2, moment4); strength is None when not requested; embedded is
     the code on S^(D-1) and theorem its (is_3design, moment2); rank is
-    the embedded Gram rank, None over the matrix cap.
+    the embedded Gram rank, None over _RANK_LINE_MAX half-set points.
     """
 
     __slots__ = ("min_norm", "kissing_ok", "min_norm_ok", "source",
@@ -71,13 +73,12 @@ class Certificate(Record):
 
 
 def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
-            matrix_cap: int = MATRIX_CAP,
             vectors: VectorSet | None = None) -> Certificate:
     """Every stage, once: enumerate minimal vectors (unless supplied), one
     pair-spectrum pass, the source moment criteria, design strength up to
     t_max (skipped when None), the embedded spectrum folded from the same
     spectrum, its 3-design identity, and an exact rank certificate
-    when the half-set, N/2 points, fits the matrix cap.  Each stage reads
+    when the half-set has at most _RANK_LINE_MAX points.  Each stage reads
     the whole set: pair_spectrum halves an antipodal set itself, and
     harmonic_rank gives the same rank on it as on any half-set.
 
@@ -95,7 +96,7 @@ def certify(spec: LatticeSpec, t_max: int | None = 11, threads: int = 1,
     strength = None if t_max is None else design_strength(src, t_max)
     emb = embed(src)
     theorem = venkov_3design(emb)
-    rank = (None if vs.count // 2 > matrix_cap
+    rank = (None if vs.count // 2 > _RANK_LINE_MAX
             else emb.d + 1 if theorem[0] else harmonic_rank(vs))
     return Certificate(
         min_norm=vs.min_norm,
@@ -121,15 +122,13 @@ def embedded_report(emb: PairSpectrum, theorem: tuple[bool, Fraction]) -> dict:
 
 
 def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
-                   matrix_cap: int = MATRIX_CAP,
                    vectors: VectorSet | None = None) -> dict:
     """The certify pipeline on one lattice as a JSON-ready report dict.
 
     verdict is PASS only if every certified property holds; the kissing
     count is checked only when the spec expects one.
     """
-    cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=matrix_cap,
-                   vectors=vectors)
+    cert = certify(spec, t_max=t_max, threads=threads, vectors=vectors)
     d = cert.source.d
     v5, moment2, moment4 = cert.venkov5
     embedded = embedded_report(cert.embedded, cert.theorem)
@@ -143,6 +142,9 @@ def verify_lattice(spec: LatticeSpec, t_max: int = 11, threads: int = 1,
         "N": cert.source.size,
         "min_norm": str(cert.min_norm),
         "kissing_ok": cert.kissing_ok,
+        **({} if cert.min_norm_ok else {
+            "min_norm_ok": False,
+            "expected_min_norm": str(spec.expected_min_norm)}),
         "source_spectrum": cert.source.to_triples(),
         "venkov5": {
             "holds": v5,
@@ -176,9 +178,9 @@ def _reproduce_row(ref: ReferenceRow, threads: int) -> TableRow:
         spec = catalog(ref.lattice)
     except CatalogDataMissing as exc:
         return TableRow(status="DATA-REQUIRED", expected=ref, detail=str(exc))
-    # strength only where the table claims one; no rank certificate
+    # strength only where the table claims one
     t_max = None if ref.source_strength is None else ref.source_strength + 1
-    cert = certify(spec, t_max=t_max, threads=threads, matrix_cap=0)
+    cert = certify(spec, t_max=t_max, threads=threads)
     problems = []
     if not cert.venkov5[0]:
         problems.append("source moment criteria fail")
@@ -286,6 +288,9 @@ def report_text(report: dict) -> str:
     if report["kissing_ok"] is not None:
         lines.append(f"  kissing count check: "
                      f"{'ok' if report['kissing_ok'] else 'MISMATCH'}")
+    if "min_norm_ok" in report:
+        lines.append(f"  min norm check: MISMATCH "
+                     f"(expected {report['expected_min_norm']})")
     v5 = report["venkov5"]
     lines.append(
         f"  moment criteria: holds={v5['holds']} "

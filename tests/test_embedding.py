@@ -420,9 +420,13 @@ def test_realize_coordinates_halves_antipodal_input(name):
             realize_coordinates(alt)
 
 
-def test_realize_coordinates_cap(e8_vectors):
-    with pytest.raises(EmbeddingError, match="120 points exceed"):
-        realize_coordinates(e8_vectors, cap=100)
+def test_realize_coordinates_cap(monkeypatch, e8_vectors):
+    monkeypatch.setattr(_arrays, "_EXPORT_MAX", 100)
+    with pytest.raises(EmbeddingError,
+                       match="120 points exceed the export limit 100"):
+        realize_coordinates(e8_vectors)
+    monkeypatch.setattr(_arrays, "_EXPORT_MAX", 120)
+    assert len(realize_coordinates(e8_vectors)) == 240
 
 
 def test_halving_invariance_ten_seeds(d4_vectors):

@@ -492,6 +492,32 @@ def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
     assert set(rows) == {v for v in want if norms[v] == least}
 
 
+def test_float_certificate_refusals():
+    # entries past 2^64: E8 scaled by 2^70 has every D_i above it, and the
+    # sweep hands the form back to the depth-first search
+    g = _scaled(catalog("E8").gram, 2**70)
+    reduced, trans, p, lam = size_reduce(g)
+    assert _arrays.shortest_by_sweep(reduced, trans, p, lam,
+                                     F(2 * 2**70)) is None
+    # a coordinate bound X_j = isqrt(B (g^-1)_jj) of 2^31 or more, every
+    # D_i in range: diag(1, 2^-62) at B = 1 has X = (1, 2^31)
+    for k, certified in [(60, True), (62, False)]:
+        g = GramMatrix.from_rows([[1, 0], [0, F(1, 2**k)]])
+        assert _certified(g, 1) is certified, k
+
+
+def test_both_signs_maps_back_past_the_int64_product_bound():
+    # transform entries near 2^61 put the product's bound past 2^62, so the
+    # map back runs in Python ints and returns to int64 when every
+    # coordinate fits
+    half = np.array([[1, 0], [0, 1]])
+    out = _arrays._both_signs(half, [[2**61, 0], [0, -3]])
+    assert out.dtype == np.int64 and not out.flags.writeable
+    assert out.tolist() == [[-2**61, 0], [0, -3], [0, 3], [2**61, 0]]
+    with pytest.raises(EnumerationError, match="does not fit in int64"):
+        _arrays._both_signs(np.array([[2, 1]]), [[2**62, 0], [0, 1]])
+
+
 @pytest.mark.parametrize("name, chunks", [
     ("E6dual", (1, None)), ("E7dual", (1, None)), ("E8", (1, None)),
     ("CT12", (1, None)), ("BW16", (1, None))])

@@ -7,11 +7,11 @@ VectorSet.m, the gcd-reduced embedded block) replaced the Fraction ones;
 the E8 and D4 embed and E8 spectrum digests before the embedded code
 became a plain PairSpectrum; the E6dual and CT12 --decimal 6
 export-coords digests before export-coords stopped building the
-N/2 x N/2 embedded Gram block; the E8 --matrix-cap 10 digest with a
---decimal 5 that verify never read, before verify stopped accepting it.
-A refactor that changes any byte of output fails here, naming the
-command.  Regenerate the table only for an
-intended output change:
+N/2 x N/2 embedded Gram block; the E8 digest without a rank line
+(NO_RANK_LINE) as `verify --lattice E8 --matrix-cap 10 --decimal 5`,
+before verify stopped accepting --decimal and then --matrix-cap.  A
+refactor that changes any byte of output fails here, naming the
+command.  Regenerate the table only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +24,7 @@ import io
 
 import pytest
 
+from sphdesign import report
 from sphdesign.cli import main
 
 _SMALL = ("A2", "D4", "E6", "E6dual", "E7", "E7dual", "E8", "CT12")
@@ -32,7 +33,6 @@ COMMANDS = (
     [f"verify --lattice {name}" for name in _SMALL]
     + [f"verify --lattice {name} --format json" for name in _SMALL]
     + [
-        "verify --lattice E8 --matrix-cap 10",
         "embed --lattice CT12",
         "embed --lattice E8 --format json",
         "embed --lattice D4 --decimal 3",
@@ -85,8 +85,6 @@ GOLDEN = {
         '5140dea00e1f0d4e7e404137de01d048a24b6006aa3c24ef7df32bd2539bf97a',
     'verify --lattice CT12 --format json':
         '3dd776aa4b0799d6fd695279185182c27ced2a403587fe62338984cfdb85a09b',
-    'verify --lattice E8 --matrix-cap 10':
-        'f80d648be6318b1f7dba5197443aa57a36a75b8991bca45ea7fd546007f73b7f',
     'embed --lattice CT12':
         '95973c333d93b7f0a9ff428b3a6ffc91535446df16fdc5faa62527654f13ca09',
     'embed --lattice E8 --format json':
@@ -150,6 +148,18 @@ def test_golden_transcript(command):
         f"output of `sphdesign {command}` changed"
 
 
+# verify --lattice E8 with the rank line limited to half-sets of 10 points,
+# so that E8's 120-point half-set prints none
+NO_RANK_LINE = ("verify --lattice E8", 10,
+                "f80d648be6318b1f7dba5197443aa57a36a75b8991bca45ea7fd546007f73b7f")
+
+
+def test_golden_transcript_without_rank_line(monkeypatch):
+    command, limit, digest = NO_RANK_LINE
+    monkeypatch.setattr(report, "_RANK_LINE_MAX", limit)
+    assert transcript_digest(command) == digest
+
+
 @pytest.mark.parametrize("name", sorted(VECTOR_FILES))
 def test_golden_vector_file(name, tmp_path):
     out = tmp_path / f"{name}.vecs"
@@ -163,3 +173,5 @@ if __name__ == "__main__":
     for command in COMMANDS:
         print(f"    {command!r}:\n        {transcript_digest(command)!r},")
     print("}")
+    command, report._RANK_LINE_MAX, _ = NO_RANK_LINE
+    print(f"NO_RANK_LINE: {transcript_digest(command)!r}")

@@ -73,10 +73,15 @@ def test_certify_never_builds_the_half_set_block(monkeypatch):
     assert cert.passed
 
 
-def test_verify_skips_rank_over_cap():
-    rep = verify_lattice(catalog("E6"), matrix_cap=10)
-    assert "rank_certificate" not in rep["embedded"]
-    assert rep["verdict"] == "PASS"
+def test_verify_skips_rank_over_cap(monkeypatch):
+    # E6's half-set has 36 points: the report carries the rank exactly
+    # when that is within the limit
+    for limit, rank in [(10, None), (35, None), (36, 20)]:
+        monkeypatch.setattr(report, "_RANK_LINE_MAX", limit)
+        rep = verify_lattice(catalog("E6"))
+        assert rep["embedded"].get("rank_certificate") == (
+            None if rank is None else {"is_psd": True, "rank": rank})
+        assert rep["verdict"] == "PASS"
 
 
 def test_verify_supplied_vectors(octahedron):
