@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import inf, isqrt, nextafter, sqrt
 
 from ._numpy import np
-from .embedding import EmbeddingError, dim_harm, embedded_gram
+from .embedding import EmbeddingError, embedded_gram
 from .enumeration import (
     I64_MAX,
     I64_SAFE,
@@ -36,14 +36,14 @@ from .enumeration import (
     exact_norms,
     halve_antipodal,
 )
-from .linalg import GramMatrix, invert, ldlt_row
+from .linalg import GramMatrix, invert, ldlt
 
 
 # ---------------------------------------------------------------------------
 # enumeration: the breadth-first sweep
 
 # frontier rows expanded at once: a piece of parents with more than
-# 2 _CHUNK children is split where the count passes multiples of _CHUNK.
+# 2 _CHUNK children is split where the count crosses each k _CHUNK.
 # On Leech, minimal_vector_set took 1.2-1.3 s and 159-166 MB peak RSS at
 # 2^14, against 1.3 s and 177 MB at 2^12 and 2.1 s and 160 MB at 2^16
 _CHUNK = 2**14
@@ -150,7 +150,7 @@ def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
     Breadth-first in float64: each level fixes x_i for every live row of a
     piece at once, with cert = (X, eta, eps) from _float_certificate (a
     form it refuses runs _depth_first instead): the interval is widened
-    outward by eta_i and clipped to [-X_i, X_i], and a child is kept while
+    outward by eta_i and clipped to [-X_i, X_i], and a child survives while
     its partial sum is at most the bound plus eps.  Pieces wait on a
     stack, so the sweep is depth-first over pieces and holds only the
     pieces not yet expanded.  The sign rule keeps x_i >= 0 while every
@@ -175,9 +175,9 @@ def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
         counts = np.maximum(hi - lo + 1, 0)
         ends = np.cumsum(counts)
         if len(x) > 1 and ends[-1] > 2 * _CHUNK:
-            # split the parents where the children count passes a multiple
-            # of _CHUNK (else in half), into at least two pieces that are
-            # expanded when popped, the first one first
+            # split the parents where the children count crosses k _CHUNK
+            # for an integer k (else in half), into at least two pieces
+            # that are expanded when popped, the first one first
             cuts = np.flatnonzero(np.diff((ends - counts) // _CHUNK)) + 1
             cuts = [0, *(cuts.tolist() or [len(x) // 2]), len(x)]
             stack += [(i, x[a:b], t[a:b], nonzero[a:b])
@@ -248,7 +248,7 @@ def _both_signs(half: np.ndarray, trans: list[list[int]]) -> np.ndarray:
 # spectrum: the blocked pair count
 
 # rows per product block: a float32 block, its int64 bin indices and the
-# row and column stripes it multiplies stay inside a core's L2 cache
+# row and column stripes it pairs stay inside a core's L2 cache
 _BLOCK = 256
 # row stripes per worker: np.bincount holds the interpreter lock, so a
 # second worker pays only from 64 stripes on and below that just adds its
@@ -384,9 +384,9 @@ def _hist_blocks(a: np.ndarray, v: np.ndarray, off: int,
 # ---------------------------------------------------------------------------
 # embedding: the Harm_2 frame and the float coordinate export
 
-# the largest half-set exported: BW16's 2 160 points took 6.6 s on a 2-vCPU
-# VM, 85% of it in ldlt_row, and the float check alone grows as N^2 D,
-# about 3e12 flops for Leech's 98 280
+# the largest half-set exported: the float check against the exact A grows
+# as N^2 D, about 3e12 flops for Leech's 98 280; BW16's 2 160 points take
+# 0.8 s on a 2-vCPU VM
 _EXPORT_MAX = 2160
 
 def harmonic_frame(vs: VectorSet) -> np.ndarray:
@@ -401,9 +401,11 @@ def harmonic_frame(vs: VectorSet) -> np.ndarray:
     take <S, T> = tr(cG S cG T).  Because x^T (cG) x = m for every row,
         <Psi_x, Psi_y> = s^2 c^2 n (n - 1) m^2 g(P_xy / m),
     with P = V (cG) V^T the integer products and g the normalized
-    degree-2 Gegenbauer polynomial: a positive multiple of the embedded
-    Gram matrix A (embedded_gram), entrywise.  Every Psi_x has
-    tr(cG Psi_x) = 0, so rank Psi <= n(n+1)/2 - 1 = dim Harm_2.
+    degree-2 Gegenbauer polynomial: the embedded Gram matrix A
+    (embedded_gram) times a positive constant, entrywise.  Every Psi_x has
+    tr(cG Psi_x) = 0, so rank Psi <= n(n+1)/2 - 1 = dim Harm_2.  With
+    cG = R^T R, R Psi_x R^T = s c n (y y^T - (m/n) I), y = R x: the export
+    (realize_coordinates) is R Psi_x R^T up to scale.
 
     Psi is int64 when s c n max|x|^2 + m max|E| < 2**62 proves every
     entry and every intermediate in range, else Python ints (object
@@ -432,17 +434,18 @@ def realize_coordinates(vs: VectorSet,
                         precision: int = 12) -> list[tuple[float, ...]]:
     """Unit vectors in R^D reproducing the embedded Gram to 10^-precision.
 
-    Exactness lives in A (embedded_gram); this is a float export of the
-    rows of its unpivoted LDL^T scaled by sqrt(D), checked against the
-    exact products on blocks of at most D columns.  Rows are the images of
-    the canonical half X' of the antipodal vs (enumeration.halve_antipodal,
-    which refuses any other set) followed by their negatives, the rows
-    LDL^T of [[A, -A], [-A, A]] gives.  cG is positive
-    definite, so A is PSD (harmonic_rank) and a zero pivot has a zero
-    column below it.  A is factored one row at a time (linalg.ldlt_row),
-    each row formed only against the kept rows, at most D = dim Harm_2
-    since rank A <= D; the rows after the D-th kept one are dependent and
-    form one batch.  A half-set over _EXPORT_MAX points is refused first.
+    Rows are the Harm_2 images G_x of the canonical half X' of the
+    antipodal vs (enumeration.halve_antipodal refuses any other set),
+    then their negatives.  With cG = R^T R and y = R x (|y|^2 = m), G_x is
+    the traceless part of y y^T over its norm m sqrt((n - 1)/n), written
+    in an orthonormal basis of the symmetric matrices: the n - 1 Helmert
+    coordinates of the diagonal, then sqrt(2) y_i y_j for i < j in
+    numpy.triu_indices(n, 1) order; <G_x, G_y> is A's entry g((x, y)).
+    y_k is the exact integer p_k (L^T x)_k (linalg.ldlt of cG) over p_k,
+    times sqrt(p_k / p_(k-1)).  Every coordinate comes from elementwise
+    float operations, not a BLAS product, so it does not depend on the
+    BLAS; the check against the exact A (embedded_gram), on blocks of at
+    most D columns, does.  A half-set over _EXPORT_MAX points is refused.
     """
     half = halve_antipodal(vs)
     npts = half.count
@@ -450,34 +453,25 @@ def realize_coordinates(vs: VectorSet,
         raise EmbeddingError(
             f"{npts} points exceed the export limit {_EXPORT_MAX}; use the "
             f"spectrum-only embedding (sphdesign embed) instead")
-    dim = dim_harm(2, half.sphere_dim)
-    kept, d, lam, mult = [], [1], [], []    # d[1] = A[0][0], the scale
-    while len(mult) < npts and len(kept) < dim:
-        i = len(mult)
-        a = embedded_gram(half, [i], kept + [i])[0].tolist()
-        *u, pivot = ldlt_row(a, lam, d)
-        mult.append(u)
-        if pivot:
-            kept.append(i)
-            d.append(pivot)
-            lam.append(u)
-    if len(mult) < npts:
-        rest = embedded_gram(half, np.arange(len(mult), npts), kept)
-        *u, pivot = ldlt_row([*rest.astype(object).T, d[1]], lam, d)
-        if any(pivot):
-            raise EmbeddingError("rank factorization wider than dim Harm")
-        mult += np.array(u).T.tolist()
-    # L[i][s] = u[s] / d[s + 1] and D[s] = d[s + 1] / (d[s] d[1]); these
-    # rationals, and so the floats, do not depend on the scale of A
-    top = np.zeros((npts, dim))
-    for i, u in enumerate(mult):
-        top[i, :len(u)] = [x / p for x, p in zip(u, d[1:])]
-    top[kept, range(len(kept))] = 1.0
-    top[:, :len(kept)] *= [sqrt(p / (q * d[1])) for q, p in zip(d, d[1:])]
-    err = 0.0
+    # the diagonal entry of scale * A; embedded_gram refuses a set on S^0
+    scale = embedded_gram(half, [0], [0])[0, 0] if npts else 1
+    n, m = half.rank, half.m
+    p, lam = ldlt(half.gram.entries)
+    # p_k on the diagonal and lam[i][k] below it: x @ it is p_k (L^T x)_k
+    low = [[lam[i][k] if k < i else p[k] if k == i else 0 for k in range(n)]
+           for i in range(n)]
+    y = (exact_matmul(half.array, low).astype(object)
+         / np.array(p, dtype=object)).astype(float)
+    y *= np.sqrt([a / b for a, b in zip(p, [1, *p])])
+    z, k = y * y, np.arange(1, n)
+    diag = (np.cumsum(z, axis=1)[:, :-1] - k * z[:, 1:]) / np.sqrt(k * k + k)
+    iu, ju = np.triu_indices(n, 1)
+    top = (np.hstack([diag, sqrt(2) * y[:, iu] * y[:, ju]])
+           / (m * sqrt((n - 1) / n)))
+    dim, err = top.shape[1], 0.0
     for j in range(0, npts, dim):
         cols = np.arange(j, min(j + dim, npts))
-        want = embedded_gram(half, slice(None), cols) / d[1]
+        want = embedded_gram(half, slice(None), cols) / scale
         err = max(err, float(np.abs(top @ top[cols].T - want).max()))
     if err > 10.0 ** (-precision):
         raise EmbeddingError(

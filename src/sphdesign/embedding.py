@@ -20,13 +20,13 @@ coordinates in the (n(n+1)/2)-dimensional space of symmetric matrices
 (_arrays.harmonic_frame), so the rank of A is that of an
 (n(n+1)/2)-square integer matrix, whatever N is; A is PSD as cG is
 positive definite.  The float coordinates of export-coords
-(_arrays.realize_coordinates) factor A of the canonical half-set one row
-at a time, forming its exact entries (embedded_gram) only against the at
-most D rows kept as pivots, never as the N/2 x N/2 block.  These read
-the rows as an int64 array (VectorSet.array), built once from a set held
-as Python ints; the frame and the export live in sphdesign._arrays,
-imported on first use.  embed, which reads the spectrum alone, is the
-only part of this module a small lattice's verify runs.
+(_arrays.realize_coordinates) are the G_x themselves, written in an
+orthonormal basis from the LDL^T of cG and checked against the exact A
+(embedded_gram).  These read the rows as an int64 array
+(VectorSet.array), built once from a set held as Python ints; the frame
+and the export live in sphdesign._arrays, imported on first use.  embed,
+which reads the spectrum alone, is the only part of this module a small
+lattice's verify runs.
 """
 
 from __future__ import annotations

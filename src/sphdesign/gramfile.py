@@ -101,20 +101,26 @@ def write_gram(path: str | Path, g: GramMatrix, header: str | None = None) -> No
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _vector_row(line: str, rank: int) -> list[int]:
-    """The rank integers of one stripped data line, with the file's checks."""
+def _vector_row(line: str, rank: int, index: int) -> list[int]:
+    """The rank integers of one stripped data line, vector index (from 1),
+    with the file's checks.  An error names the vector and the coordinate,
+    and quotes the token when its repr has at most 42 characters (up to 40
+    printable ones), else gives its length."""
     tokens = line.split()
     if len(tokens) != rank:
         raise FormatError(f"expected {rank} coordinates per vector")
-    if not all(_INT_RE.match(t) for t in tokens):
-        raise FormatError(f"vector coordinates must be integers: {line!r}")
     # vector sets are stored as int64, with |x| representable too: a
     # coordinate of 20 digits or more is out of range before int() reads it
-    vec = [int(t) for t in tokens if len(t.lstrip("+-0")) < 20]
-    if len(vec) < rank or max(map(abs, vec), default=0) >= 2**63:
-        raise FormatError(
-            f"vector coordinate out of range (|x| < 2^63): {line!r}")
-    return vec
+    for what, ok in (("vector coordinates must be integers", _INT_RE.match),
+                     ("vector coordinate out of range (|x| < 2^63)",
+                      lambda t: len(t.lstrip("+-0")) < 20
+                      and abs(int(t)) < 2**63)):
+        for j, t in enumerate(tokens, 1):
+            if not ok(t):
+                q = repr(t) if len(repr(t)) <= 42 else f"{len(t)} characters"
+                raise FormatError(f"{what}: {q} at vector {index}, "
+                                  f"coordinate {j}")
+    return [int(t) for t in tokens]
 
 
 def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
@@ -150,8 +156,8 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
             ints = np.fromstring(" ".join(batch), dtype=np.int64, sep=" ")
             buf.frombytes(ints.tobytes())
         else:
-            for line in batch:
-                buf.extend(_vector_row(line, rank))
+            for k, line in enumerate(batch, i):
+                buf.extend(_vector_row(line, rank, k))
     vectors = np.frombuffer(buf, np.int64).reshape(count, rank)
     return rank, count, min_norm, vectors
 

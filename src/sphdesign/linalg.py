@@ -5,10 +5,10 @@ with c the smallest scale clearing its denominators; Fraction appears
 only where rationals come in (from_rows) or a single entry is read out.
 There is one symmetric elimination, the fraction-free (Bareiss) LDL^T,
 one row at a time (ldlt_row): ldlt, for the positive-definiteness check
-every GramMatrix passes, psd_rank, the integral LLL (which leaves the
-Fincke-Pohst level data) and the float coordinate export all run it.
-invert runs the fraction-free Gauss-Jordan.  No rounding; floating point
-never enters this module.
+every GramMatrix passes and the frame of the float coordinate export,
+psd_rank and the integral LLL (which leaves the Fincke-Pohst level data)
+all run it.  invert runs the fraction-free Gauss-Jordan.  No rounding;
+floating point never enters this module.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def ldlt_row(a, lam, d) -> list:
     lam[j] that row's multipliers and d[j + 1] its pivot (d[0] = 1); the
     last entry of a is the row's diagonal.  Returns the row's multipliers
     and, last, its pivot, zero when the row depends on the kept rows of a
-    PSD matrix.  Entries may be object arrays, one per row of a batch.
+    PSD matrix.
     """
     u = []
     for x, v in zip(a, [*lam[:len(a) - 1], u]):
@@ -136,11 +136,10 @@ def psd_rank(a: Sequence[Sequence[int]]) -> int:
     integer matrix.
 
     Raises LinalgError unless a is square and symmetric.  Each row is
-    eliminated against the rows kept so far (ldlt_row), the loop of
-    _arrays.realize_coordinates: a row of a PSD matrix with a zero
-    pivot depends on the kept rows, so the rank is the number of rows
-    kept.  A caller keeps the Bareiss minors small by dividing a by the
-    gcd of its entries first, which does not change the rank.  The
+    eliminated against the rows kept so far (ldlt_row): a row of a PSD
+    matrix with a zero pivot depends on the kept rows, so the rank is the
+    number of rows kept.  A caller keeps the Bareiss minors small by
+    dividing a by the gcd of its entries first, which keeps the rank.  The
     embedded rank certificate (embedding.harmonic_rank) calls it once, on
     the gcd-reduced Psi^T Psi of the Harm_2 coordinates of a rank-n
     lattice, of side n(n+1)/2.

@@ -69,6 +69,22 @@ def matmul(a, b):
     )
 
 
+def congruent(u, g: GramMatrix) -> GramMatrix:
+    """U g U^T, exact."""
+    return GramMatrix(g.scale, matmul(matmul(u, g.entries), list(zip(*u))))
+
+
+def random_unimodular(n: int, rng: random.Random, ops: int):
+    """P E_ops ... E_1 with E = I +- e_i e_j^T and P a permutation."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
 def quadratic_form(g: GramMatrix, v) -> Fraction:
     """v^T g v, exact."""
     rows = g.entries

@@ -4,9 +4,10 @@ coordinate realization."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, gcd, lcm, sqrt
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from sphdesign import _arrays
 from sphdesign._arrays import harmonic_frame, realize_coordinates
+from sphdesign.catalog import catalog
 from sphdesign.designs import moment_target, venkov_3design
 from sphdesign.embedding import (
     EmbeddingError,
@@ -29,18 +31,21 @@ from sphdesign.enumeration import (
     VectorSet,
     exact_matmul,
     halve_antipodal,
+    minimal_vector_set,
 )
 from sphdesign.linalg import GramMatrix, PivotError, invert, psd_rank
 from sphdesign.spectrum import SpectrumError, pair_spectrum
 
 from conftest import (
     as_tuples,
+    congruent,
     embedded_block,
     gegenbauer,
     harmonic_gram,
     lattice_vectors,
     mirror,
     random_half,
+    random_unimodular,
     reference_ldlt,
     spectrum_from_counts,
 )
@@ -446,45 +451,77 @@ def test_realize_coordinates_hexagon_exact_products():
     assert vals == {-1.0, -0.5, 0.5, 1.0}
 
 
+def _cholesky_y(half: VectorSet) -> np.ndarray:
+    """y = x L for cG = L L^T (numpy.linalg.cholesky)."""
+    return half.array @ np.linalg.cholesky(np.array(half.gram.entries, float))
+
+
+def _exact_y(half: VectorSet) -> np.ndarray:
+    """y_k = sqrt(D_k) (L^T x)_k for cG = L D L^T (the Fraction LDL^T),
+    each (L^T x)_k exact before it is rounded.  A skewed basis has
+    ill-conditioned cG (about 2e8 for a 12-move skew of A2), where the
+    float Cholesky above is itself off by up to 5e-9."""
+    L, D = reference_ldlt(half.gram.entries)
+    n = half.rank
+    return np.array([[float(sum(L[i][k] * x[i] for i in range(n)))
+                      * float(D[k]) ** 0.5 for k in range(n)]
+                     for x in half.array.tolist()])
+
+
+def _oracle_export(vs: VectorSet, factor) -> np.ndarray:
+    """The export from its definition: the traceless part of y y^T, y from
+    factor(half), in the orthonormal basis of Helmert columns for the
+    diagonal and sqrt(2) y_i y_j (i < j) off it, over m sqrt((n - 1)/n);
+    then the negated half."""
+    half = halve_antipodal(vs)
+    n, m = half.rank, half.m
+    y = factor(half)
+    helmert = np.zeros((n, n - 1))
+    for k in range(1, n):
+        helmert[:k + 1, k - 1] = [1] * k + [-k]
+        helmert[:, k - 1] /= np.sqrt(k * (k + 1))
+    iu, ju = np.triu_indices(n, 1)
+    top = np.hstack([(y * y) @ helmert, np.sqrt(2) * y[:, iu] * y[:, ju]])
+    top /= m * np.sqrt((n - 1) / n)
+    return np.vstack([top, -top])
+
+
+def _assert_oracle_export(vs: VectorSet, factor) -> None:
+    got = np.array(realize_coordinates(vs))
+    assert got.shape == (vs.count, dim_harm(2, vs.sphere_dim))
+    assert np.abs(got - _oracle_export(vs, factor)).max() < 1e-12
+
+
 @pytest.mark.parametrize("name", ["A2", "D4", "E6dual"])
-def test_realize_coordinates_equal_mirrored_ldlt(name):
-    # rows of LDL^T of [[A, -A], [-A, A]], scaled by sqrt(D): the bottom
-    # half is the negated top half and the pivots after A's are zero
-    half = halve_antipodal(lattice_vectors(name))
-    block = embedded_block(half)
-    L, D = reference_ldlt(_mirrored(block))
-    # the pivots of A = block / scale are D[j] / scale; the zero ones are
-    # skipped
-    roots = {j: sqrt(x / block[0][0]) for j, x in enumerate(D) if x}
-    want = [tuple([float(L[i][j]) * r for j, r in roots.items()]
-                  + [0.0] * (dim_harm(2, half.sphere_dim) - len(roots)))
-            for i in range(len(D))]
-    got = realize_coordinates(lattice_vectors(name))
-    assert [[x.hex() for x in row] for row in got] == \
-        [[x.hex() for x in row] for row in want]
+def test_realize_coordinates_equal_cholesky_oracle(name):
+    _assert_oracle_export(lattice_vectors(name), _cholesky_y)
+    _assert_oracle_export(lattice_vectors(name), _exact_y)
+
+
+@given(st.sampled_from(["A2", "D4", "E6dual"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_realize_coordinates_skewed_equal_oracle(name, seed):
+    # the same lattice in a unimodular skew of its catalog basis
+    g = catalog(name).gram
+    u = random_unimodular(g.n, random.Random(seed), 6 * g.n)
+    _assert_oracle_export(minimal_vector_set(congruent(u, g)), _exact_y)
 
 
 def test_realize_coordinates_blocks_at_most_dim_harm_wide(monkeypatch):
-    # A is formed and factored only against the kept rows, at most
-    # D = dim Harm_2 of them: no block the export builds (embedded_gram)
-    # or factors (ldlt_row, whose last entry is the diagonal) is wider
+    # the check forms the exact A (embedded_gram) in column blocks of at
+    # most D = dim Harm_2, never as the N/2 x N/2 block
     vs = lattice_vectors("CT12")
     dim = dim_harm(2, vs.sphere_dim)
     want = realize_coordinates(vs)
     widths = []
-    real_gram, real_row = _arrays.embedded_gram, _arrays.ldlt_row
+    real_gram = _arrays.embedded_gram
 
     def gram(h, rows, cols):
         block = real_gram(h, rows, cols)
         widths.append(block.shape[1])
         return block
 
-    def row(a, lam, d):
-        widths.append(len(a) - 1)
-        return real_row(a, lam, d)
-
     monkeypatch.setattr(_arrays, "embedded_gram", gram)
-    monkeypatch.setattr(_arrays, "ldlt_row", row)
     assert realize_coordinates(vs) == want
     assert max(widths) == dim == 77
 

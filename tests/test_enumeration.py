@@ -34,10 +34,11 @@ from sphdesign.linalg import GramMatrix, PivotError, invert, ldlt
 from conftest import (
     as_tuples,
     certified_sweep,
+    congruent,
     enumerate_short_vectors,
-    matmul,
     quadratic_form,
     random_half,
+    random_unimodular,
     union_with_negation,
 )
 
@@ -133,11 +134,6 @@ def _det(rows) -> F:
     return det
 
 
-def _congruent(u, g: GramMatrix) -> GramMatrix:
-    """U g U^T, exact."""
-    return GramMatrix(g.scale, matmul(matmul(u, g.entries), list(zip(*u))))
-
-
 def assert_lll_reduced(g: GramMatrix) -> None:
     """Every |mu_ij| <= 1/2 and the Lovasz condition with delta = 3/4."""
     mu, bstar = _gso(g)
@@ -159,17 +155,6 @@ def test_size_reduce_preserves_form():
     assert_lll_reduced(red)
 
 
-def _random_unimodular(n: int, rng: random.Random, ops: int):
-    """P E_ops ... E_1 with E = I +- e_i e_j^T and P a permutation."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(ops):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    rng.shuffle(u)
-    return u
-
-
 @st.composite
 def _lll_inputs(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -179,8 +164,8 @@ def _lll_inputs(draw):
     g = GramMatrix.from_rows(rows)
     if n > 1:
         rng = random.Random(draw(st.integers(0, 2**32)))
-        u = _random_unimodular(n, rng, draw(st.integers(0, 12)))
-        g = _congruent(u, g)
+        u = random_unimodular(n, rng, draw(st.integers(0, 12)))
+        g = congruent(u, g)
     den = draw(st.sampled_from([1, 3, 12]))
     return GramMatrix.from_rows([[F(x, den) for x in row] for row in g.entries])
 
@@ -190,7 +175,7 @@ def _lll_inputs(draw):
 def test_lll_properties(g):
     red, t, _, _ = size_reduce(g)
     assert red.scale == g.scale
-    assert _congruent(t, g) == red
+    assert congruent(t, g) == red
     assert abs(_det(t)) == 1
     assert_lll_reduced(red)
 
@@ -247,7 +232,7 @@ def test_shortest_vectors_from_reduced_basis(monkeypatch):
     # at the reduced bound
     u = [[49, 50], [48, 49]]
     assert abs(_det(u)) == 1
-    g = _congruent(u, A2)
+    g = congruent(u, A2)
     assert min(g[0, 0], g[1, 1]) > 5000
     reductions, bounds = [], []
     real_reduce, real_fp = enumeration.size_reduce, _arrays._fincke_pohst
@@ -272,8 +257,8 @@ def test_shortest_vectors_from_reduced_basis(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_minimal_vectors_skew_invariant(name, seed):
     g = catalog(name).gram
-    u = _random_unimodular(g.n, random.Random(seed), 6 * g.n)
-    skewed = minimal_vector_set(_congruent(u, g))
+    u = random_unimodular(g.n, random.Random(seed), 6 * g.n)
+    skewed = minimal_vector_set(congruent(u, g))
     back = skewed.coords @ np.array(u, dtype=np.int64)
     back = back[np.lexsort(back.T[::-1])]
     assert np.array_equal(back, minimal_vector_set(g).coords)
@@ -455,7 +440,7 @@ def _skewed_cases(draw):
     g = GramMatrix.from_rows(rows)
     if n > 1:
         rng = random.Random(draw(st.integers(0, 2**32)))
-        g = _congruent(_random_unimodular(n, rng, draw(st.integers(0, 6))), g)
+        g = congruent(random_unimodular(n, rng, draw(st.integers(0, 6))), g)
     den = draw(st.sampled_from([1, 3, 7, 12]))
     g = GramMatrix.from_rows([[F(x, den) for x in row] for row in g.entries])
     bound = g[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))]

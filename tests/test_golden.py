@@ -1,13 +1,14 @@
 """Golden CLI transcripts: exit code, stdout and stderr of a fixed set of
 commands, pinned by sha256.
 
-The verify, reproduce, export-coords and CT12 digests were taken from the
-program before the integer Gram forms (GramMatrix as (scale, entries),
+The verify, reproduce and CT12 digests were taken from the program
+before the integer Gram forms (GramMatrix as (scale, entries),
 VectorSet.m, the gcd-reduced embedded block) replaced the Fraction ones;
 the E8 and D4 embed and E8 spectrum digests before the embedded code
-became a plain PairSpectrum; the E6dual and CT12 --decimal 6
-export-coords digests before export-coords stopped building the
-N/2 x N/2 embedded Gram block; the E8 digest without a rank line
+became a plain PairSpectrum; the seven export-coords digests when
+export-coords began writing each point's Harm_2 image in an orthonormal
+basis, in place of rows of an LDL^T of the embedded Gram (a deliberate
+change of the exported frame); the E8 digest without a rank line
 (NO_RANK_LINE) as `verify --lattice E8 --matrix-cap 10 --decimal 5`,
 before verify stopped accepting --decimal and then --matrix-cap.  A
 refactor that changes any byte of output fails here, naming the
@@ -104,19 +105,19 @@ GOLDEN = {
     'reproduce --example 2 --format json':
         'ea28702b9c3f47c216ec524722926aa8517442b4d180e0d39f8d1672a560f0aa',
     'export-coords --lattice A2':
-        'e32b229ec21a36597d8bf41bb9e41f734a79cbfe44374b7c1aba7e87e2a008f1',
+        '2c49d83bc9520f3ccf1d1a5777a64f8e7cb4fb6cd064e9caad7599c5af6e9c7f',
     'export-coords --lattice D4':
-        'c6166eb594844fdfde9984a77b7736d2710fabc740e0b4d1298a65478e338855',
+        'bbf5c6cd5bcd7834375140e6034e395871853821e4c88e976320adb4ff903d9c',
     'export-coords --lattice E8':
-        'fdfcde57de8b35f0492fecef4100c51b58b5839b070ecf1a76b7adb9d0b3b56c',
+        '82adfe25a480168a0226cf442a05cc46f7060280c5cb3a0fd3686810b4e4a17d',
     'export-coords --lattice CT12':
-        'bd964a84e119a0e10a223b0b8218f8549bf4725cdbe420407ed3866097508cc8',
+        'ecc9c7e890444cd5d63189e72a26c8bf901f71ee0d6ed63e2dee92677124d4b6',
     'export-coords --lattice E8 --decimal 9':
-        '4e27b648cff1a87cadd4ceb1eb202f3eda680036b46bde7fb9dad8c3bbf33681',
+        '3e5846aea617c5f1796591b8b0fa779704a045ca07f74fb14688713f786c9cf1',
     'export-coords --lattice E6dual':
-        'd38d3ba946867910c646640e1d70ad940908ef42d7a3f47178888098fbc4f408',
+        'f15b84114c5ef455ae479ea27180e4cc6c19b35aab745e02d98c6132b8ccf27d',
     'export-coords --lattice CT12 --decimal 6':
-        '83f445dbc8a213dd4cfaaad08e7268f235642a9bd2d23401ba46d3b0f6781617',
+        'a4efe61b88890d475c5237045a25597e85f151e63503c6a0e10a011532779026',
 }
 
 

@@ -97,23 +97,27 @@ def test_vector_coordinates_must_fit_int64():
             parse_vector_set(f"1 1 1\n{x}\n")
 
 
+_AT_1_1 = " at vector 1, coordinate 1"
+
+
 @pytest.mark.parametrize("text, message", [
-    ("1 1 1\n1.0\n", "vector coordinates must be integers: '1.0'"),
-    ("1 1 1\n0x1\n", "vector coordinates must be integers: '0x1'"),
-    ("1 1 1\n1_0\n", "vector coordinates must be integers: '1_0'"),
-    ("1 1 1\n--1\n", "vector coordinates must be integers: '--1'"),
-    ("1 1 1\n-\n", "vector coordinates must be integers: '-'"),
+    ("1 1 1\n1.0\n", "vector coordinates must be integers: '1.0'" + _AT_1_1),
+    ("1 1 1\n0x1\n", "vector coordinates must be integers: '0x1'" + _AT_1_1),
+    ("1 1 1\n1_0\n", "vector coordinates must be integers: '1_0'" + _AT_1_1),
+    ("1 1 1\n--1\n", "vector coordinates must be integers: '--1'" + _AT_1_1),
+    ("1 1 1\n-\n", "vector coordinates must be integers: '-'" + _AT_1_1),
     ("2 1 1\n1\n", "expected 2 coordinates per vector"),
     ("2 1 1\n1 0 0\n", "expected 2 coordinates per vector"),
     (f"1 1 1\n{2 ** 63}\n",
-     f"vector coordinate out of range (|x| < 2^63): '{2 ** 63}'"),
+     f"vector coordinate out of range (|x| < 2^63): '{2 ** 63}'" + _AT_1_1),
     (f"1 1 1\n{-2 ** 63}\n",
-     f"vector coordinate out of range (|x| < 2^63): '{-2 ** 63}'"),
+     f"vector coordinate out of range (|x| < 2^63): '{-2 ** 63}'" + _AT_1_1),
     # a bad row after good ones; a count mismatch is reported first
-    ("2 2 1\n1 0\n0 x\n", "vector coordinates must be integers: '0 x'"),
+    ("2 2 1\n1 0\n0 x\n", "vector coordinates must be integers: 'x' at "
+                          "vector 2, coordinate 2"),
     ("2 3 1\n1 0\n0 x\n", "expected 3 vectors, found 2"),
     # numbers in the ASCII digits alone, the header's rank and count unsigned
-    ("1 1 1\n١\n", "vector coordinates must be integers: '١'"),
+    ("1 1 1\n١\n", "vector coordinates must be integers: '١'" + _AT_1_1),
     ("٢ 1 1\n1 0\n", "rank and vector count must be positive, in the "
                      "digits 0-9, got '٢' and '1'"),
     ("1 +1 1\n1\n", "rank and vector count must be positive, in the "
@@ -123,6 +127,21 @@ def test_vector_set_hostile_rows(text, message):
     with pytest.raises(FormatError) as exc:
         parse_vector_set(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("x" * 40, repr("x" * 40)),
+    ("x" * 41, "41 characters"),
+    ("\0" * 30, "30 characters"),      # its quoted form has 122
+    ("1" * 5000, "5000 characters"),
+])
+def test_vector_row_error_quotes_short_tokens_only(token, shown):
+    # the error names the vector and the coordinate; a token is quoted only
+    # up to 40 characters, so no such message reaches 200
+    with pytest.raises(FormatError) as exc:
+        parse_vector_set(f"2 2 1\n1 0\n0 {token}\n")
+    assert str(exc.value).endswith(f": {shown} at vector 2, coordinate 2")
+    assert len(str(exc.value)) < 200
 
 
 def test_vector_set_long_and_padded_integers():
@@ -146,7 +165,8 @@ def test_vector_set_slice_read_line_by_line():
     rows[1899] = "1899 x"
     with pytest.raises(FormatError) as exc:
         parse_vector_set("2 2000 1\n" + "\n".join(rows) + "\n")
-    assert str(exc.value) == "vector coordinates must be integers: '1899 x'"
+    assert str(exc.value) == ("vector coordinates must be integers: 'x' at "
+                              "vector 1900, coordinate 2")
     # ... unless the vector count disagrees with the header
     with pytest.raises(FormatError) as exc:
         parse_vector_set("2 2001 1\n" + "\n".join(rows) + "\n")
