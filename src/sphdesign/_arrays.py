@@ -4,10 +4,10 @@ The parts of the pipeline that only an input held as numpy arrays
 reaches live here, so a command on a small lattice, whose rows stay
 Python ints, neither compiles nor loads them:
 
-- enumeration's breadth-first sweep (shortest_by_sweep: the float
-  certificate _float_certificate, the sweep _fincke_pohst, and
-  _both_signs, which maps the rows found back to input coordinates),
-  run from _SCALAR_NODES estimated search nodes on;
+- enumeration's breadth-first sweep (shortest_by_sweep: its set-up
+  _sweep_levels, which certifies float64 for the form, the sweep
+  _fincke_pohst, and _both_signs, which maps the rows found back to input
+  coordinates), run from _SCALAR_NODES estimated search nodes on;
 - spectrum's blocked pair count over int64 arrays (_hist_blocks), for a
   set held as an array or of more than _INT_ROWS rows to count;
 - embedding's integer Harm_2 frame (harmonic_frame), read by
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import inf, isqrt, nextafter, sqrt
+from math import gcd, isqrt, sqrt
 
 from ._numpy import np
 from .embedding import EmbeddingError, embedded_gram
@@ -48,129 +48,85 @@ from .linalg import GramMatrix, invert, ldlt
 # 2^14, against 1.3 s and 177 MB at 2^12 and 2.1 s and 160 MB at 2^16
 _CHUNK = 2**14
 
-_U = Fraction(1, 2**53)     # unit roundoff of float64
 
+def _sweep_levels(g: GramMatrix, p, lam, bound: Fraction):
+    """The sweep's level data (p, lam, w, b) for the integer LDL^T
+    (p, lam) of c g (c = g.scale) at bound, or None where float64 is not
+    certified for the form.
 
-def _gamma(k: int) -> Fraction:
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _U / (1 - k * _U)
+    With k the gcd of the entries of c g, the form c g / k has pivots
+    p_i / k^(i+1) and multipliers lam_ji / k^(i+1) (both are minors of
+    order i + 1), and v^T g v <= bound exactly when the integer
+    v^T (c g / k) v is at most B = floor(bound c / k).  In those units, as
+    in _depth_first, the norm is Q(x) = sum_i u_i^2 / w_i with
+    u_i = p_i x_i + C_i, C_i = sum_{j>i} lam_ji x_j and w_i = p_{i-1} p_i
+    (p_-1 = 1).  Returned as float64: the lists p and w, lam as an n x n
+    array with lam[j, i] below the diagonal and zeros elsewhere, and
+    b = fl(fl(B) (1 + 2^-39)).
 
-
-def _sqrt_up(q: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(q), q >= 0, within 2^-64."""
-    return Fraction(isqrt(-(-q.numerator * 4**64 // q.denominator)) + 1,
-                    2**64)
-
-
-def _float_up(q: Fraction) -> float:
-    """The least float64 >= q."""
-    f = float(q)
-    return f if Fraction(f) >= q else nextafter(f, inf)
-
-
-def _float_certificate(g: GramMatrix, p: list[int], lam, bound: Fraction):
-    """(X, eta, eps) certifying the float64 sweep step, or None, for the
-    integer LDL^T (p, lam) of c * g, c = g.scale.
-
-    The step finds, per live row, the x_i with T_{i+1} + D_i (x_i + c_i)^2
-    <= B (B the bound, c_i = sum_{j>i} mu_ji x_j, T_i the partial sum of
-    the levels >= i), in float64 with unit roundoff u = 2^-53.  A node is
-    *valid* when its exact T_i <= B.  On a valid node |x_j| <= X_j =
-    isqrt(floor(B (g^-1)_jj)) (a real vector extending the node has norm
-    T_i, and x^T g x <= B bounds |x_j| by sqrt(B (g^-1)_jj)),
-    |y_i| = |x_i + c_i| <= Y_i >= sqrt(B / D_i) and |c_i| <= M_i =
-    sum_{j>i} |mu_ji| X_j.  With Higham's gamma_k (*Accuracy and Stability
-    of Numerical Algorithms*, 2002, section 3.1; the dot-product bound
-    holds in any summation order, so for any BLAS), on a valid node:
-
-    - the center, a dot product of n-1-i rounded mu with exact x, errs
-      by at most delta_i = gamma_{n-i} M_i;
-    - y = fl(x + center) by e_i = delta_i + u (Y_i + delta_i);
-    - the term fl(D fl(y y)) by tau_i = D_i (e_i (2 Y_i + e_i)
-      + gamma_3 (Y_i + e_i)^2);
-    - the partial sum fl(T_{i+1} + term) by E_i = E_{i+1} + tau_i
-      + u (B + E_{i+1} + tau_i), E_n = 0; eps = E_0 bounds every E_i.
-
-    The radius r = sqrt(fl(fl(B+ - T_{i+1}) / D_i)) (B+ the least float
-    >= B) is at most 2 Y_i and short of the exact one by at most
-    gamma_4 r + sqrt(E_{i+1} / D_i) (sqrt is subadditive), and the two
-    endpoint additions err by gamma_3 (2 Y_i + M_i + delta_i + 1).  So
-    widening both endpoints outward by eta_i = delta_i + 2 gamma_4 Y_i
-    + sqrt(E_{i+1} / D_i) + gamma_3 (2 Y_i + M_i + delta_i + 1) keeps
-    every valid child, and so does the filter T_i <= fl_up(B + eps).
-    Clipping to [-X_i, X_i] drops no valid child and bounds every node.
-    The sweep thus returns every vector of norm <= B and maybe a few more.
-
-    Certified (else None) when:
-    - B, every D_i and every nonzero |mu_ji| lie in [2^-64, 2^64] and
-      every X_j < 2^31.  Then every value on a valid node is 0 or a
-      normal float (between 2^-412 and 2^400 in magnitude), so every
-      operation has relative error at most u, and coordinates are exact;
-    - every eta_i <= 1, which the endpoint bound assumes;
-    - eps <= 2^-20 B.  Not needed for completeness: past it the slack
-      lets through more nodes above the bound, and the form runs the
-      depth-first search instead.
+    Certified (else None) when n < 2^10 and, at every level from the top,
+    S_i + M_i + p_i < 2^52 and X_i = floor((S_i + M_i) / p_i) + 1 < 2^30,
+    with S_i an integer above sqrt(B w_i (1 + 2^-38)) >= sqrt(b w_i) and
+    M_i = sum_{j>i} |lam_ji| X_j.  Then, by induction from the top, every
+    coordinate the sweep visits has |x_i| <= X_i (an interval end rounds
+    by less than 2^-21), so every C_i, p_i x_i and u_i is an integer
+    below 2^52, exact in float64 in any summation order.  Each term
+    fl(fl(u_i^2) / fl(w_i)) of a partial sum is non-negative, so by
+    Higham's gamma_k (*Accuracy and Stability of Numerical Algorithms*,
+    2002, section 3.1) every computed partial sum is within
+    gamma_{n+3} T_i < 2^-42 T_i of the exact T_i, while b > (1 + 2^-40) B.
+    So a node with T_i <= B passes the filter T_i <= b, and the computed
+    radius r = sqrt(fl(b - T_{i+1}) w_i) is at least the exact
+    sqrt((B - T_{i+1}) w_i).  Rounding is monotone and C_i and p_i x_i
+    are exact, so the interval fl((-C_i -+ r) / p_i) holds every x_i with
+    T_i <= B, and needs no widening.  The sweep thus returns every vector
+    of norm <= bound and maybe a few more.
     """
-    n, c = len(p), g.scale
-    d = [Fraction(p[i], c * (p[i - 1] if i else 1)) for i in range(n)]
-    lo, hi = Fraction(1, 2**64), Fraction(2**64)
-    if not all(lo <= x <= hi for x in [bound, *d]) or not all(
-            p[i] <= abs(lam[j][i]) << 64 and abs(lam[j][i]) <= p[i] << 64
-            for j in range(n) for i in range(j) if lam[j][i]):
+    n = len(p)
+    if n >= 2**10:
         return None
-    inv = invert(g)
-    xmax = [isqrt(bound.numerator * inv.entries[j][j]
-                  // (bound.denominator * inv.scale)) for j in range(n)]
-    if max(xmax) >= 2**31:
-        return None
-    u, g3, g4 = _U, _gamma(3), _gamma(4)
-    big_e, eta = Fraction(0), [Fraction(0)] * n
+    k = gcd(*(x for row in g.entries for x in row))
+    p = [x // k ** (i + 1) for i, x in enumerate(p)]
+    lam = [[x // k ** (i + 1) for i, x in enumerate(row)] for row in lam]
+    big_b = bound.numerator * g.scale // (bound.denominator * k)
+    w = [x * y for x, y in zip([1, *p], p)]
+    xmax = [0] * n
     for i in range(n - 1, -1, -1):
-        m_i = Fraction(sum(abs(lam[j][i]) * xmax[j] for j in range(i + 1, n)),
-                       p[i])
-        y_i = _sqrt_up(bound / d[i])
-        delta = _gamma(n - i) * m_i
-        e = delta + u * (y_i + delta)
-        tau = d[i] * (e * (2 * y_i + e) + g3 * (y_i + e) ** 2)
-        eta[i] = (delta + 2 * g4 * y_i + _sqrt_up(big_e / d[i])
-                  + g3 * (2 * y_i + m_i + delta + 1))
-        big_e += tau + u * (bound + big_e + tau)
-    if max(eta) > 1 or big_e > bound / 2**20:
-        return None
-    return xmax, eta, big_e
+        bw = big_b * w[i]
+        s = isqrt(bw + (bw >> 38) + 1) + 1 + sum(
+            abs(lam[j][i]) * xmax[j] for j in range(i + 1, n))
+        xmax[i] = s // p[i] + 1
+        if s + p[i] >= 2**52 or xmax[i] >= 2**30:
+            return None
+    lam = np.array([row + [0] * (n - j) for j, row in enumerate(lam)], float)
+    return ([float(x) for x in p], lam, [float(x) for x in w],
+            float(big_b) * (1 + 2**-39))
 
 
-def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
-                  cert) -> np.ndarray:
-    """One vector of each +-pair with v^T reduced v <= bound, and possibly
-    a few of larger norm, as unsorted int64 rows in the basis of
-    ``reduced`` (the LLL-reduced Gram, with integer LDL^T (p, lam));
-    callers filter by exact norm.
+def _fincke_pohst(levels) -> np.ndarray:
+    """One vector of each +-pair with norm <= the bound, and possibly a
+    few of larger norm, as unsorted int64 rows in the basis of the
+    reduced form whose level data _sweep_levels returned; callers filter
+    by exact norm.
 
     Breadth-first in float64: each level fixes x_i for every live row of a
-    piece at once, with cert = (X, eta, eps) from _float_certificate (a
-    form it refuses runs _depth_first instead): the interval is widened
-    outward by eta_i and clipped to [-X_i, X_i], and a child survives while
-    its partial sum is at most the bound plus eps.  Pieces wait on a
-    stack, so the sweep is depth-first over pieces and holds only the
-    pieces not yet expanded.  The sign rule keeps x_i >= 0 while every
-    coordinate above is zero, and x_0 >= 1 at level 0.
+    piece at once, over the interval of the depth-first search, and a
+    child survives while its partial sum is at most b_up, the padded
+    bound b.  Pieces wait on a stack, so the sweep is depth-first over
+    pieces and holds only the pieces not yet expanded.  The sign rule
+    keeps x_i >= 0 while every coordinate above is zero, and x_0 >= 1 at
+    level 0.
     """
-    xmax, eta, eps = cert
-    n, c = len(p), reduced.scale
-    mu = np.array([[lam[j][i] / p[i] if j > i else 0.0 for i in range(n)]
-                   for j in range(n)])
-    d = [p[i] / (c * (p[i - 1] if i else 1)) for i in range(n)]
-    eta = [_float_up(x) for x in eta]
-    b_up, b_eps = _float_up(bound), _float_up(bound + eps)
+    p, lam, w, b_up = levels
+    n = len(p)
     out = []
     stack = [(n - 1, np.zeros((1, 0)), np.zeros(1), np.zeros(1, bool))]
     while stack:
         i, x, t, nonzero = stack.pop()
-        cen = x @ mu[i + 1:, i]
-        r = np.sqrt(np.maximum((b_up - t) / d[i], 0.0))
-        lo = np.ceil(np.maximum(-cen - r - eta[i], -xmax[i])).astype(np.int64)
-        hi = np.floor(np.minimum(-cen + r + eta[i], xmax[i])).astype(np.int64)
+        cen = x @ lam[i + 1:, i]
+        r = np.sqrt((b_up - t) * w[i])
+        lo = np.ceil((-cen - r) / p[i]).astype(np.int64)
+        hi = np.floor((r - cen) / p[i]).astype(np.int64)
         lo = np.where(nonzero, lo, np.maximum(lo, int(i == 0)))
         counts = np.maximum(hi - lo + 1, 0)
         ends = np.cumsum(counts)
@@ -185,9 +141,9 @@ def _fincke_pohst(reduced: GramMatrix, p, lam, bound: Fraction,
             continue
         idx = np.repeat(np.arange(len(x)), counts)
         xi = lo[idx] + (np.arange(idx.size) - (ends - counts)[idx])
-        y = xi + cen[idx]
-        t = t[idx] + d[i] * (y * y)
-        keep = t <= b_eps
+        u = xi * p[i] + cen[idx]
+        t = t[idx] + u * u / w[i]
+        keep = t <= b_up
         xc = np.empty((idx.size, n - i))
         xc[:, 0] = xi
         xc[:, 1:] = x[idx]
@@ -207,12 +163,12 @@ def shortest_by_sweep(reduced: GramMatrix, trans: list[list[int]], p,
     """(min_norm, vectors) as enumeration.shortest_norm_and_vectors returns
     them, found by the breadth-first sweep in the basis of ``reduced``
     (integer LDL^T (p, lam), unimodular transform trans), the vectors a
-    read-only int64 array; None where _float_certificate refuses the
-    form, which then runs the depth-first search."""
-    cert = _float_certificate(reduced, p, lam, bound)
-    if cert is None:
+    read-only int64 array; None where _sweep_levels refuses the form,
+    which then runs the depth-first search."""
+    levels = _sweep_levels(reduced, p, lam, bound)
+    if levels is None:
         return None
-    half = _fincke_pohst(reduced, p, lam, bound, cert)
+    half = _fincke_pohst(levels)
     norms = exact_norms(reduced, half)
     m = norms.min()
     half = half[norms == m]     # drops the larger array before the map back

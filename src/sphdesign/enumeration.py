@@ -12,15 +12,15 @@ sorted tuple of int tuples, so the shipped lattices up to CT12 are found
 without importing numpy.  From _SCALAR_NODES on, by the Gaussian-heuristic
 node count read from the exact LDL^T pivots of the reduced Gram
 (_estimated_nodes), a breadth-first sweep over numpy arrays
-(_arrays._fincke_pohst) runs instead, wherever an a priori bound eps on
-every float error is certified small (_arrays._float_certificate).  It
-prunes in float64 against the bound plus eps, with intervals widened
-outward by the matching center error: a certified filter in the sense of
-Shewchuk (*Adaptive precision floating-point arithmetic*, DCG 18, 1997),
-which keeps every vector of norm <= the bound and maybe a few more.  A
-form the certificate refuses runs the depth-first search.  Either way the
-result is decided by exact integer norms, so a rounding error can add
-work but never drop or add a vector.  The sweep, its certificate and its
+(_arrays._fincke_pohst) runs instead, on the same integer level data
+divided by the gcd of the form's entries (_arrays._sweep_levels), wherever
+every integer it forms is certified exact in float64.  Its one rounding,
+in the partial norms, is covered by padding the bound: a certified filter
+in the sense of Shewchuk (*Adaptive precision floating-point arithmetic*,
+DCG 18, 1997), which keeps every vector of norm <= the bound and maybe a
+few more.  A form the set-up refuses runs the depth-first search.  Either
+way the result is decided by exact integer norms, so a rounding error can
+add work but never drop or add a vector.  The sweep, its set-up and its
 map back (_arrays._both_signs) live in sphdesign._arrays, imported on
 first use, so a small lattice's command neither compiles nor loads them.
 """
@@ -260,15 +260,17 @@ def size_reduce(g: GramMatrix):
 
 
 # the depth-first search runs below this many estimated nodes
-# (_estimated_nodes), the breadth-first sweep from it on where the float
-# certificate holds.  In ms, depth-first / breadth-first with numpy
-# already imported (medians of 3-5 in-process runs; BW16[:k] is the
-# leading k x k block of the BW16 Gram):
-# E8 (183 nodes) 0.3 / 1.8, CT12 (1 212) 2.8 / 3.2, BW16[:13] (1 606)
-# 3.8 / 3.2, BW16[:14] (2 934) 8.0 / 3.2, BW16[:15] (5 513) 12.0 / 3.9,
-# BW16 (11 615) 25.7 / 5.5.  Below the cut a command on a lattice of
-# that size need never import numpy, which takes 60 ms; the shipped BW16
-# and its skewed bases (10 956 nodes and up) stay on the sweep.
+# (_estimated_nodes), the breadth-first sweep from it on where
+# _arrays._sweep_levels certifies the form.  The whole of
+# shortest_norm_and_vectors in ms, depth-first / breadth-first with numpy
+# already imported, on a 2-vCPU VM (medians of 21 in-process runs, two
+# rounds; BW16[:k] is the leading k x k block of the BW16 Gram):
+# E8 (183 nodes) 1.1 / 0.6, CT12 (1 212) 6.1 / 1.3-2.1, BW16[:13] (1 606)
+# 8.7 / 1.4-2.5, BW16[:14] (2 934) 16 / 1.9-3.3, BW16[:15] (5 513)
+# 28-30 / 2.7-3.4, BW16 (11 615) 60 / 4.7.  The sweep is the faster at
+# every size, but below the cut a command on a lattice of that size need
+# never import numpy, which takes 60 ms and more; the shipped BW16 and its
+# skewed bases (10 956 nodes and up) stay on the sweep.
 _SCALAR_NODES = 4096
 
 
@@ -385,7 +387,7 @@ def shortest_norm_and_vectors(gram: GramMatrix):
     the minimal norm, so that vector is found), keeps the vectors of the
     smallest norm found and maps only those back to input coordinates:
     by _depth_first, as a sorted tuple of int tuples, below _SCALAR_NODES
-    estimated nodes or where the float certificate refuses the form, else
+    estimated nodes or where _arrays._sweep_levels refuses the form, else
     by the breadth-first sweep (_arrays.shortest_by_sweep), as a read-only
     int64 array.
     """

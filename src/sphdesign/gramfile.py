@@ -38,14 +38,20 @@ class FormatError(ValueError):
     """Malformed Gram or vector-set file."""
 
 
+def _shown(text: str, show=repr) -> str:
+    """show(text) when that has at most 42 characters (a repr: up to 40
+    printable ones), else the length of text: how an error names a piece
+    of the input, so that it never echoes an unbounded one."""
+    s = show(text)
+    return s if len(s) <= 42 else f"{len(text)} characters"
+
+
 def parse_rational(token: str) -> Fraction:
-    """Exact rational from "p/q" or integer text; floats are not accepted."""
+    """Exact rational from "p/q" or integer text (q > 0 by the pattern);
+    floats are not accepted."""
     if not _RATIONAL_RE.match(token):
-        raise FormatError(f"not an exact rational: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise FormatError(f"zero denominator: {token!r}") from None
+        raise FormatError(f"not an exact rational: {_shown(token)}")
+    return Fraction(token)
 
 
 def _checked(token: str, field: str) -> str:
@@ -70,12 +76,14 @@ def parse_gram(text: str) -> GramMatrix:
     if not lines:
         raise FormatError("empty Gram file")
     if not _INT_RE.match(lines[0]):
-        raise FormatError(f"first data line must be the dimension, got {lines[0]!r}")
+        raise FormatError("first data line must be the dimension, got "
+                          f"{_shown(lines[0])}")
     n = int(_checked(lines[0], "Gram dimension"))
     if n <= 0:
         raise FormatError("dimension must be positive")
     if len(lines) != n + 1:
-        raise FormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
+        raise FormatError(f"expected {_shown(str(n), str)} matrix rows, "
+                          f"found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
         tokens = line.split()
@@ -104,11 +112,11 @@ def write_gram(path: str | Path, g: GramMatrix, header: str | None = None) -> No
 def _vector_row(line: str, rank: int, index: int) -> list[int]:
     """The rank integers of one stripped data line, vector index (from 1),
     with the file's checks.  An error names the vector and the coordinate,
-    and quotes the token when its repr has at most 42 characters (up to 40
-    printable ones), else gives its length."""
+    and the token as _shown shows it."""
     tokens = line.split()
     if len(tokens) != rank:
-        raise FormatError(f"expected {rank} coordinates per vector")
+        raise FormatError(
+            f"expected {_shown(str(rank), str)} coordinates per vector")
     # vector sets are stored as int64, with |x| representable too: a
     # coordinate of 20 digits or more is out of range before int() reads it
     for what, ok in (("vector coordinates must be integers", _INT_RE.match),
@@ -117,8 +125,7 @@ def _vector_row(line: str, rank: int, index: int) -> list[int]:
                       and abs(int(t)) < 2**63)):
         for j, t in enumerate(tokens, 1):
             if not ok(t):
-                q = repr(t) if len(repr(t)) <= 42 else f"{len(t)} characters"
-                raise FormatError(f"{what}: {q} at vector {index}, "
+                raise FormatError(f"{what}: {_shown(t)} at vector {index}, "
                                   f"coordinate {j}")
     return [int(t) for t in tokens]
 
@@ -142,12 +149,13 @@ def parse_vector_set(text: str) -> tuple[int, int, Fraction, np.ndarray]:
     if not all(_COUNT_RE.fullmatch(t) for t in header[:2]):
         raise FormatError(
             "rank and vector count must be positive, in the digits 0-9, "
-            f"got {header[0]!r} and {header[1]!r}")
+            f"got {_shown(header[0])} and {_shown(header[1])}")
     rank = int(_checked(header[0], "rank"))
     count = int(_checked(header[1], "vector count"))
     min_norm = parse_rational(_checked(header[2], "min_norm"))
     if len(lines) != count + 1:
-        raise FormatError(f"expected {count} vectors, found {len(lines) - 1}")
+        raise FormatError(f"expected {_shown(str(count), str)} vectors, "
+                          f"found {len(lines) - 1}")
     buf = array("q")
     for i in range(1, count + 1, _BATCH):
         batch = lines[i:i + _BATCH]

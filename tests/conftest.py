@@ -26,7 +26,7 @@ from sphdesign.catalog import (
     catalog_names,
     expectations,
 )
-from sphdesign._arrays import _both_signs, _fincke_pohst, _float_certificate
+from sphdesign._arrays import _both_signs, _fincke_pohst, _sweep_levels
 from sphdesign.embedding import embedded_gram
 from sphdesign.enumeration import (
     EnumerationError,
@@ -237,18 +237,17 @@ def spectrum_from_counts(d: int, counts: dict) -> PairSpectrum:
 
 def certified_sweep(g: GramMatrix, bound) -> np.ndarray:
     """_fincke_pohst on g itself at bound, one row per +-pair, unsorted;
-    the float certificate must accept the form and bound."""
-    bound = Fraction(bound)
+    _sweep_levels must accept the form and bound."""
     p, lam = ldlt(g.entries)
-    cert = _float_certificate(g, p, lam, bound)
-    assert cert is not None, "the float certificate refuses this bound"
-    return _fincke_pohst(g, p, lam, bound, cert)
+    levels = _sweep_levels(g, p, lam, Fraction(bound))
+    assert levels is not None, "_sweep_levels refuses this form and bound"
+    return _fincke_pohst(levels)
 
 
 def enumerate_short_vectors(gram: GramMatrix, bound) -> np.ndarray:
     """All nonzero integer vectors v with v^T gram v <= bound, both signs,
     sorted lexicographically: the breadth-first pipeline of
-    minimal_vector_set at a given bound, for bounds the float certificate
+    minimal_vector_set at a given bound, for bounds _sweep_levels
     accepts."""
     bound = Fraction(bound)
     if bound <= 0:

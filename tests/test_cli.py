@@ -400,24 +400,26 @@ def test_minimal_vector_past_int64_exit_two(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_minvec_uncertified_form_writes_bw16_rows(tmp_path, capsys):
-    # BW16 with every entry times 2^70 is past the float certificate and
-    # runs the depth-first search: the rows are BW16's, the norm 2^70 times
+    # BW16 with every entry times 2^70, plus 1 on the first diagonal entry,
+    # has pivots past 2^52 that no gcd takes back, so it runs the
+    # depth-first search: the rows are BW16's with first coordinate 0, the
+    # norm 2^70 times
     g = catalog("BW16").gram
     gram = tmp_path / "big.gram"
     gram.write_text(f"{g.n}\n" + "".join(
-        " ".join(str(g[i, j] * 2**70) for j in range(g.n)) + "\n"
-        for i in range(g.n)))
+        " ".join(str(g[i, j] * 2**70 + (i == j == 0)) for j in range(g.n))
+        + "\n" for i in range(g.n)))
     big, small = tmp_path / "big.vecs", tmp_path / "bw16.vecs"
     code, out, _ = run(capsys, "minvec", "--gram-file", str(gram),
                        "--out", str(big))
     assert code == 0
-    assert out.splitlines()[0] == f"min_norm {4 * 2**70}, 4320 vectors"
+    assert out.splitlines()[0] == f"min_norm {4 * 2**70}, 2340 vectors"
     code, _, _ = run(capsys, "minvec", "--lattice", "BW16", "--out",
                      str(small))
     assert code == 0
     big, small = big.read_text().splitlines(), small.read_text().splitlines()
-    assert (big[0], small[0]) == (f"16 4320 {4 * 2**70}", "16 4320 4")
-    assert big[1:] == small[1:]
+    assert (big[0], small[0]) == (f"16 2340 {4 * 2**70}", "16 4320 4")
+    assert big[1:] == [row for row in small[1:] if row.startswith("0 ")]
 
 
 @pytest.mark.parametrize("command",
@@ -484,6 +486,39 @@ def test_long_numbers_exit_two(tmp_path, capsys, name):
     flag = "--gram-file" if name.endswith(".gram") else "--vectors"
     code, out, err = run(capsys, command, flag, str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# one unbounded piece of input per file, each echoed in full by an
+# earlier error: a 4 000-digit rank, dimension or count, a first line
+# with 6 000 characters of junk, a 4 000-digit decimal, a 5 000-character
+# header token.  The error gives the piece's length instead
+_LONG_ECHOES = {
+    "rank.vecs": ("verify", "9" * 4000 + " 1 4\n1 2\n",
+                  "expected 4000 characters coordinates per vector"),
+    "count.vecs": ("verify", "1 " + "9" * 4000 + " 1\n1\n",
+                   "expected 4000 characters vectors, found 1"),
+    "header.vecs": ("verify", "x" * 5000 + " 1 4\n1 2\n",
+                    "rank and vector count must be positive, in the digits "
+                    "0-9, got 5000 characters and '1'"),
+    "dim.gram": ("verify", "9" * 4000 + "\n1\n",
+                 "expected 4000 characters matrix rows, found 1"),
+    "first.gram": ("verify", "2 " + "x" * 6000 + "\n1 0\n0 1\n",
+                   "first data line must be the dimension, got 6002 "
+                   "characters"),
+    "entry.gram": ("verify", "1\n1." + "5" * 4000 + "\n",
+                   "not an exact rational: 4002 characters"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_ECHOES))
+def test_errors_never_echo_long_input(tmp_path, capsys, name):
+    command, text, message = _LONG_ECHOES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--gram-file" if name.endswith(".gram") else "--vectors"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
 
 
 # D4's 24 vectors of norm 4, read against the D4 form of minimum 2: every

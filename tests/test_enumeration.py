@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction as F
-from math import isqrt
+from math import inf, isqrt
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -393,8 +395,7 @@ def test_halve_union_random_forms(g):
 
 def _certified(g: GramMatrix, bound) -> bool:
     p, lam = ldlt(g.entries)
-    cert = _arrays._float_certificate(g, p, lam, F(bound))
-    return cert is not None
+    return _arrays._sweep_levels(g, p, lam, F(bound)) is not None
 
 
 def _box_radii(g: GramMatrix, bound) -> list[int]:
@@ -423,7 +424,7 @@ def _sweep_set(g: GramMatrix, bound) -> set[tuple[int, ...]]:
     return rows | negated
 
 
-def _scaled(g: GramMatrix, k: int) -> GramMatrix:
+def _scaled(g: GramMatrix, k) -> GramMatrix:
     return GramMatrix.from_rows([[g[i, j] * k for j in range(g.n)]
                                  for i in range(g.n)])
 
@@ -453,19 +454,19 @@ def _skewed_cases(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
-    # the float sweep on g must find the box oracle's set.  The same
-    # lattice scaled by 2^70 has every D_i above 2^64, past the float
-    # certificate, so with the node cut at 0, where only the certificate
-    # picks the search, it runs the exact depth-first search, which must
-    # find the oracle's minimum-norm shell
+    # the float sweep must find the box oracle's set, on g and on g scaled
+    # by 2^70, which the set-up takes back to g's units by the gcd of its
+    # entries.  With the node cut past every estimate, the scaled lattice
+    # runs the exact depth-first search, which must find the oracle's
+    # minimum-norm shell
     monkeypatch.setattr(_arrays, "_CHUNK", chunk)
-    monkeypatch.setattr(enumeration, "_SCALAR_NODES", 0)
+    monkeypatch.setattr(enumeration, "_SCALAR_NODES", inf)
     g, bound = case
     assume(np.prod([2 * r + 1 for r in _box_radii(g, bound)]) <= 20000)
     big = _scaled(g, 2**70)
-    assert _certified(g, bound) and not _certified(big, bound * 2**70)
     want = _box_oracle(g, bound)
     assert _sweep_set(g, bound) == want
+    assert _sweep_set(big, bound * 2**70) == want
     norm, rows = shortest_norm_and_vectors(big)
     assert isinstance(rows, tuple)
     norms = {v: quadratic_form(g, v) for v in want}
@@ -478,17 +479,43 @@ def test_float_and_exact_tiers_match_box_oracle(monkeypatch, chunk, case):
 
 
 def test_float_certificate_refusals():
-    # entries past 2^64: E8 scaled by 2^70 has every D_i above it, and the
-    # sweep hands the form back to the depth-first search
-    g = _scaled(catalog("E8").gram, 2**70)
-    reduced, trans, p, lam = size_reduce(g)
-    assert _arrays.shortest_by_sweep(reduced, trans, p, lam,
-                                     F(2 * 2**70)) is None
-    # a coordinate bound X_j = isqrt(B (g^-1)_jj) of 2^31 or more, every
-    # D_i in range: diag(1, 2^-62) at B = 1 has X = (1, 2^31)
-    for k, certified in [(60, True), (62, False)]:
+    # one form per check of _sweep_levels, at the edge where it refuses.
+    # S_i + M_i + p_i < 2^52: diag(1, 2^-k) at bound 1 is diag(2^k, 1) in
+    # integer units, with p_1 = 2^k and S_1 just above 2^(3k/2)
+    for k, certified in [(34, True), (35, False)]:
         g = GramMatrix.from_rows([[1, 0], [0, F(1, 2**k)]])
         assert _certified(g, 1) is certified, k
+    # X_i < 2^30: the identity at bound 2^k has X_i = isqrt(~2^k) + 2
+    for k, certified in [(59, True), (60, False)]:
+        assert _certified(GramMatrix.identity(2), 2**k) is certified, k
+    # n < 2^10: the identity of rank n, by its LDL^T; its Gram is read only
+    # for the gcd of its entries, so one entry stands in for it
+    one = SimpleNamespace(scale=1, entries=((1,),))
+    for n, certified in [(2**10 - 1, True), (2**10, False)]:
+        lam = [[0] * j for j in range(n)]
+        got = _arrays._sweep_levels(one, [1] * n, lam, F(1))
+        assert (got is not None) is certified, n
+
+
+def test_sweep_levels_are_the_gcd_reduced_form():
+    # the level data are those of c g / k, k the gcd of its entries, and
+    # the bound is floor(bound c / k) padded by 2^-39: on every lattice
+    # scaled by 2^70 / 3, as on the lattice itself
+    for name in ("A2", "E6dual", "E7dual", "E8", "CT12"):
+        g = catalog(name).gram
+        for h in (1, F(2**70, 3)):
+            red, _, p, lam = size_reduce(_scaled(g, h))
+            bound = min(red[i, i] for i in range(red.n))
+            k = math.gcd(*(x for row in red.entries for x in row))
+            pk, lamk = ldlt([[x // k for x in row] for row in red.entries])
+            p_f, lam_f, w_f, b = _arrays._sweep_levels(red, p, lam, bound)
+            n = red.n
+            assert p_f == [float(x) for x in pk]
+            assert w_f == [float(x * y) for x, y in zip([1, *pk], pk)]
+            assert lam_f.tolist() == [[float(lamk[j][i]) if i < j else 0.0
+                                       for i in range(n)] for j in range(n)]
+            big_b = int(bound * red.scale / k)
+            assert b == float(big_b) * (1 + 2**-39) > big_b
 
 
 def test_both_signs_maps_back_past_the_int64_product_bound():
@@ -524,54 +551,29 @@ def test_float_tier_matches_exact_tier(monkeypatch, name, chunks):
 
 
 def test_float_superset_is_cut_by_exact_norms():
-    # the norm-2 vectors of A2 pass the float filter at a bound just below
-    # 2; only the exact norms remove them
-    bound = 2 - F(1, 10**18)
-    assert _certified(A2, bound)
-    assert len(certified_sweep(A2, bound)) == 3
-    assert enumerate_short_vectors(A2, bound).shape == (0, 2)
-    assert box_scan(A2, bound, 3) == set()
+    # at bound 2^40 - 1 on Z the padded float bound is 2^40 + 1, so the
+    # vector 2^20, of norm 2^40, passes the float filter; only the exact
+    # norms remove it
+    g, bound = GramMatrix.identity(1), 2**40 - 1
+    half = certified_sweep(g, bound)
+    assert sorted(half[:, 0].tolist()) == list(range(1, 2**20 + 1))
+    assert enumerate_short_vectors(g, bound).shape == (2**21 - 2, 1)
 
 
-def _oracle_certificate(g: GramMatrix, bound: F):
-    """(X, eta, eps) by the formulas of _float_certificate's docstring,
-    from the Fraction Gram-Schmidt oracle _gso and linalg.invert."""
-    mu, bstar = _gso(g)
-    n, u = g.n, F(1, 2**53)
-
-    def gamma(k):
-        return k * u / (1 - k * u)
-
-    xs = _box_radii(g, bound)
-    e_next, eta = F(0), [F(0)] * n
-    for i in reversed(range(n)):
-        m = sum(abs(mu[j][i]) * xs[j] for j in range(i + 1, n))
-        y = _arrays._sqrt_up(bound / bstar[i])
-        delta = gamma(n - i) * m
-        e = delta + u * (y + delta)
-        tau = bstar[i] * (e * (2 * y + e) + gamma(3) * (y + e) ** 2)
-        eta[i] = (delta + 2 * gamma(4) * y
-                  + _arrays._sqrt_up(e_next / bstar[i])
-                  + gamma(3) * (2 * y + m + delta + 1))
-        e_next = e_next + tau + u * (bound + e_next + tau)
-    return xs, eta, e_next
-
-
-@pytest.mark.parametrize("name", ["A2", "E6dual", "E7dual", "E8", "CT12"])
-def test_float_certificate_matches_its_formula(name):
-    red, *_ = size_reduce(catalog(name).gram)
-    bound = min(red[i, i] for i in range(red.n))
-    p, lam = ldlt(red.entries)
-    got = _arrays._float_certificate(red, p, lam, bound)
-    assert got == _oracle_certificate(red, bound)
-    assert got[2] > 0
-
-
-@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
-@settings(max_examples=100)
-def test_sqrt_up_is_a_tight_upper_bound(q):
-    s = _arrays._sqrt_up(q)
-    assert s * s >= q and (s - F(1, 2**64)) ** 2 <= q or s <= F(1, 2**64)
+def test_sweep_keeps_a_boundary_vector_past_a_large_center():
+    # Q(x) = (3 x_0 + (3m + 1) x_1)^2 + 3 x_1^2: at level 0, C_0 / p_0 =
+    # (m + 1/3) x_1 is far from a float, and (1 - m, 1), of norm 19, sits
+    # on the upper end of its interval.  Computed as fl(fl(r - C_0) / p_0)
+    # that end is never below it (rounding is monotone and C_0 exact); as
+    # fl(r / p_0) - fl(C_0 / p_0) it rounds to -m and the vector is lost
+    m = 2**21
+    g = GramMatrix.from_rows([[9, 9 * m + 3],
+                              [9 * m + 3, (3 * m + 1) ** 2 + 3]])
+    want = {(x0, x1) for x1 in range(-2, 3)
+            for x0 in range(-m * x1 - 3, -m * x1 + 4)
+            if (x0, x1) != (0, 0) and quadratic_form(g, (x0, x1)) <= 19}
+    assert (1 - m, 1) in want and len(want) == 12
+    assert _sweep_set(g, 19) == want
 
 
 def test_vector_set_sorts_rows_and_derives_antipodal():
@@ -722,26 +724,54 @@ def test_depth_first_runs_past_the_recursion_limit():
                          for i in range(200) for s in (1, -1)}
 
 
+def _bw16_past_the_sweep() -> GramMatrix:
+    """BW16 with every entry times 2^70, plus 1 on the first diagonal
+    entry: the gcd of its entries is 1, so its pivots are past 2^52 from
+    the second one on.  Its minimal vectors are BW16's with first
+    coordinate 0, at 2^70 times the norm."""
+    g = catalog("BW16").gram
+    return GramMatrix.from_rows([[g[i, j] * 2**70 + (i == j == 0)
+                                  for j in range(g.n)] for i in range(g.n)])
+
+
 @pytest.mark.slow
 def test_uncertified_form_runs_depth_first(monkeypatch):
-    # BW16 with every entry times 2^70 is above the node cut, but every
-    # D_i is past the float certificate's 2^64, so the depth-first search
-    # runs, and the sweep never does
-    g = catalog("BW16").gram
-    big = _scaled(g, 2**70)
+    # the form is above the node cut, but _sweep_levels refuses it, so the
+    # depth-first search runs, and the sweep never does
+    big = _bw16_past_the_sweep()
     red, *_ = size_reduce(big)
     bound = min(red[i, i] for i in range(red.n))
     nodes = enumeration._estimated_nodes(ldlt(red.entries)[0], red.scale,
                                          bound)
     assert nodes >= enumeration._SCALAR_NODES and not _certified(red, bound)
-    norm, want = shortest_norm_and_vectors(g)
+    norm, want = shortest_norm_and_vectors(catalog("BW16").gram)
+    want = want[want[:, 0] == 0]
 
     def sweep(*args):
         raise AssertionError("the breadth-first sweep ran")
     monkeypatch.setattr(_arrays, "_fincke_pohst", sweep)
     big_norm, rows = shortest_norm_and_vectors(big)
-    assert big_norm == norm * 2**70 and len(rows) == 4320
+    assert big_norm == norm * 2**70 and len(rows) == len(want) > 0
     assert [list(v) for v in rows] == want.tolist()
+
+
+@pytest.mark.parametrize("name, k", [
+    ("E8", 2**70), ("CT12", 3), ("BW16", F(7, 5)),
+    pytest.param("Leech", F(7, 5), marks=pytest.mark.slow)],
+    ids=["E8*2^70", "CT12*3", "BW16*7/5", "Leech*7/5"])
+def test_scaled_forms_stay_on_the_sweep(monkeypatch, name, k):
+    # the set-up divides c g by the gcd of its entries, so the lattice
+    # scaled by k runs the sweep in the units of the lattice itself (the
+    # node cut at 0 sends E8 and CT12 there) and finds the same rows
+    monkeypatch.setattr(enumeration, "_SCALAR_NODES", 0)
+    g = catalog(name).gram
+    norm, want = shortest_norm_and_vectors(g)
+    runs, sweep = [], _arrays._fincke_pohst
+    monkeypatch.setattr(_arrays, "_fincke_pohst",
+                        lambda levels: runs.append(1) or sweep(levels))
+    big_norm, rows = shortest_norm_and_vectors(_scaled(g, k))
+    assert runs == [1] and big_norm == norm * k
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
 
 
 def test_node_estimate_puts_small_lattices_below_the_cut_and_bw16_above():
